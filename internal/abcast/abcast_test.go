@@ -54,41 +54,57 @@ func (s *sink) snapshot() []delivery {
 	return append([]delivery(nil), s.seq...)
 }
 
-// build assembles n stacks with the full substrate and the named
-// implementation bound to ServiceImpl at epoch 0.
-func build(t *testing.T, n int, netCfg simnet.Config, implName string) (*stacktest.Cluster, []*sink) {
+// substrate assembles n stacks with everything below atomic broadcast
+// registered, and no atomic-broadcast module yet.
+func substrate(t *testing.T, n int, netCfg simnet.Config, rbCfg rbcast.Config) *stacktest.Cluster {
 	t.Helper()
 	c := stacktest.New(t, n, netCfg, nil)
 	c.Reg.MustRegister(udp.Factory(c.Tr))
 	c.Reg.MustRegister(rp2p.Factory(rp2p.Config{RTO: 5 * time.Millisecond}))
-	c.Reg.MustRegister(rbcast.Factory(rbcast.Config{}))
+	c.Reg.MustRegister(rbcast.Factory(rbCfg))
 	c.Reg.MustRegister(fd.Factory(fd.Config{Interval: 5 * time.Millisecond, Timeout: 60 * time.Millisecond}))
 	c.Reg.MustRegister(consensus.Factory())
-	reg := abcast.StandardRegistry()
-	im, ok := reg.Lookup(implName)
+	return c
+}
+
+// attach creates the implementation's module for an epoch on stack i,
+// binds it to svc and starts it, the way the replacement layer does when
+// the stack reaches a switch; the returned sink logs what it delivers.
+func attach(t *testing.T, c *stacktest.Cluster, i int, im abcast.Impl, epoch uint64, svc kernel.ServiceID) *sink {
+	t.Helper()
+	var s *sink
+	c.OnSync(i, func() {
+		st := c.Stacks[i]
+		for _, req := range im.Requires {
+			if err := st.EnsureService(req); err != nil {
+				t.Errorf("stack %d: ensure %q: %v", i, req, err)
+			}
+		}
+		mod := im.New(st, epoch)
+		st.AddModule(mod)
+		if err := st.Bind(svc, mod); err != nil {
+			t.Errorf("stack %d: bind: %v", i, err)
+		}
+		s = newSink(st)
+		st.AddModule(s)
+		st.Subscribe(abcast.ServiceImpl, s)
+		mod.Start()
+	})
+	return s
+}
+
+// build assembles n stacks with the full substrate and the named
+// implementation bound to ServiceImpl at epoch 0.
+func build(t *testing.T, n int, netCfg simnet.Config, implName string) (*stacktest.Cluster, []*sink) {
+	t.Helper()
+	c := substrate(t, n, netCfg, rbcast.Config{})
+	im, ok := abcast.StandardRegistry().Lookup(implName)
 	if !ok {
 		t.Fatalf("unknown implementation %q", implName)
 	}
 	sinks := make([]*sink, n)
-	for i := 0; i < n; i++ {
-		i := i
-		c.OnSync(i, func() {
-			st := c.Stacks[i]
-			for _, svc := range im.Requires {
-				if err := st.EnsureService(svc); err != nil {
-					t.Errorf("stack %d: ensure %q: %v", i, svc, err)
-				}
-			}
-			mod := im.New(st, 0)
-			st.AddModule(mod)
-			if err := st.Bind(abcast.ServiceImpl, mod); err != nil {
-				t.Errorf("stack %d: bind: %v", i, err)
-			}
-			sinks[i] = newSink(st)
-			st.AddModule(sinks[i])
-			st.Subscribe(abcast.ServiceImpl, sinks[i])
-			mod.Start()
-		})
+	for i := range sinks {
+		sinks[i] = attach(t, c, i, im, 0, abcast.ServiceImpl)
 	}
 	return c, sinks
 }

@@ -8,33 +8,40 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/rbcast"
+	"repro/internal/rp2p"
 	"repro/internal/wire"
 )
 
 // ctModule is the Chandra–Toueg atomic broadcast: messages are
 // disseminated with reliable broadcast; a sequence of consensus
 // instances agrees, one batch at a time, on the delivery order of the
-// not-yet-delivered messages. Decisions carry full payloads, so a stack
-// that missed the dissemination of a message still delivers it from the
-// decided batch.
+// not-yet-delivered messages.
+//
+// Consensus orders identifiers, not payloads (indirect consensus, Ekwall
+// & Schiper, DSN 2006): a proposal is a list of (origin, seq) ids and a
+// payload crosses each link once, in the dissemination. Through the
+// readiness predicate held a stack proposes, adopts and acks only a list
+// whose payloads it holds, so a decided list is held by a majority, hence
+// by a correct stack, whose reliable broadcast brings it to all. Delivery
+// follows the decided order and suspends at an id whose payload has not
+// arrived; a payload stays missing only if this stack's rbcast buffer
+// dropped it before the epoch's module existed, and is then pulled.
 //
 // This is the implementation measured in the paper's experiments (the
-// ABcast module of Figure 4, on top of the CT consensus module). It is
-// uniform and tolerates any minority of crashes.
+// ABcast module of Figure 4, on top of CT consensus): uniform, and
+// tolerant of any minority of crashes.
 //
 // Instances are pipelined: up to maxInflight consensus instances run
 // concurrently, each proposing a disjoint slice of the pending backlog.
 // Decisions are still processed strictly in instance order (out-of-order
-// arrivals buffer in decBuf), so the delivery order is unchanged; the
-// pipeline only overlaps the network round-trips of consecutive
-// instances, which is what keeps a loaded group throughput-bound instead
-// of latency-bound. Proposing the same message in two instances is
-// harmless (delivery dedups), but the in-flight set avoids it to keep
-// decisions lean.
+// arrivals buffer in decBuf); the pipeline only overlaps the round-trips
+// of consecutive instances, which keeps a loaded group throughput-bound
+// instead of latency-bound. Proposing a message in two instances is
+// harmless (delivery dedups); the in-flight set avoids it.
 type ctModule struct {
 	kernel.Base
 	epoch   uint64
-	channel string           // rbcast dissemination channel, epoch-scoped
+	channel string           // rbcast dissemination and rp2p repair channel, epoch-scoped
 	consSvc kernel.ServiceID // which consensus service orders batches
 
 	sendSeq    uint64
@@ -48,29 +55,57 @@ type ctModule struct {
 	proposedAt map[uint64]time.Time
 	decBuf     map[uint64][]byte // out-of-order decisions, bounded by maxDecBuf
 	decDropped map[uint64]bool   // decisions evicted from decBuf, to refetch at their turn
+
+	open      bool    // decision k is being delivered: cur[at:] is still to deliver; outside
+	cur       []msgID // drain, open means delivery is suspended at cur[at], whose payload is missing
+	at        int
+	kept      map[msgID][]byte     // delivered payloads of the last maxDecBuf decisions
+	keptIDs   [maxDecBuf][]msgID   // what each of those decisions delivered, by k mod maxDecBuf
+	consWaits bool                 // held reported a payload missing: Recheck when one arrives
+	unheld    []byte               // the last id list held rejected, for pull
+	pullTimer *kernel.Timer        // armed when drain or held found a payload missing
+	denied    map[kernel.Addr]bool // peers that answered the last pull without cur[at]
 }
 
 // maxInflight bounds how many consensus instances this stack proposes
 // concurrently. Depth 1 is the classic serial reduction; a modest
-// pipeline overlaps the instance round-trips without flooding the
-// substrate.
+// pipeline overlaps the round-trips without flooding the substrate.
 const maxInflight = 4
 
-// maxDecBuf bounds the out-of-order decision buffer. A stack that falls
-// behind while decisions keep arriving would otherwise buffer them
-// without limit (each up to maxBatchBytes — the same rationale that
-// bounds proposal batches). Beyond the cap the furthest-ahead decision
-// is dropped and counted; it is refetched from the consensus module's
-// decision cache (consensus.Refetch) when its turn comes.
+// maxDecBuf bounds the out-of-order decision buffer: a stack that falls
+// behind would otherwise buffer decisions without limit. Beyond the cap
+// the furthest-ahead decision is dropped and counted; it is refetched
+// from the consensus module's decision cache (consensus.Refetch) when
+// its turn comes. The same constant bounds, in processed decisions, how
+// long a delivered payload is retained for peers' pulls.
 const maxDecBuf = 256
 
-// decBufDrops counts decisions evicted from the bounded decBuf.
-var decBufDrops = metrics.NewCounter("abcast.ct.decbuf_drops")
+// maxBatch bounds how many messages one consensus instance orders; the
+// overflow waits for the next instance. A proposal of maxBatch ids fits
+// one datagram on every fabric, whatever the payloads weigh.
+const maxBatch = 256
+
+// pullAfter is how long delivery stays suspended at a decided id before
+// the payload is pulled from the peers, and the time between two pulls:
+// far beyond the lag of a dissemination merely slower than the decision.
+const pullAfter = 200 * time.Millisecond
+
+const pullReq, pullResp byte = 0, 1 // repair-channel message kinds
+
+// decBufDrops counts decisions evicted from the bounded decBuf;
+// payloadWaits deliveries suspended at an id whose payload had not
+// arrived; payloadPulls the pulls issued for one that stayed missing;
+// payloadLost the stacks halted because no peer could serve a pull.
+var (
+	decBufDrops  = metrics.NewCounter("abcast.ct.decbuf_drops")
+	payloadWaits = metrics.NewCounter("abcast.ct.payload_waits")
+	payloadPulls = metrics.NewCounter("abcast.ct.payload_pulls")
+	payloadLost  = metrics.NewCounter("abcast.ct.payload_lost")
+)
 
 // Adaptation signals: decided instances and the smoothed
-// propose-to-decide latency of the instances this stack proposed. The
-// latency gauge is what internal/policy samples to tell whether the
-// consensus path is keeping up with the environment.
+// propose-to-decide latency of the instances this stack proposed, which
+// internal/policy samples to tell whether consensus is keeping up.
 var (
 	decisionCounter  = metrics.NewCounter("abcast.decisions")
 	consLatencyGauge = metrics.NewGauge("abcast.consensus_latency_us")
@@ -91,7 +126,7 @@ func CTImpl() Impl {
 func CTImplOn(name string, consSvc kernel.ServiceID) Impl {
 	return Impl{
 		Name:     name,
-		Requires: []kernel.ServiceID{rbcast.Service, consSvc},
+		Requires: []kernel.ServiceID{rp2p.Service, rbcast.Service, consSvc},
 		New: func(st *kernel.Stack, epoch uint64) kernel.Module {
 			return &ctModule{
 				Base:       kernel.NewBase(st, name),
@@ -105,23 +140,29 @@ func CTImplOn(name string, consSvc kernel.ServiceID) Impl {
 				proposedAt: make(map[uint64]time.Time),
 				decBuf:     make(map[uint64][]byte),
 				decDropped: make(map[uint64]bool),
+				kept:       make(map[msgID][]byte),
 			}
 		},
 	}
 }
 
-// Start attaches to the epoch-scoped rbcast channel and consensus group.
-// The consensus Listen replays decisions of this group that were made
-// before this module existed (a module created mid-update catches up).
+// Start attaches to the epoch-scoped channels and consensus group. The
+// consensus Listen replays decisions of this group that were made before
+// this module existed (a module created mid-update catches up).
 func (m *ctModule) Start() {
 	m.Stk.Call(rbcast.Service, rbcast.Listen{Channel: m.channel, Handler: m.onMsg})
-	m.Stk.Call(m.consSvc, consensus.Listen{Group: m.epoch, Handler: m.onDecide})
+	m.Stk.Call(rp2p.Service, rp2p.Listen{Channel: m.channel, Handler: m.onPull})
+	m.Stk.Call(m.consSvc, consensus.Listen{Group: m.epoch, Handler: m.onDecide, Ready: m.held})
 }
 
 // Stop detaches from the substrate and garbage-collects this epoch's
 // decision cache (the module is the sole user of its consensus group).
 func (m *ctModule) Stop() {
+	if m.pullTimer != nil {
+		m.pullTimer.Stop()
+	}
 	m.Stk.Call(rbcast.Service, rbcast.Unlisten{Channel: m.channel})
+	m.Stk.Call(rp2p.Service, rp2p.Unlisten{Channel: m.channel})
 	m.Stk.Call(m.consSvc, consensus.Forget{Group: m.epoch})
 }
 
@@ -141,9 +182,13 @@ func (m *ctModule) onMsg(d rbcast.Deliver) {
 	r := wire.NewReader(d.Data)
 	id := msgID{origin: kernel.Addr(r.Uvarint()), seq: r.Uvarint()}
 	data := r.Rest()
-	if r.Err() != nil {
-		return
+	if r.Err() == nil {
+		m.receive(id, data)
 	}
+}
+
+// receive takes in one payload, from the dissemination or from a pull.
+func (m *ctModule) receive(id msgID, data []byte) {
 	if m.delivered[id] {
 		return
 	}
@@ -151,28 +196,73 @@ func (m *ctModule) onMsg(d rbcast.Deliver) {
 		return
 	}
 	m.pending[id] = data
+	if m.consWaits {
+		m.consWaits = false
+		m.Stk.Call(m.consSvc, consensus.Recheck{Group: m.epoch})
+	}
+	if m.open && m.cur[m.at] == id {
+		m.drain() // delivery was suspended at this very message
+		return
+	}
 	m.maybePropose()
 }
 
-// maxBatch and maxBatchBytes bound how much one consensus instance
-// orders, by count and by payload volume. Unbounded batches grow with
-// the backlog, and a multi-hundred-kilobyte estimate takes so long to
-// transmit that the instance starves the very backlog it is trying to
-// drain; the overflow simply waits for the next instance.
-//
-// maxBatchBytes must also keep a proposal (and therefore an estimate
-// and a decision, which carry the same bytes) inside one real UDP
-// datagram with the consensus/rp2p/frame headers on top — the same
-// 48 KiB rationale that caps core's sender-side batches. A proposal
-// over transport.MaxDatagram is silently unsendable on the datagram
-// backend and the instance stalls forever. A single over-limit payload
-// still goes through as a one-record batch: the byte cap is checked
-// after the first record, and one record within the stream transport's
-// message limit is the sender's problem, not ours.
-const (
-	maxBatch      = 256
-	maxBatchBytes = 48 << 10
-)
+// encodeIDs is the value handed to consensus and the body of a pull
+// request: runs of consecutive sequence numbers of one origin, (origin,
+// first seq, length ≤ maxBatch) each. A sorted batch is a handful of runs.
+func encodeIDs(ids []msgID) []byte {
+	w := wire.NewWriter(16)
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && j-i < maxBatch && ids[j].origin == ids[i].origin && ids[j].seq == ids[j-1].seq+1 {
+			j++
+		}
+		w.Uvarint(uint64(ids[i].origin)).Uvarint(ids[i].seq).Uvarint(uint64(j - i))
+		i = j
+	}
+	return w.Bytes()
+}
+
+// eachID calls fn for the ids of an encoded list, in order; it reports
+// whether the list was well-formed and fn accepted every id.
+func eachID(r *wire.Reader, fn func(msgID) bool) bool {
+	for r.Remaining() > 0 {
+		origin, first, n := kernel.Addr(r.Uvarint()), r.Uvarint(), r.Uvarint()
+		if r.Err() != nil || n > maxBatch {
+			return false
+		}
+		for i := uint64(0); i < n; i++ {
+			if !fn(msgID{origin: origin, seq: first + i}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// missing reports whether this stack has never received id's payload.
+func (m *ctModule) missing(id msgID) bool {
+	_, pend := m.pending[id]
+	return !pend && !m.delivered[id]
+}
+
+// held is the readiness predicate given to consensus: this stack has
+// received every payload the id list names. A list that stays unheld is
+// pulled too: consensus may need this very stack's ack to decide it.
+func (m *ctModule) held(val []byte) bool {
+	ok := eachID(wire.NewReader(val), func(id msgID) bool { return !m.missing(id) })
+	if !ok {
+		m.consWaits, m.unheld = true, val
+		m.armPull()
+	}
+	return ok
+}
+
+func (m *ctModule) armPull() {
+	if m.pullTimer == nil {
+		m.pullTimer = m.Stk.After(pullAfter, m.pull)
+	}
+}
 
 // maybePropose starts consensus instances on the pending backlog, up to
 // the pipeline depth, each carrying ids no other outstanding proposal
@@ -198,20 +288,7 @@ func (m *ctModule) maybePropose() {
 		if len(ids) > maxBatch {
 			ids = ids[:maxBatch]
 		}
-		count := 0
-		bytes := 0
 		for _, id := range ids {
-			bytes += len(m.pending[id])
-			count++
-			if bytes >= maxBatchBytes {
-				break
-			}
-		}
-		ids = ids[:count]
-		w := wire.NewWriter(bytes + 16*count + 16)
-		w.Uvarint(uint64(len(ids)))
-		for _, id := range ids {
-			w.Uvarint(uint64(id.origin)).Uvarint(id.seq).BytesField(m.pending[id])
 			m.inFlight[id] = true
 		}
 		m.proposed[m.nextK] = ids
@@ -219,7 +296,7 @@ func (m *ctModule) maybePropose() {
 		m.running++
 		m.Stk.Call(m.consSvc, consensus.Propose{
 			ID:    consensus.InstanceID{Group: m.epoch, Seq: m.nextK},
-			Value: w.Bytes(),
+			Value: encodeIDs(ids),
 		})
 		m.nextK++
 	}
@@ -227,37 +304,19 @@ func (m *ctModule) maybePropose() {
 
 func (m *ctModule) onDecide(d consensus.Decide) {
 	switch {
-	case d.ID.Seq < m.k:
-		return // replayed or duplicate decision, already processed
+	case d.ID.Seq < m.k, d.ID.Seq == m.k && m.open:
+		return // replayed or duplicate decision, already taken in
 	case d.ID.Seq > m.k:
 		m.bufferDecision(d.ID.Seq, d.Value)
 		return
 	}
-	m.processDecision(d.Value)
-	for {
-		val, ok := m.decBuf[m.k]
-		if !ok {
-			if m.decDropped[m.k] {
-				// This decision was evicted from the bounded buffer; pull
-				// it back from the consensus module's decision cache. The
-				// re-indication arrives through onDecide.
-				delete(m.decDropped, m.k)
-				m.Stk.Call(m.consSvc, consensus.Refetch{
-					ID: consensus.InstanceID{Group: m.epoch, Seq: m.k},
-				})
-			}
-			break
-		}
-		delete(m.decBuf, m.k)
-		m.processDecision(val)
-	}
-	m.maybePropose()
+	m.openDecision(d.Value)
+	m.drain()
 }
 
 // bufferDecision holds an out-of-order decision, evicting the
-// furthest-ahead one when the buffer is full. Evicted decisions are
-// recoverable: the consensus module caches every decision of the group
-// until Forget, so they are refetched when processing reaches them.
+// furthest-ahead one when the buffer is full; the consensus module caches
+// every decision until Forget, so an evicted one is refetched at its turn.
 func (m *ctModule) bufferDecision(seq uint64, val []byte) {
 	if _, dup := m.decBuf[seq]; dup {
 		return
@@ -279,26 +338,63 @@ func (m *ctModule) bufferDecision(seq uint64, val []byte) {
 	m.decBuf[seq] = val
 }
 
-// processDecision delivers the decided batch in its (deterministic)
-// encoded order, advances to the next instance, and releases this
-// stack's outstanding proposal for it (ids whose value lost the
-// instance become proposable again).
-func (m *ctModule) processDecision(batch []byte) {
-	r := wire.NewReader(batch)
-	count := r.Uvarint()
-	for i := uint64(0); i < count && r.Err() == nil; i++ {
-		id := msgID{origin: kernel.Addr(r.Uvarint()), seq: r.Uvarint()}
-		data := r.BytesField()
-		if r.Err() != nil {
-			break
+// openDecision makes instance k's decided id list the one being delivered.
+func (m *ctModule) openDecision(val []byte) {
+	m.cur = m.cur[:0:0]
+	eachID(wire.NewReader(val), func(id msgID) bool {
+		m.cur = append(m.cur, id)
+		return true
+	})
+	m.open, m.at = true, 0
+}
+
+// drain delivers the open decision in its decided order, then every
+// consecutive decision already buffered. At an id whose payload has not
+// arrived it returns with the decision left open: receive resumes it,
+// and the pull timer repairs it if the payload never comes.
+func (m *ctModule) drain() {
+	for m.open {
+		for ; m.at < len(m.cur); m.at++ {
+			id := m.cur[m.at]
+			if m.delivered[id] {
+				continue
+			}
+			data, ok := m.pending[id]
+			if !ok {
+				payloadWaits.Add(1)
+				m.armPull()
+				return
+			}
+			m.delivered[id] = true
+			delete(m.pending, id)
+			m.kept[id] = data
+			m.Stk.Indicate(ServiceImpl, Deliver{Origin: id.origin, Data: data})
 		}
-		if m.delivered[id] {
-			continue
+		m.closeDecision()
+		if val, ok := m.decBuf[m.k]; ok {
+			delete(m.decBuf, m.k)
+			m.openDecision(val)
+		} else if m.decDropped[m.k] {
+			// Evicted from the bounded buffer: fetch it back from the
+			// consensus decision cache; it re-arrives through onDecide.
+			delete(m.decDropped, m.k)
+			m.Stk.Call(m.consSvc, consensus.Refetch{
+				ID: consensus.InstanceID{Group: m.epoch, Seq: m.k},
+			})
 		}
-		m.delivered[id] = true
-		delete(m.pending, id)
-		m.Stk.Indicate(ServiceImpl, Deliver{Origin: id.origin, Data: data})
 	}
+	m.maybePropose()
+}
+
+// closeDecision ends decision k: it rotates the retention ring, advances
+// and releases this stack's proposal (ids that lost are proposable again).
+func (m *ctModule) closeDecision() {
+	slot := &m.keptIDs[m.k%maxDecBuf]
+	for _, id := range *slot {
+		delete(m.kept, id)
+	}
+	*slot = m.cur
+	m.open, m.denied = false, nil
 	decisionCounter.Add(1)
 	if ids, ok := m.proposed[m.k]; ok {
 		delete(m.proposed, m.k)
@@ -312,4 +408,84 @@ func (m *ctModule) processDecision(batch []byte) {
 		}
 	}
 	m.k++
+}
+
+// pull fires pullAfter after drain or held found a payload missing. What
+// still is, is lost, not late (rbcast.buffer_drops before the epoch's
+// module existed): ask every peer, again while delivery stays suspended.
+func (m *ctModule) pull() {
+	m.pullTimer = nil
+	var want []msgID
+	add := func(id msgID) bool {
+		if m.missing(id) {
+			want = append(want, id)
+		}
+		return true
+	}
+	eachID(wire.NewReader(m.unheld), add)
+	m.unheld = nil
+	if m.open {
+		for _, id := range m.cur[m.at:] {
+			add(id)
+		}
+		for seq := m.k + 1; m.decBuf[seq] != nil; seq++ {
+			eachID(wire.NewReader(m.decBuf[seq]), add)
+		}
+		m.armPull()
+	}
+	if len(want) == 0 {
+		return
+	}
+	payloadPulls.Add(1)
+	m.denied = make(map[kernel.Addr]bool)
+	req := append([]byte{pullReq}, encodeIDs(want)...)
+	for _, p := range m.Stk.Others() {
+		m.Stk.Call(rp2p.Service, rp2p.Send{To: p, Channel: m.channel, Data: req})
+	}
+}
+
+// onPull serves a peer's pull from pending and the retained payloads, and
+// takes in the answers to this stack's own: every requested id, with or
+// without its payload. Once every peer answered without the one delivery
+// is suspended at, no stack retains it and this one halts as if crashed.
+func (m *ctModule) onPull(rv rp2p.Recv) {
+	r := wire.NewReader(rv.Data)
+	switch r.Byte() {
+	case pullReq:
+		w := wire.NewWriter(64)
+		w.Byte(pullResp)
+		eachID(r, func(id msgID) bool {
+			data, ok := m.pending[id]
+			if !ok {
+				data, ok = m.kept[id]
+			}
+			w.Uvarint(uint64(id.origin)).Uvarint(id.seq).Bool(ok).BytesField(data)
+			return true
+		})
+		m.Stk.Call(rp2p.Service, rp2p.Send{To: rv.From, Channel: m.channel, Data: w.Bytes()})
+	case pullResp:
+		for r.Remaining() > 0 {
+			id := msgID{origin: kernel.Addr(r.Uvarint()), seq: r.Uvarint()}
+			found, data := r.Bool(), r.BytesField()
+			if r.Err() != nil {
+				return
+			}
+			if found {
+				m.receive(id, data)
+			} else if m.denied != nil && m.open && m.cur[m.at] == id {
+				m.denied[rv.From] = true
+			}
+		}
+		for _, p := range m.Stk.Others() {
+			if !m.denied[p] {
+				return
+			}
+		}
+		if len(m.denied) > 0 {
+			payloadLost.Add(1)
+			m.Stk.Logf("abcast/ct: epoch %d: no peer holds decided message %d/%d any more; halting this stack",
+				m.epoch, m.cur[m.at].origin, m.cur[m.at].seq)
+			m.Stk.Crash()
+		}
+	}
 }

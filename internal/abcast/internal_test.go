@@ -1,11 +1,15 @@
 package abcast
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/consensus"
 	"repro/internal/kernel"
+	"repro/internal/rbcast"
+	"repro/internal/wire"
 )
 
 // TestQuickSortIDsDeterministic verifies the batch ordering used by the
@@ -119,5 +123,96 @@ func TestDecBufBoundedAndEvictionsMarked(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deliveryLog records what a module indicates on ServiceImpl.
+type deliveryLog struct {
+	kernel.Base
+	got []string
+}
+
+func (l *deliveryLog) HandleIndication(_ kernel.ServiceID, ind kernel.Indication) {
+	if d, ok := ind.(Deliver); ok {
+		l.got = append(l.got, string(d.Data))
+	}
+}
+
+func TestCTDecisionBeforePayloadSuspendsThenResumesInOrder(t *testing.T) {
+	// White-box: decision 0 orders a, b, c and arrives while b's payload
+	// is still on its way; decision 1 orders d. Delivery must stop after
+	// a — c and d are held but come later in the total order — and pick
+	// up, in order, the moment b arrives.
+	st := kernel.NewStack(kernel.Config{Addr: 0, Peers: []kernel.Addr{0}})
+	defer st.Close()
+	log := &deliveryLog{Base: kernel.NewBase(st, "log")}
+	var m *ctModule
+	ids := []msgID{{origin: 1, seq: 1}, {origin: 1, seq: 2}, {origin: 2, seq: 1}, {origin: 2, seq: 2}}
+	record := func(id msgID, data string) rbcast.Deliver {
+		w := wire.NewWriter(32)
+		w.Uvarint(uint64(id.origin)).Uvarint(id.seq).Raw([]byte(data))
+		return rbcast.Deliver{Origin: id.origin, Data: w.Bytes()}
+	}
+	step := func(fn func()) []string {
+		t.Helper()
+		if err := st.DoSync(fn); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		if err := st.DoSync(func() { got = append(got, log.got...) }); err != nil { // indications are queued behind fn
+			t.Fatal(err)
+		}
+		return got
+	}
+	waits := payloadWaits.Value()
+	got := step(func() {
+		st.AddModule(log)
+		st.Subscribe(ServiceImpl, log)
+		m = CTImpl().New(st, 0).(*ctModule)
+		m.onMsg(record(ids[0], "a"))
+		m.onMsg(record(ids[2], "c"))
+		m.onMsg(record(ids[3], "d"))
+		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 1}, Value: encodeIDs(ids[3:])})
+		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 0}, Value: encodeIDs(ids[:3])})
+	})
+	if fmt.Sprint(got) != "[a]" || m.k != 0 || !m.open {
+		t.Fatalf("before b's payload: delivered %v, k=%d, open=%v; want [a] and decision 0 left open", got, m.k, m.open)
+	}
+	if n := payloadWaits.Value() - waits; n != 1 {
+		t.Errorf("abcast.ct.payload_waits moved by %d, want 1", n)
+	}
+	got = step(func() {
+		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 0}, Value: encodeIDs(ids[:3])}) // a replay changes nothing
+		m.onMsg(record(ids[1], "b"))
+	})
+	if fmt.Sprint(got) != "[a b c d]" || m.k != 2 || m.open {
+		t.Fatalf("after b's payload: delivered %v, k=%d, open=%v; want [a b c d] and both decisions closed", got, m.k, m.open)
+	}
+}
+
+// TestQuickIDListRoundTrip: the run-length id list decodes to exactly
+// the ids encoded, in order, whatever their order and however long the
+// runs (longer than maxBatch included).
+func TestQuickIDListRoundTrip(t *testing.T) {
+	f := func(raw []uint16, run uint16) bool {
+		var ids []msgID
+		for _, r := range raw {
+			ids = append(ids, msgID{origin: kernel.Addr(r % 5), seq: uint64(r / 5)})
+		}
+		for i := 0; i < int(run%1000); i++ {
+			ids = append(ids, msgID{origin: 9, seq: uint64(100 + i)})
+		}
+		var got []msgID
+		ok := eachID(wire.NewReader(encodeIDs(ids)), func(id msgID) bool {
+			got = append(got, id)
+			return true
+		})
+		return ok && fmt.Sprint(got) == fmt.Sprint(ids)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if eachID(wire.NewReader([]byte{1, 1}), func(msgID) bool { return true }) {
+		t.Error("a truncated run decoded as well-formed")
 	}
 }

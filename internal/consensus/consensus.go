@@ -3,14 +3,35 @@
 // coordinator, providing a multi-instance distributed consensus service.
 //
 // Each instance runs in asynchronous rounds. In round r, with c =
-// coordinator(r): (1) every process sends its estimate (with the round
-// in which it was adopted) to c; (2) c collects a majority of estimates
-// and proposes the one with the highest timestamp; (3) each process
-// waits for c's proposal or suspects c through the FD service, answering
-// ack (adopting the proposal) or nack; (4) on a majority of acks, c
-// reliably broadcasts the decision. Safety never depends on the failure
-// detector; termination needs ◇S accuracy and a majority of correct
-// processes.
+// coordinator(r): (1) a process entering r sends c its estimate and the
+// timestamp of its adoption; (2) c, with a majority of estimates,
+// proposes the one of highest timestamp; (3) a process adopts and acks
+// it; (4) on a majority of acks c reliably broadcasts the decision, once.
+//
+// Round rule (lazy rounds): a process stays in round r, acked or not,
+// until it decides, suspects c, or learns that some process entered a
+// higher round, which it then enters directly. Entering R announces R
+// to every peer (msgRound); that, or any message of round R, is the
+// evidence. A fault-free instance sends nothing of round 1 or above.
+//
+// Readiness rule (indirect consensus, Ekwall & Schiper, DSN 2006): a
+// group's listener may give a predicate Ready(value), "this stack holds
+// what value refers to". c proposes only a ready estimate, a process
+// adopts and acks only a ready proposal, and Recheck re-evaluates both
+// after the user received more. Without a predicate this is plain CT.
+//
+// Safety needs neither the detector, nor any timing of round changes,
+// nor readiness: a process acks in its current round only and rounds
+// only grow, so the estimate it sends on entering R carries all it
+// adopted below R, and the highest timestamp of any majority of round-R
+// estimates is the value locked below R, if there is one.
+//
+// Liveness needs ◇S and a correct majority: every entry into a round is
+// announced, so all correct processes reach the highest round entered; a
+// crashed c is suspected by all; a correct c nobody suspects any more
+// gets every correct estimate, proposes, and is acked by all. A correct
+// sender holds what its estimate names, and a locked value is held by a
+// majority, so either reaches every correct stack and turns ready there.
 //
 // Instances are keyed by (Group, Seq). Groups namespace independent
 // users of the service: during a dynamic protocol update, the old and
@@ -27,6 +48,7 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/rbcast"
 	"repro/internal/rp2p"
 	"repro/internal/wire"
@@ -41,6 +63,13 @@ const Protocol = "consensus/ct"
 const (
 	rp2pChannel = "cons"     // point-to-point consensus rounds
 	decChannel  = "cons-dec" // reliable broadcast of decisions
+)
+
+// roundsStarted counts rounds entered (one per instance and stack when
+// fault-free); valueBytesSent the value bytes sent to other stacks.
+var (
+	roundsStarted  = metrics.NewCounter("consensus.rounds_started")
+	valueBytesSent = metrics.NewCounter("consensus.value_bytes_sent")
 )
 
 // CoordPolicy selects how the coordinator of a round is chosen.
@@ -119,9 +148,20 @@ type Decide struct {
 // Listen registers the decision handler for a group and immediately
 // replays all cached decisions of that group in Seq order. The handler
 // runs on the stack's executor.
+//
+// Ready, when non-nil, is the group's readiness predicate: once true for
+// a value it stays true. It runs on the executor; no calls back into the
+// service.
 type Listen struct {
 	Group   uint64
 	Handler func(Decide)
+	Ready   func(value []byte) bool
+}
+
+// Recheck re-evaluates Ready on the group's waiting estimates and
+// proposals; the user issues it after receiving what Ready had missed.
+type Recheck struct {
+	Group uint64
 }
 
 // Unlisten removes the group's handler; decisions keep accumulating in
@@ -165,7 +205,7 @@ type InstanceInfo struct {
 	Started   bool
 	Round     uint64
 	EstsAt    int // estimates received for the current round
-	RepliesAt int // acks+nacks received for the current round
+	RepliesAt int // acks received for the current round
 	Proposal  bool
 }
 
@@ -173,39 +213,39 @@ const (
 	msgEst     byte = 0
 	msgPropose byte = 1
 	msgAck     byte = 2
-	msgNack    byte = 3
+	msgRound   byte = 3 // the sender entered this round, giving up on those below
 )
 
 type estimate struct {
-	ts  uint64
-	val []byte
+	ts    uint64
+	val   []byte
+	ready bool // the readiness predicate held once; it stays true
 }
 
 // instance is the per-instance state machine.
 type instance struct {
 	id      InstanceID
 	started bool
-	decided bool
 	round   uint64
+	seen    uint64 // highest round some process is known to have entered
 	est     []byte
 	ts      uint64
+	estSent bool // estimate of the current round sent
+	acked   bool // proposal of the current round adopted and acked
 
-	ests      map[uint64]map[kernel.Addr]estimate // round -> sender -> estimate
-	proposals map[uint64][]byte                   // round -> coordinator proposal
-	acks      map[uint64]map[kernel.Addr]bool     // round -> sender -> ack?
-	estSent   map[uint64]bool
-	replySent map[uint64]bool // ack or nack sent for this round
-	proposed  map[uint64]bool // I proposed as coordinator of this round
+	ests      map[uint64]map[kernel.Addr]*estimate // round -> sender -> estimate
+	proposals map[uint64][]byte                    // round -> coordinator proposal
+	acks      map[uint64]map[kernel.Addr]bool      // round -> ackers
+	proposed  map[uint64]bool                      // I proposed as coordinator of this round
+	decSent   bool                                 // I broadcast the decision
 }
 
 func newInstance(id InstanceID) *instance {
 	return &instance{
 		id:        id,
-		ests:      make(map[uint64]map[kernel.Addr]estimate),
+		ests:      make(map[uint64]map[kernel.Addr]*estimate),
 		proposals: make(map[uint64][]byte),
 		acks:      make(map[uint64]map[kernel.Addr]bool),
-		estSent:   make(map[uint64]bool),
-		replySent: make(map[uint64]bool),
 		proposed:  make(map[uint64]bool),
 	}
 }
@@ -219,7 +259,7 @@ type Module struct {
 	instances map[InstanceID]*instance
 	decisions map[InstanceID][]byte
 	groupSeqs map[uint64][]uint64 // decided seqs per group, kept sorted
-	handlers  map[uint64]func(Decide)
+	listeners map[uint64]Listen
 }
 
 // Factory returns the module factory with the default configuration.
@@ -244,7 +284,7 @@ func FactoryWith(cfg Config) kernel.Factory {
 				instances: make(map[InstanceID]*instance),
 				decisions: make(map[InstanceID][]byte),
 				groupSeqs: make(map[uint64][]uint64),
-				handlers:  make(map[uint64]func(Decide)),
+				listeners: make(map[uint64]Listen),
 			}
 		},
 	}
@@ -283,19 +323,22 @@ func (m *Module) coordinator(round uint64) kernel.Addr {
 	return m.peers[int(round%uint64(len(m.peers)))]
 }
 
-// HandleRequest processes Propose, Listen, Unlisten and Forget.
+// HandleRequest processes the request types declared above.
 func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 	switch r := req.(type) {
 	case Propose:
 		m.propose(r)
 	case Listen:
-		m.handlers[r.Group] = r.Handler
+		m.listeners[r.Group] = r
 		for _, seq := range m.groupSeqs[r.Group] {
 			id := InstanceID{Group: r.Group, Seq: seq}
 			r.Handler(Decide{ID: id, Value: m.decisions[id]})
 		}
+		m.recheck(r.Group) // a listener makes this stack able to coordinate
+	case Recheck:
+		m.recheck(r.Group)
 	case Unlisten:
-		delete(m.handlers, r.Group)
+		delete(m.listeners, r.Group)
 	case Refetch:
 		if val, done := m.decisions[r.ID]; done {
 			m.indicate(Decide{ID: r.ID, Value: val})
@@ -305,7 +348,7 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 			r.Reply(m.inspect())
 		}
 	case Forget:
-		delete(m.handlers, r.Group)
+		delete(m.listeners, r.Group)
 		for _, seq := range m.groupSeqs[r.Group] {
 			delete(m.decisions, InstanceID{Group: r.Group, Seq: seq})
 		}
@@ -358,25 +401,53 @@ func (m *Module) HandleIndication(_ kernel.ServiceID, ind kernel.Indication) {
 	default:
 		return
 	}
-	// Suspicions unblock processes waiting for a coordinator. Advance
-	// in instance-ID order: advancing sends messages, and map-order
-	// iteration would consume the simulated network's fault RNG in a
-	// different order on every run with the same seed.
-	ids := make([]InstanceID, 0, len(m.instances))
-	for id := range m.instances {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Group != ids[j].Group {
-			return ids[i].Group < ids[j].Group
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	for _, id := range ids {
-		if inst := m.instances[id]; inst.started && !inst.decided {
+	// Suspicions unblock processes waiting for a coordinator.
+	for _, inst := range m.liveInstances() {
+		if inst.started {
 			m.advance(inst)
 		}
 	}
+}
+
+// liveInstances returns the undecided instances in instance-ID order:
+// advancing them sends messages, and map order would consume the
+// simulated network's fault RNG differently on every run of one seed.
+func (m *Module) liveInstances() []*instance {
+	out := make([]*instance, 0, len(m.instances))
+	for _, inst := range m.instances {
+		out = append(out, inst)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].id.Group != out[j].id.Group {
+			return out[i].id.Group < out[j].id.Group
+		}
+		return out[i].id.Seq < out[j].id.Seq
+	})
+	return out
+}
+
+// recheck lets the group's instances act on estimates and proposals that
+// were waiting for the readiness predicate (or for a listener).
+func (m *Module) recheck(group uint64) {
+	for _, inst := range m.liveInstances() {
+		switch {
+		case inst.id.Group != group:
+		case inst.started:
+			m.advance(inst)
+		default:
+			m.coordPhase2(inst, inst.seen)
+		}
+	}
+}
+
+// ready applies the group's readiness predicate; for a group nobody
+// listens to yet, this stack vouches only for what it proposed itself.
+func (m *Module) ready(inst *instance, val []byte) bool {
+	l, ok := m.listeners[inst.id.Group]
+	if !ok {
+		return inst.started
+	}
+	return l.Ready == nil || l.Ready(val)
 }
 
 func (m *Module) propose(p Propose) {
@@ -405,133 +476,139 @@ func (m *Module) inst(id InstanceID) *instance {
 	return in
 }
 
-// advance drives the round state machine as far as buffered messages
-// and the suspect set allow. It is called after every relevant event.
+// advance drives the round state machine as far as buffered messages,
+// suspicions and readiness allow. It is called after every relevant event.
 func (m *Module) advance(inst *instance) {
-	for !inst.decided {
+	for {
 		r := inst.round
+		if inst.seen > r {
+			m.enterRound(inst, inst.seen)
+			continue
+		}
 		coord := m.coordinator(r)
 		// Phase 1: send the estimate for this round to the coordinator.
-		if !inst.estSent[r] {
-			inst.estSent[r] = true
-			m.sendEst(coord, inst, r)
+		if !inst.estSent {
+			inst.estSent = true
+			roundsStarted.Add(1)
+			if coord != m.Stk.Addr() {
+				valueBytesSent.Add(uint64(len(inst.est)))
+			}
+			m.send(coord, m.header(msgEst, inst.id, r, len(inst.est)+10).Uvarint(inst.ts).Raw(inst.est))
 		}
 		// Phase 2 (coordinator): with a majority of estimates, propose
 		// the one adopted most recently.
 		m.coordPhase2(inst, r)
-		// Phase 3: answer the proposal, or nack a suspected coordinator.
-		if !inst.replySent[r] {
-			if val, ok := inst.proposals[r]; ok {
-				inst.est = val
-				// Timestamp r+1, NOT r: an estimate adopted in round 0 must
-				// outrank every initial estimate (ts 0), or a round-1
-				// coordinator that missed round 0 could prefer its own
-				// initial value over one already locked at a majority —
-				// two decisions for one instance. (Found by the scenario
-				// corpus running over real sockets: flapping links plus
-				// spurious suspicion drive exactly that round-0/round-1
-				// race.)
-				inst.ts = r + 1
-				inst.replySent[r] = true
-				m.sendReply(coord, inst, r, true)
-				inst.round++
-				continue
-			}
-			if m.suspects[coord] {
-				inst.replySent[r] = true
-				m.sendReply(coord, inst, r, false)
-				inst.round++
-				continue
-			}
+		// Phase 3: adopt and ack the proposal once it is ready here.
+		if val, ok := inst.proposals[r]; ok && !inst.acked && m.ready(inst, val) {
+			inst.est = val
+			// Timestamp r+1, NOT r: an estimate adopted in round 0 must
+			// outrank every initial estimate (ts 0), or a round-1
+			// coordinator that missed round 0 could prefer its own
+			// initial value over one already locked at a majority —
+			// two decisions for one instance. (Found by the scenario
+			// corpus running over real sockets: flapping links plus
+			// spurious suspicion drive exactly that round-0/round-1
+			// race.)
+			inst.ts = r + 1
+			inst.acked = true
+			m.send(coord, m.header(msgAck, inst.id, r, 0))
 		}
-		// Phase 4 runs in onRecv when acks arrive. Nothing else to do.
-		return
+		// Phase 4 runs in onRecv when acks arrive. Short of a decision,
+		// only evidence of a higher round (above) or suspicion ends a round.
+		if !m.suspects[coord] {
+			return
+		}
+		m.enterRound(inst, r+1)
+	}
+}
+
+// enterRound moves a started instance to a higher round and tells every
+// peer, the evidence that brings them along. (It retracts no earlier
+// ack: the coordinator counts acks only.)
+func (m *Module) enterRound(inst *instance, round uint64) {
+	inst.round, inst.estSent, inst.acked = round, false, false
+	w := m.header(msgRound, inst.id, round, 0)
+	for _, p := range m.Stk.Others() {
+		m.send(p, w)
 	}
 }
 
 // coordPhase2 lets this process serve as the round's coordinator once a
-// majority of estimates arrived. It runs even when the instance was not
-// locally proposed yet: relaying the best received estimate is safe and
-// keeps the group live while this stack's own proposal is still on its
-// way (e.g. a module created mid-update that has nothing to send yet).
+// majority of estimates arrived and the one to propose is ready here,
+// even when the instance was not locally proposed yet: relaying the best
+// received estimate is safe and keeps the group live while this stack's
+// own proposal is on its way (a module created mid-update, say).
 func (m *Module) coordPhase2(inst *instance, round uint64) {
-	if inst.decided || inst.proposed[round] || m.coordinator(round) != m.Stk.Addr() {
+	if inst.proposed[round] || m.coordinator(round) != m.Stk.Addr() {
 		return
 	}
 	if len(inst.ests[round]) < m.majority() {
 		return
 	}
-	inst.proposed[round] = true
-	// Pick the most recently adopted estimate; ties (everyone still at
-	// ts 0 in round 0 is the common case) break by lowest sender
-	// address. Iterating the map directly would let Go's randomized
-	// map order pick the winner, and the decided batch — though still
-	// a valid consensus outcome — would differ between seeded runs.
+	// Pick the most recently adopted ready estimate; ties (everyone at ts
+	// 0 in round 0 is the common case) break by lowest sender address.
+	// Go's randomized map order would pick a different, if equally
+	// valid, winner in every run of one seed.
 	senders := make([]kernel.Addr, 0, len(inst.ests[round]))
 	for a := range inst.ests[round] {
 		senders = append(senders, a)
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-	best := estimate{}
-	first := true
+	var best *estimate
+	ready, top := 0, uint64(0)
 	for _, a := range senders {
-		if e := inst.ests[round][a]; first || e.ts > best.ts {
+		e := inst.ests[round][a]
+		top = max(top, e.ts)
+		if e.ready = e.ready || m.ready(inst, e.val); !e.ready {
+			continue
+		}
+		ready++
+		if best == nil || e.ts > best.ts {
 			best = e
-			first = false
 		}
 	}
-	inst.proposals[round] = best.val
-	m.sendProposal(inst, round, best.val)
-}
-
-// maybeDecide checks the coordinator's majority-ack condition for every
-// round this process coordinated.
-func (m *Module) maybeDecide(inst *instance, round uint64) {
-	if inst.decided || !inst.proposed[round] {
+	// CT wants the highest timestamp of SOME majority of estimates: of
+	// all that arrived, if no unready one outranks the pick, else of the
+	// ready ones once they are a majority (so an estimate that never
+	// becomes ready cannot block the round).
+	if best == nil || (best.ts < top && ready < m.majority()) {
 		return
 	}
-	ackCount := 0
-	for _, ok := range inst.acks[round] {
-		if ok {
-			ackCount++
-		}
-	}
-	if ackCount >= m.majority() {
-		// The value is locked at a majority: decide and disseminate.
-		w := wire.NewWriter(len(inst.proposals[round]) + 24)
-		w.Uvarint(inst.id.Group).Uvarint(inst.id.Seq).Raw(inst.proposals[round])
-		m.Stk.Call(rbcast.Service, rbcast.Broadcast{Channel: m.cfg.DecChannel, Data: w.Bytes()})
+	inst.proposed[round] = true
+	inst.proposals[round] = best.val
+	w := m.header(msgPropose, inst.id, round, len(best.val)).Raw(best.val)
+	valueBytesSent.Add(uint64(len(best.val) * len(m.Stk.Others())))
+	for _, p := range m.peers {
+		m.send(p, w)
 	}
 }
 
-func (m *Module) header(t byte, id InstanceID, round uint64) *wire.Writer {
-	w := wire.NewWriter(64)
+// maybeDecide checks the majority-ack condition of a round this process
+// coordinated and broadcasts the decision, once per instance: acks keep
+// arriving between the majority and the broadcast looping back.
+func (m *Module) maybeDecide(inst *instance, round uint64) {
+	if inst.decSent || !inst.proposed[round] || len(inst.acks[round]) < m.majority() {
+		return
+	}
+	// The value is locked at a majority: decide and disseminate.
+	inst.decSent = true
+	val := inst.proposals[round]
+	valueBytesSent.Add(uint64(len(val) * len(m.Stk.Others())))
+	w := wire.NewWriter(len(val) + 24)
+	w.Uvarint(inst.id.Group).Uvarint(inst.id.Seq).Raw(val)
+	m.Stk.Call(rbcast.Service, rbcast.Broadcast{Channel: m.cfg.DecChannel, Data: w.Bytes()})
+}
+
+// header starts a round message sized for its header and n value bytes.
+func (m *Module) header(t byte, id InstanceID, round uint64, n int) *wire.Writer {
+	w := wire.NewWriter(32 + n)
 	w.Byte(t).Uvarint(id.Group).Uvarint(id.Seq).Uvarint(round)
 	return w
 }
 
-func (m *Module) sendEst(coord kernel.Addr, inst *instance, round uint64) {
-	w := m.header(msgEst, inst.id, round)
-	w.Uvarint(inst.ts).Raw(inst.est)
-	m.Stk.Call(rp2p.Service, rp2p.Send{To: coord, Channel: m.cfg.Channel, Data: w.Bytes()})
-}
-
-func (m *Module) sendProposal(inst *instance, round uint64, val []byte) {
-	w := m.header(msgPropose, inst.id, round)
-	w.Raw(val)
-	data := w.Bytes()
-	for _, p := range m.peers {
-		m.Stk.Call(rp2p.Service, rp2p.Send{To: p, Channel: m.cfg.Channel, Data: data})
-	}
-}
-
-func (m *Module) sendReply(coord kernel.Addr, inst *instance, round uint64, ack bool) {
-	t := msgAck
-	if !ack {
-		t = msgNack
-	}
-	w := m.header(t, inst.id, round)
-	m.Stk.Call(rp2p.Service, rp2p.Send{To: coord, Channel: m.cfg.Channel, Data: w.Bytes()})
+// send hands one round message to RP2P.
+func (m *Module) send(to kernel.Addr, w *wire.Writer) {
+	m.Stk.Call(rp2p.Service, rp2p.Send{To: to, Channel: m.cfg.Channel, Data: w.Bytes()})
 }
 
 func (m *Module) onRecv(rv rp2p.Recv) {
@@ -539,13 +616,14 @@ func (m *Module) onRecv(rv rp2p.Recv) {
 	t := r.Byte()
 	id := InstanceID{Group: r.Uvarint(), Seq: r.Uvarint()}
 	round := r.Uvarint()
-	if r.Err() != nil {
+	if r.Err() != nil || t > msgRound {
 		return
 	}
 	if _, done := m.decisions[id]; done {
 		return // stale traffic for a decided instance
 	}
 	inst := m.inst(id)
+	inst.seen = max(inst.seen, round) // its sender entered that round
 	switch t {
 	case msgEst:
 		ts := r.Uvarint()
@@ -554,9 +632,9 @@ func (m *Module) onRecv(rv rp2p.Recv) {
 			return
 		}
 		if inst.ests[round] == nil {
-			inst.ests[round] = make(map[kernel.Addr]estimate)
+			inst.ests[round] = make(map[kernel.Addr]*estimate)
 		}
-		inst.ests[round][rv.From] = estimate{ts: ts, val: val}
+		inst.ests[round][rv.From] = &estimate{ts: ts, val: val}
 	case msgPropose:
 		val := r.Rest()
 		if r.Err() != nil {
@@ -565,14 +643,12 @@ func (m *Module) onRecv(rv rp2p.Recv) {
 		if _, dup := inst.proposals[round]; !dup {
 			inst.proposals[round] = val
 		}
-	case msgAck, msgNack:
+	case msgAck:
 		if inst.acks[round] == nil {
 			inst.acks[round] = make(map[kernel.Addr]bool)
 		}
-		inst.acks[round][rv.From] = t == msgAck
+		inst.acks[round][rv.From] = true
 		m.maybeDecide(inst, round)
-		return
-	default:
 		return
 	}
 	if t == msgEst {
@@ -601,15 +677,12 @@ func (m *Module) onDecision(d rbcast.Deliver) {
 	copy(seqs[pos+1:], seqs[pos:])
 	seqs[pos] = id.Seq
 	m.groupSeqs[id.Group] = seqs
-	if inst, ok := m.instances[id]; ok {
-		inst.decided = true
-		delete(m.instances, id) // retire live state; the cache remains
-	}
+	delete(m.instances, id) // retire live state; the cache remains
 	m.indicate(Decide{ID: id, Value: val})
 }
 
 func (m *Module) indicate(d Decide) {
-	if h, ok := m.handlers[d.ID.Group]; ok {
-		h(d)
+	if l, ok := m.listeners[d.ID.Group]; ok {
+		l.Handler(d)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // Cluster is a group of stacks wired to one fabric.
@@ -23,7 +25,9 @@ type Cluster struct {
 }
 
 // New builds n stacks over a fabric with the given config. The caller
-// registers factories on c.Reg and then calls CreateAll.
+// registers factories on c.Reg and then calls CreateAll. A clock in
+// netCfg also times the stacks: with a vclock.Virtual the whole group
+// runs in virtual time, driven by the test through RunFor.
 func New(t *testing.T, n int, netCfg simnet.Config, tracer kernel.Tracer) *Cluster {
 	t.Helper()
 	c := &Cluster{
@@ -43,7 +47,11 @@ func New(t *testing.T, n int, netCfg simnet.Config, tracer kernel.Tracer) *Clust
 			Registry: c.Reg,
 			Tracer:   tracer,
 			Seed:     int64(netCfg.Seed) + int64(i),
+			Clock:    netCfg.Clock,
 		})
+		if vr, ok := netCfg.Clock.(vclock.Registrar); ok {
+			vr.Register(st)
+		}
 		c.Stacks = append(c.Stacks, st)
 	}
 	t.Cleanup(c.Close)
@@ -88,6 +96,14 @@ func (c *Cluster) Eventually(d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	c.T.Fatalf("timed out after %v waiting for %s", d, what)
+}
+
+// CounterDelta returns a function reporting how far a process-wide
+// counter has moved since CounterDelta was called: the registry is shared
+// by every cluster of the test binary, so tests assert deltas.
+func CounterDelta() func(name string) uint64 {
+	before := metrics.Counters()
+	return func(name string) uint64 { return metrics.Counters()[name] - before[name] }
 }
 
 // OnSync runs fn on stack i's executor and waits.

@@ -136,6 +136,7 @@ type streamDecoder struct {
 	maxFrag    int
 	pending    []byte // partial message under reassembly (nil between messages)
 	mid        bool   // a fragment has been consumed since the last FIN
+	sizeHint   int    // size of the last multi-fragment message
 }
 
 // feed parses every complete frame at the front of buf, invoking emit
@@ -188,9 +189,15 @@ func (d *streamDecoder) feed(buf []byte, emit func(msg []byte)) (int, error) {
 				continue
 			}
 			msg := append(d.pending, frag...)
-			d.pending, d.mid = nil, false
+			d.pending, d.mid, d.sizeHint = nil, false, len(msg)
 			emit(msg)
 			continue
+		}
+		if d.pending == nil {
+			// The header carries no total length; bulk traffic repeats
+			// its sizes, so size the buffer for the previous message
+			// instead of doubling up from one fragment.
+			d.pending = make([]byte, 0, max(d.sizeHint, 2*len(frag)))
 		}
 		d.pending = append(d.pending, frag...)
 		d.mid = true
