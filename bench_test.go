@@ -385,15 +385,13 @@ func BenchmarkConsensusSequential(b *testing.B) {
 func BenchmarkABcast(b *testing.B) {
 	for _, proto := range []string{dpu.ProtocolCT, dpu.ProtocolSequencer, dpu.ProtocolToken} {
 		b.Run(proto[7:], func(b *testing.B) {
-			// The drainer must never lose a delivery to backpressure, so
-			// size the channel for the whole run.
 			c, err := dpu.New(3, dpu.WithSeed(3), dpu.WithInitialProtocol(proto),
-				dpu.WithDeliveryBuffer(3*b.N+1024),
 				dpu.WithBatching(500*time.Microsecond, 32<<10))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer c.Close()
+			nodes, sub := benchNodes(b, c)
 			payload := make([]byte, 256)
 			b.SetBytes(256)
 			b.ReportAllocs()
@@ -401,12 +399,12 @@ func BenchmarkABcast(b *testing.B) {
 			gotAll := make(chan struct{}, 1)
 			go func() {
 				for i := 0; i < b.N*3; i++ {
-					<-c.Deliveries(0)
+					<-sub.Deliveries()
 				}
 				gotAll <- struct{}{}
 			}()
 			for i := 0; i < b.N*3; i++ {
-				if err := c.Broadcast(i%3, payload); err != nil {
+				if err := nodes[i%3].Broadcast(context.Background(), payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -419,6 +417,26 @@ func BenchmarkABcast(b *testing.B) {
 	}
 }
 
+// benchNodes returns a handle on every stack and stack 0's delivery
+// stream. Block policy: the drainer must never lose a delivery, and it
+// always consumes.
+func benchNodes(b *testing.B, c *dpu.Cluster) ([]*dpu.Node, *dpu.Subscription) {
+	b.Helper()
+	nodes := make([]*dpu.Node, c.N())
+	for i := range nodes {
+		n, err := c.Node(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	sub, err := nodes[0].Subscribe(dpu.SubscribeOptions{Deliveries: true, Policy: dpu.Block})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nodes, sub
+}
+
 // BenchmarkBroadcastLatency measures one round-trip (broadcast to
 // self-delivery through total order) at a time — the per-message
 // latency the paper's figures plot.
@@ -428,15 +446,16 @@ func BenchmarkBroadcastLatency(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	nodes, sub := benchNodes(b, c)
 	payload := make([]byte, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Broadcast(0, payload); err != nil {
+		if err := nodes[0].Broadcast(context.Background(), payload); err != nil {
 			b.Fatal(err)
 		}
 		select {
-		case <-c.Deliveries(0):
+		case <-sub.Deliveries():
 		case <-time.After(30 * time.Second):
 			b.Fatal("delivery stalled")
 		}

@@ -228,32 +228,12 @@ func throughputProbe(msgs int, seed int64) (*throughputJSON, error) {
 	const batchDelay = 500 * time.Microsecond
 	const batchBytes = 32 << 10
 	run := func(opts ...dpu.Option) (float64, error) {
-		opts = append(opts, dpu.WithSeed(seed), dpu.WithDeliveryBuffer(3*msgs+1024))
-		c, err := dpu.New(3, opts...)
+		c, err := dpu.New(3, append(opts, dpu.WithSeed(seed))...)
 		if err != nil {
 			return 0, err
 		}
 		defer c.Close()
-		payload := make([]byte, payloadBytes)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < msgs*3; i++ {
-				<-c.Deliveries(0)
-			}
-		}()
-		start := time.Now()
-		for i := 0; i < msgs*3; i++ {
-			if err := c.Broadcast(i%3, payload); err != nil {
-				return 0, err
-			}
-		}
-		select {
-		case <-done:
-		case <-time.After(120 * time.Second):
-			return 0, fmt.Errorf("throughput probe stalled")
-		}
-		return float64(msgs*3) / time.Since(start).Seconds(), nil
+		return flood(c, msgs, payloadBytes)
 	}
 	unbatched, err := run()
 	if err != nil {
@@ -268,6 +248,60 @@ func throughputProbe(msgs int, seed int64) (*throughputJSON, error) {
 		BatchMaxDelayUs: batchDelay.Microseconds(), BatchMaxBytes: batchBytes,
 		UnbatchedMsgsPerSec: unbatched, BatchedMsgsPerSec: batched,
 	}, nil
+}
+
+// flood pushes msgs broadcasts of payloadBytes from each of the
+// cluster's three stacks concurrently and returns delivered messages/sec
+// on stack 0. The senders are paced by the cluster's WithMaxOutstanding
+// window.
+func flood(c *dpu.Cluster, msgs, payloadBytes int) (float64, error) {
+	nodes := make([]*dpu.Node, 3)
+	for i := range nodes {
+		var err error
+		if nodes[i], err = c.Node(i); err != nil {
+			return 0, err
+		}
+	}
+	// Block: the count below must see every delivery, and the drainer
+	// always consumes.
+	sub, err := nodes[0].Subscribe(dpu.SubscribeOptions{Deliveries: true, Policy: dpu.Block})
+	if err != nil {
+		return 0, err
+	}
+	payload := make([]byte, payloadBytes)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < msgs*3; i++ {
+			<-sub.Deliveries()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	start := time.Now()
+	errc := make(chan error, 3)
+	for _, n := range nodes {
+		go func(n *dpu.Node) {
+			for i := 0; i < msgs; i++ {
+				if err := n.Broadcast(ctx, payload); err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- nil
+		}(n)
+	}
+	for range nodes {
+		if err := <-errc; err != nil {
+			return 0, err
+		}
+	}
+	select {
+	case <-done:
+	case <-ctx.Done():
+		return 0, fmt.Errorf("flood of %d-byte payloads stalled", payloadBytes)
+	}
+	return float64(msgs*3) / time.Since(start).Seconds(), nil
 }
 
 // reserveLoopbackBook grabs n ephemeral loopback UDP ports and returns
@@ -295,11 +329,10 @@ func reserveLoopbackBook(n int) (map[transport.Addr]string, error) {
 
 // realUDPRun pushes msgs broadcasts per stack through a 3-stack cluster
 // over real loopback sockets and returns delivered messages/sec on
-// stack 0 plus the transport's syscall/datagram counters. The senders
-// go through Node.Broadcast so the WithMaxOutstanding window paces
-// them: real sockets have finite buffers, and an unpaced flood
-// (Cluster.Broadcast bypasses the window) drowns the run in kernel-side
-// drops and retransmissions instead of measuring the steady state.
+// stack 0 plus the transport's syscall/datagram counters. The window is
+// kept small: real sockets have finite buffers, and a deeper flood
+// drowns the run in kernel-side drops and retransmissions instead of
+// measuring the steady state.
 func realUDPRun(msgs, payloadBytes int, seed int64, disableBatching bool, extra ...dpu.Option) (float64, transport.UDPStats, error) {
 	book, err := reserveLoopbackBook(3)
 	if err != nil {
@@ -314,7 +347,6 @@ func realUDPRun(msgs, payloadBytes int, seed int64, disableBatching bool, extra 
 	}
 	opts := append([]dpu.Option{
 		dpu.WithTransport(tr), dpu.WithSeed(seed),
-		dpu.WithDeliveryBuffer(3*msgs + 1024),
 		dpu.WithMaxOutstanding(64),
 	}, extra...)
 	c, err := dpu.New(3, opts...)
@@ -322,47 +354,8 @@ func realUDPRun(msgs, payloadBytes int, seed int64, disableBatching bool, extra 
 		return 0, transport.UDPStats{}, err
 	}
 	defer c.Close()
-	nodes := make([]*dpu.Node, 3)
-	for i := range nodes {
-		if nodes[i], err = c.Node(i); err != nil {
-			return 0, transport.UDPStats{}, err
-		}
-	}
-	payload := make([]byte, payloadBytes)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < msgs*3; i++ {
-			<-c.Deliveries(0)
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	start := time.Now()
-	errc := make(chan error, 3)
-	for s := 0; s < 3; s++ {
-		go func(n *dpu.Node) {
-			for i := 0; i < msgs; i++ {
-				if err := n.Broadcast(ctx, payload); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}(nodes[s])
-	}
-	for s := 0; s < 3; s++ {
-		if err := <-errc; err != nil {
-			return 0, transport.UDPStats{}, err
-		}
-	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return 0, transport.UDPStats{}, fmt.Errorf("real-UDP probe stalled")
-	}
-	elapsed := time.Since(start).Seconds()
-	return float64(msgs*3) / elapsed, tr.Stats(), nil
+	rate, err := flood(c, msgs, payloadBytes)
+	return rate, tr.Stats(), err
 }
 
 // syscallsPerMessage condenses one run's stats into the headline

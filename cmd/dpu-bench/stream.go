@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"time"
 
 	"repro/dpu"
 	"repro/internal/transport"
@@ -65,53 +63,13 @@ func reserveLoopbackStreamBook(n int) (map[transport.Addr]string, error) {
 func realTransportRun(tr transport.Transport, msgs, payloadBytes int, seed int64) (float64, error) {
 	c, err := dpu.New(3,
 		dpu.WithTransport(tr), dpu.WithSeed(seed),
-		dpu.WithDeliveryBuffer(3*msgs+1024),
 		dpu.WithMaxOutstanding(16),
 	)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	nodes := make([]*dpu.Node, 3)
-	for i := range nodes {
-		if nodes[i], err = c.Node(i); err != nil {
-			return 0, err
-		}
-	}
-	payload := make([]byte, payloadBytes)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < msgs*3; i++ {
-			<-c.Deliveries(0)
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	start := time.Now()
-	errc := make(chan error, 3)
-	for s := 0; s < 3; s++ {
-		go func(n *dpu.Node) {
-			for i := 0; i < msgs; i++ {
-				if err := n.Broadcast(ctx, payload); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}(nodes[s])
-	}
-	for s := 0; s < 3; s++ {
-		if err := <-errc; err != nil {
-			return 0, err
-		}
-	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return 0, fmt.Errorf("stream probe stalled at payload %d", payloadBytes)
-	}
-	return float64(msgs*3) / time.Since(start).Seconds(), nil
+	return flood(c, msgs, payloadBytes)
 }
 
 // streamProbe sweeps payload sizes across the datagram ceiling over

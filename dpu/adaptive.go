@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simnet"
@@ -175,21 +176,18 @@ func (c *Cluster) startAdaptive(a *adaptiveOptions) {
 		// goroutine, and a blocking ChangeProtocolAll would deadlock: the
 		// switch cannot complete until the clock steps again. Initiate
 		// asynchronously instead — the switch propagates through the
-		// following virtual-time events exactly like a manual
-		// Cluster.ChangeProtocol.
+		// following virtual-time events.
 		act = func(target, reason string) error {
-			var initiator int
-			found := false
+			if _, ok := c.impls.Lookup(target); !ok {
+				return fmt.Errorf("%w: %q", ErrUnknownProtocol, target)
+			}
 			for _, s := range c.localSlots() {
 				if s.st.Running() {
-					initiator, found = s.id, true
-					break
+					s.st.Call(core.Service, core.ChangeProtocol{Protocol: target})
+					return nil
 				}
 			}
-			if !found {
-				return fmt.Errorf("%w: no local running stack", ErrNotRunning)
-			}
-			return c.ChangeProtocol(initiator, target)
+			return fmt.Errorf("%w: no local running stack", ErrNotRunning)
 		}
 	}
 	cfg := policy.Config{

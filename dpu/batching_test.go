@@ -16,20 +16,11 @@ import (
 // order, on every stack.
 func TestBatchingDeliversAllInOrder(t *testing.T) {
 	const n, per = 3, 200
-	c, err := dpu.New(n, dpu.WithSeed(11),
-		dpu.WithBatching(200*time.Microsecond, 8<<10),
-		dpu.WithDeliveryBuffer(n*per+64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithSeed(11),
+		dpu.WithBatching(200*time.Microsecond, 8<<10))
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	for i := 0; i < n; i++ {
-		node, err := c.Node(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, node := range c.node {
 		for s := 0; s < per; s++ {
 			if err := node.Broadcast(ctx, payloadFor(i, s)); err != nil {
 				t.Fatal(err)
@@ -47,13 +38,8 @@ func TestBatchingDeliversAllInOrder(t *testing.T) {
 // both epochs, on every stack.
 func TestBatchingAcrossProtocolSwitch(t *testing.T) {
 	const n, per = 3, 300
-	c, err := dpu.New(n, dpu.WithSeed(12), dpu.WithInitialProtocol(dpu.ProtocolCT),
-		dpu.WithBatching(150*time.Microsecond, 4<<10),
-		dpu.WithDeliveryBuffer(n*per+64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithSeed(12), dpu.WithInitialProtocol(dpu.ProtocolCT),
+		dpu.WithBatching(150*time.Microsecond, 4<<10))
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
@@ -61,11 +47,7 @@ func TestBatchingAcrossProtocolSwitch(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	release := make(chan struct{}) // producers start; switch fires mid-stream
-	for i := 0; i < n; i++ {
-		node, err := c.Node(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, node := range c.node {
 		wg.Add(1)
 		go func(i int, node *dpu.Node) {
 			defer wg.Done()
@@ -106,12 +88,12 @@ func payloadFor(stack, seq int) []byte {
 // assertExactlyOnceTotalOrder drains total deliveries from every stack
 // and checks exactly-once per stack plus an identical delivery order
 // across stacks.
-func assertExactlyOnceTotalOrder(t *testing.T, c *dpu.Cluster, n, total int) {
+func assertExactlyOnceTotalOrder(t *testing.T, c *group, n, total int) {
 	t.Helper()
 	orders := make([][]string, n)
 	for i := 0; i < n; i++ {
 		seen := make(map[string]bool, total)
-		for _, d := range drain(t, c, i, total) {
+		for _, d := range c.drain(t, i, total) {
 			if len(d.Data) != 8 {
 				t.Fatalf("stack %d: malformed payload %x", i, d.Data)
 			}
@@ -122,7 +104,7 @@ func assertExactlyOnceTotalOrder(t *testing.T, c *dpu.Cluster, n, total int) {
 			seen[key] = true
 			orders[i] = append(orders[i], key)
 		}
-		if dropped := c.Dropped(i); dropped != 0 {
+		if dropped := c.sub[i].Dropped(); dropped != 0 {
 			t.Fatalf("stack %d: %d deliveries dropped by the test buffer", i, dropped)
 		}
 	}

@@ -3,7 +3,6 @@ package dpu
 import (
 	"context"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,12 +30,6 @@ import (
 type stackSlot struct {
 	id int
 	st *kernel.Stack
-
-	// Legacy fixed streams (see Deliveries/Switches/Views).
-	deliveries chan Delivery
-	switches   chan SwitchEvent
-	views      chan View
-	dropped    atomic.Uint64
 
 	// Backpressure window for Node.Broadcast: one token per own
 	// broadcast still undelivered locally.
@@ -79,7 +72,6 @@ type Cluster struct {
 
 	closed    chan struct{}
 	closeOnce sync.Once
-	faultWarn sync.Once
 }
 
 // defaultOptions returns the option block New and Join start from.
@@ -92,7 +84,6 @@ func defaultOptions() *options {
 			BandwidthBps: 100e6,
 		},
 		grace:          500 * time.Millisecond,
-		buffer:         8192,
 		maxOutstanding: 1024,
 		joinTimeout:    60 * time.Second,
 		joinRetry:      joinRetryConfig{attempts: 1, base: 100 * time.Millisecond, max: 5 * time.Second},
@@ -272,9 +263,6 @@ func (c *Cluster) buildStack(id int, peers []kernel.Addr, reg *kernel.Registry) 
 	s := &stackSlot{
 		id:          id,
 		st:          st,
-		deliveries:  make(chan Delivery, o.buffer),
-		switches:    make(chan SwitchEvent, 64),
-		views:       make(chan View, 64),
 		outstanding: make(chan struct{}, o.maxOutstanding),
 	}
 	var buildErr error
@@ -323,9 +311,9 @@ func (c *Cluster) buildStack(id int, peers []kernel.Addr, reg *kernel.Registry) 
 }
 
 // pumpModule forwards public-service indications into the slot's
-// subscriptions and legacy channels, completes the backpressure window
-// for the stack's own deliveries, and retires the slot when the member
-// is evicted from the view.
+// subscriptions, completes the backpressure window for the stack's own
+// deliveries, and retires the slot when the member is evicted from the
+// view.
 type pumpModule struct {
 	kernel.Base
 	c    *Cluster
@@ -337,31 +325,20 @@ func (p *pumpModule) HandleIndication(_ kernel.ServiceID, ind kernel.Indication)
 	switch v := ind.(type) {
 	case core.Deliver:
 		kind, body, err := envelope.Unwrap(v.Data)
-		if err != nil || (kind != envelope.KindApp && kind != envelope.KindAppPaced) {
+		if err != nil || kind != envelope.KindApp {
 			return
 		}
-		if kind == envelope.KindAppPaced && v.Origin == kernel.Addr(s.id) {
-			// One of this stack's own paced broadcasts completed the
-			// loop: free the window slot it acquired in Node.Broadcast.
+		if v.Origin == kernel.Addr(s.id) {
+			// One of this stack's own broadcasts completed the loop: free
+			// the window slot it acquired in Node.Broadcast.
 			select {
 			case <-s.outstanding:
 			default:
 			}
 		}
-		d := Delivery{Stack: s.id, Origin: int(v.Origin), Data: body, At: p.Stk.Now()}
-		s.publishDelivery(p.c, d)
-		select {
-		case s.deliveries <- d:
-		default:
-			s.dropped.Add(1)
-		}
+		s.publishDelivery(p.c, Delivery{Stack: s.id, Origin: int(v.Origin), Data: body, At: p.Stk.Now()})
 	case core.Switched:
-		ev := SwitchEvent{Stack: s.id, Epoch: v.Sn, Protocol: v.Protocol, At: v.At, Reissued: v.Reissued}
-		s.publishSwitch(p.c, ev)
-		select {
-		case s.switches <- ev:
-		default:
-		}
+		s.publishSwitch(p.c, SwitchEvent{Stack: s.id, Epoch: v.Sn, Protocol: v.Protocol, At: v.At, Reissued: v.Reissued})
 	case gm.NewView:
 		members := make([]int, len(v.View.Members))
 		selfIn := false
@@ -371,12 +348,7 @@ func (p *pumpModule) HandleIndication(_ kernel.ServiceID, ind kernel.Indication)
 				selfIn = true
 			}
 		}
-		view := View{ID: v.View.ID, Members: members}
-		s.publishView(p.c, view)
-		select {
-		case s.views <- view:
-		default:
-		}
+		s.publishView(p.c, View{ID: v.View.ID, Members: members})
 		if !selfIn {
 			// This member was evicted: the view above is the last event it
 			// publishes; halt the stack so handles fail with ErrNotRunning
@@ -522,78 +494,8 @@ func (c *Cluster) WaitForEpoch(ctx context.Context, stack int, epoch uint64) (St
 	return n.WaitForEpoch(ctx, epoch)
 }
 
-// Broadcast atomically broadcasts data from the stack: it will be
-// delivered exactly once, in the same total order, on every stack.
-//
-// Deprecated: use Node.Broadcast, which applies backpressure against
-// the outstanding-broadcast window and honors a context.
-func (c *Cluster) Broadcast(stack int, data []byte) error {
-	s, err := c.slot(stack)
-	if err != nil {
-		return err
-	}
-	s.st.Call(core.Service, core.Broadcast{Data: envelope.Wrap(envelope.KindApp, data)})
-	return nil
-}
-
-// ChangeProtocol replaces the atomic-broadcast protocol on every stack,
-// on the fly, without interrupting service (Algorithm 1). Any stack may
-// initiate. The protocol name is validated immediately
-// (ErrUnknownProtocol); completion is asynchronous.
-//
-// Deprecated: use Node.ChangeProtocol, which blocks until the local
-// switch completes and returns the resulting SwitchEvent.
-func (c *Cluster) ChangeProtocol(stack int, protocol string) error {
-	s, err := c.slot(stack)
-	if err != nil {
-		return err
-	}
-	if _, ok := c.impls.Lookup(protocol); !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownProtocol, protocol)
-	}
-	s.st.Call(core.Service, core.ChangeProtocol{Protocol: protocol})
-	return nil
-}
-
-// Deliveries returns the stack's totally-ordered delivery stream. It
-// returns nil — which blocks forever when received from — for an
-// out-of-range or remote stack index.
-//
-// Deprecated: use Node.Subscribe, which returns typed streams with an
-// explicit buffer and lag policy, and surfaces bad indexes as errors.
-func (c *Cluster) Deliveries(stack int) <-chan Delivery {
-	if s := c.peek(stack); s != nil {
-		return s.deliveries
-	}
-	return nil
-}
-
-// Switches returns the stack's protocol-replacement events (nil for an
-// out-of-range or remote stack index).
-//
-// Deprecated: use Node.Subscribe or the SwitchEvent returned by
-// Node.ChangeProtocol.
-func (c *Cluster) Switches(stack int) <-chan SwitchEvent {
-	if s := c.peek(stack); s != nil {
-		return s.switches
-	}
-	return nil
-}
-
-// Views returns the stack's membership views (requires WithMembership;
-// nil for an out-of-range or remote stack index).
-//
-// Deprecated: use Node.Subscribe.
-func (c *Cluster) Views(stack int) <-chan View {
-	if s := c.peek(stack); s != nil {
-		return s.views
-	}
-	return nil
-}
-
-// peek returns the slot regardless of liveness (the legacy channel
-// accessors keep working on crashed/evicted stacks so buffered events
-// remain drainable).
+// peek returns the slot regardless of liveness: Crash and Stack address
+// crashed and evicted stacks too.
 func (c *Cluster) peek(stack int) *stackSlot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -601,30 +503,6 @@ func (c *Cluster) peek(stack int) *stackSlot {
 		return nil
 	}
 	return c.slots[stack]
-}
-
-// Dropped reports deliveries discarded because the consumer of
-// Deliveries(stack) lagged behind the buffer (0 for an out-of-range
-// index). Subscriptions count their own drops (Subscription.Dropped).
-func (c *Cluster) Dropped(stack int) uint64 {
-	if s := c.peek(stack); s != nil {
-		return s.dropped.Load()
-	}
-	return 0
-}
-
-// Status returns a snapshot of the stack's replacement layer.
-//
-// Deprecated: use Node.Status, which takes a context instead of this
-// wrapper's fixed 10-second timeout.
-func (c *Cluster) Status(stack int) (Status, error) {
-	n, err := c.Node(stack)
-	if err != nil {
-		return Status{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return n.Status(ctx)
 }
 
 // Join re-admits a member id to the group view (requires
@@ -718,38 +596,6 @@ func (c *Cluster) checkLink(a, b int) error {
 	return nil
 }
 
-// Partition cuts the network link between two stacks. It requires the
-// built-in simulated network and is a silent no-op over WithTransport.
-//
-// Deprecated: use PartitionLink, which reports ErrUnsupported instead
-// of silently doing nothing.
-func (c *Cluster) Partition(a, b int) {
-	if c.net == nil {
-		c.warnFaultNoop()
-		return
-	}
-	c.net.Cut(simnet.Addr(a), simnet.Addr(b))
-}
-
-// Heal restores the link between two stacks. It requires the built-in
-// simulated network and is a silent no-op over WithTransport.
-//
-// Deprecated: use HealLink, which reports ErrUnsupported instead of
-// silently doing nothing.
-func (c *Cluster) Heal(a, b int) {
-	if c.net == nil {
-		c.warnFaultNoop()
-		return
-	}
-	c.net.Heal(simnet.Addr(a), simnet.Addr(b))
-}
-
-func (c *Cluster) warnFaultNoop() {
-	c.faultWarn.Do(func() {
-		log.Printf("dpu: Partition/Heal are no-ops over an external transport; use PartitionLink/HealLink to get an error instead")
-	})
-}
-
 // Stack exposes the underlying kernel stack for advanced composition
 // (binding custom modules, inspecting services); nil for an
 // out-of-range index or a stack not hosted by this process. See
@@ -762,9 +608,8 @@ func (c *Cluster) Stack(stack int) *kernel.Stack {
 }
 
 // Close shuts the cluster down — including the transport, whether
-// built-in or passed via WithTransport — closes every subscription and
-// the local stacks' legacy channels, and unblocks any Node call still
-// waiting (ErrClosed).
+// built-in or passed via WithTransport — closes every subscription, and
+// unblocks any Node call still waiting (ErrClosed).
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed) // unblocks Node waits and Block-policy publishers
@@ -778,7 +623,7 @@ func (c *Cluster) Close() {
 		// Close every local stack, including crashed ones: Crash stops
 		// the executor asynchronously, and Close waits for it to exit,
 		// which guarantees no pump event is still mid-publish when the
-		// channels below are closed.
+		// subscriptions below are closed.
 		for _, s := range slots {
 			s.st.Close()
 		}
@@ -795,11 +640,6 @@ func (c *Cluster) Close() {
 		}
 		for _, sub := range subs {
 			sub.Close()
-		}
-		for _, s := range slots {
-			close(s.deliveries)
-			close(s.switches)
-			close(s.views)
 		}
 	})
 }

@@ -55,8 +55,4 @@
 // acting on them. Runtime network mutators (SetLoss, SetDelay,
 // SetJitter) and cmd/dpu-bench's -scenario timelines exercise the
 // loop; docs/ADAPTIVE.md covers signals, policies and tuning.
-//
-// The index-based Cluster methods (Broadcast, ChangeProtocol,
-// Deliveries, ...) survive as thin deprecated wrappers around the Node
-// API; see the migration table in the README.
 package dpu

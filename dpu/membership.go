@@ -283,11 +283,10 @@ func (c *Cluster) serveJoinConn(conn net.Conn) {
 // on.
 //
 // Functional options are honored where they make sense for a joiner
-// (WithGrace, WithBatching, WithMaxOutstanding, WithDeliveryBuffer,
-// WithSeed, WithJoinTimeout, WithJoinRetry, consensus variants and
-// extra protocol implementations — which must match the founders'
-// registries); the initial protocol, epoch and membership come from the
-// handshake.
+// (WithGrace, WithBatching, WithMaxOutstanding, WithSeed,
+// WithJoinTimeout, WithJoinRetry, consensus variants and extra protocol
+// implementations — which must match the founders' registries); the
+// initial protocol, epoch and membership come from the handshake.
 //
 // Each handshake attempt is bounded by WithJoinTimeout (default 60s) or
 // a shorter ctx deadline; with WithJoinRetry, transport-level failures

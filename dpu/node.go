@@ -68,10 +68,7 @@ func (n *Node) Broadcast(ctx context.Context, data []byte) error {
 	case <-n.c.closed:
 		return ErrClosed
 	}
-	// KindAppPaced marks the message as holding a window slot, so the
-	// pump only releases slots for deliveries that acquired one —
-	// legacy KindApp broadcasts can never shrink the window.
-	s.st.Call(core.Service, core.Broadcast{Data: envelope.Wrap(envelope.KindAppPaced, data)})
+	s.st.Call(core.Service, core.Broadcast{Data: envelope.Wrap(envelope.KindApp, data)})
 	return nil
 }
 

@@ -110,11 +110,6 @@ func TestNodeChangeProtocolUnknownNameImmediate(t *testing.T) {
 	if _, err := n0.ChangeProtocol(ctx, "abcast/nope"); !errors.Is(err, dpu.ErrUnknownProtocol) {
 		t.Fatalf("ChangeProtocol(unknown) = %v, want ErrUnknownProtocol", err)
 	}
-	// The legacy entry point validates too instead of vanishing into the
-	// stack.
-	if err := c.ChangeProtocol(0, "abcast/nope"); !errors.Is(err, dpu.ErrUnknownProtocol) {
-		t.Fatalf("legacy ChangeProtocol(unknown) = %v, want ErrUnknownProtocol", err)
-	}
 	// Nothing happened: the epoch is untouched and the layer works.
 	st, err := n0.Status(ctx)
 	if err != nil {
@@ -189,15 +184,8 @@ func TestNodeBroadcastBackpressure(t *testing.T) {
 func TestNodeBroadcastWindowDrains(t *testing.T) {
 	// With a healthy group the tiny window recycles: many more sends
 	// than the window size all go through.
-	c, err := dpu.New(3, dpu.WithSeed(25), dpu.WithMaxOutstanding(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	n0, err := c.Node(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newGroup(t, 3, dpu.WithSeed(25), dpu.WithMaxOutstanding(2))
+	n0 := c.node[0]
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	const k = 20
@@ -206,7 +194,7 @@ func TestNodeBroadcastWindowDrains(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	drain(t, c, 1, k)
+	c.drain(t, 1, k)
 }
 
 func TestWaitForEpochBarrier(t *testing.T) {
@@ -262,7 +250,11 @@ func TestChangeProtocolAll(t *testing.T) {
 	// Returns only after every local stack completed: statuses agree
 	// without any extra waiting.
 	for i := 0; i < 3; i++ {
-		st, err := c.Status(i)
+		n, err := c.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := n.Status(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,30 +300,15 @@ func TestLinkFaultAPI(t *testing.T) {
 	if err := cu.HealLink(0, 1); !errors.Is(err, dpu.ErrUnsupported) {
 		t.Errorf("HealLink over transport = %v, want ErrUnsupported", err)
 	}
-	// The deprecated methods stay silent no-ops (logged once).
-	cu.Partition(0, 1)
-	cu.Heal(0, 1)
 }
 
-func TestLegacyAccessorsBoundsChecked(t *testing.T) {
+func TestIndexAccessorsBoundsChecked(t *testing.T) {
 	c, err := dpu.New(2, dpu.WithSeed(29))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	// Out-of-range indexes must not panic.
-	if ch := c.Deliveries(-1); ch != nil {
-		t.Error("Deliveries(-1) != nil")
-	}
-	if ch := c.Switches(99); ch != nil {
-		t.Error("Switches(99) != nil")
-	}
-	if ch := c.Views(99); ch != nil {
-		t.Error("Views(99) != nil")
-	}
-	if d := c.Dropped(99); d != 0 {
-		t.Errorf("Dropped(99) = %d", d)
-	}
 	if st := c.Stack(-5); st != nil {
 		t.Error("Stack(-5) != nil")
 	}

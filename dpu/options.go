@@ -21,7 +21,6 @@ type options struct {
 	membership     bool
 	autoEvict      bool
 	endpoints      map[int]string
-	buffer         int
 	maxOutstanding int
 	batchDelay     time.Duration
 	batchBytes     int
@@ -118,22 +117,12 @@ func WithEndpoints(eps map[int]string) Option {
 	}
 }
 
-// WithDeliveryBuffer sets the per-stack delivery channel capacity of
-// the legacy Deliveries stream (default 8192). When a consumer lags
-// behind a full buffer, further deliveries are discarded and counted
-// (see Dropped) — the buffer keeps the oldest unread entries.
-// Node.Subscribe carries its own buffer and an explicit lag policy
-// instead.
-func WithDeliveryBuffer(n int) Option {
-	return func(o *options) { o.buffer = n }
-}
-
 // WithMaxOutstanding bounds the number of a stack's own broadcasts that
 // may be in flight — issued through Node.Broadcast but not yet
 // delivered back by the total order — before further Node.Broadcast
 // calls block (default 1024). This is the backpressure window that
 // keeps a fast producer from flooding the replacement layer's
-// undelivered set. The legacy Cluster.Broadcast bypasses the window.
+// undelivered set.
 func WithMaxOutstanding(n int) Option {
 	return func(o *options) { o.maxOutstanding = n }
 }

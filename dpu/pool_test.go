@@ -10,7 +10,6 @@ package dpu_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/dpu"
 	"repro/internal/transport"
@@ -22,40 +21,29 @@ func TestClusterWithExecutorPoolOverBatchedUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dpu.New(n, dpu.WithTransport(tr), dpu.WithExecutorPool(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr), dpu.WithExecutorPool(2))
 
 	send := func(from, count int) {
 		for i := 0; i < count; i++ {
-			if err := c.Broadcast(from, []byte(fmt.Sprintf("p-%d-%d", from, i))); err != nil {
+			if err := c.node[from].Broadcast(bg, []byte(fmt.Sprintf("p-%d-%d", from, i))); err != nil {
 				t.Fatal(err)
 			}
 			from = (from + 1) % n
 		}
 	}
 	send(0, msgs/2)
-	if err := c.ChangeProtocol(1, dpu.ProtocolSequencer); err != nil {
-		t.Fatal(err)
-	}
+	c.requestChange(1, dpu.ProtocolSequencer)
 	send(1, msgs-msgs/2)
 
 	for i := 0; i < n; i++ {
-		select {
-		case ev := <-c.Switches(i):
-			if ev.Protocol != dpu.ProtocolSequencer {
-				t.Fatalf("stack %d switched to %q", i, ev.Protocol)
-			}
-		case <-time.After(timeout):
-			t.Fatalf("stack %d never switched", i)
+		if ev := c.waitSwitch(t, i); ev.Protocol != dpu.ProtocolSequencer {
+			t.Fatalf("stack %d switched to %q", i, ev.Protocol)
 		}
 	}
 
 	sequences := make([][]string, n)
 	for i := 0; i < n; i++ {
-		for _, d := range drain(t, c, i, msgs) {
+		for _, d := range c.drain(t, i, msgs) {
 			sequences[i] = append(sequences[i], fmt.Sprintf("%d:%s", d.Origin, d.Data))
 		}
 	}
@@ -102,20 +90,16 @@ func TestExecutorPoolWithFaultyBatchedUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := transport.Faulty(inner, transport.FaultConfig{Seed: 23, LossRate: 0.1})
-	c, err := dpu.New(n, dpu.WithTransport(tr), dpu.WithExecutorPool(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr), dpu.WithExecutorPool(0))
 
 	for i := 0; i < msgs; i++ {
-		if err := c.Broadcast(i%n, []byte(fmt.Sprintf("pf-%d", i))); err != nil {
+		if err := c.node[i%n].Broadcast(bg, []byte(fmt.Sprintf("pf-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref := drain(t, c, 0, msgs)
+	ref := c.drain(t, 0, msgs)
 	for i := 1; i < n; i++ {
-		got := drain(t, c, i, msgs)
+		got := c.drain(t, i, msgs)
 		for k := range ref {
 			a := fmt.Sprintf("%d:%s", ref[k].Origin, ref[k].Data)
 			b := fmt.Sprintf("%d:%s", got[k].Origin, got[k].Data)
@@ -135,19 +119,15 @@ func TestExecutorPoolWithFaultyBatchedUDP(t *testing.T) {
 // totally-ordered, exactly-once stream.
 func TestExecutorPoolOverSimnet(t *testing.T) {
 	const n, msgs = 4, 40
-	c, err := dpu.New(n, dpu.WithSeed(42), dpu.WithExecutorPool(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithSeed(42), dpu.WithExecutorPool(3))
 	for i := 0; i < msgs; i++ {
-		if err := c.Broadcast(i%n, []byte(fmt.Sprintf("sim-%d", i))); err != nil {
+		if err := c.node[i%n].Broadcast(bg, []byte(fmt.Sprintf("sim-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref := drain(t, c, 0, msgs)
+	ref := c.drain(t, 0, msgs)
 	for i := 1; i < n; i++ {
-		got := drain(t, c, i, msgs)
+		got := c.drain(t, i, msgs)
 		for k := range ref {
 			a := fmt.Sprintf("%d:%s", ref[k].Origin, ref[k].Data)
 			b := fmt.Sprintf("%d:%s", got[k].Origin, got[k].Data)

@@ -33,30 +33,24 @@ func TestClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dpu.New(n, dpu.WithTransport(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr))
 
 	from := 0
 	send := func(count int) {
 		for i := 0; i < count; i++ {
-			if err := c.Broadcast(from, []byte(fmt.Sprintf("t-%d-%d", from, i))); err != nil {
+			if err := c.node[from].Broadcast(bg, []byte(fmt.Sprintf("t-%d-%d", from, i))); err != nil {
 				t.Fatal(err)
 			}
 			from = (from + 1) % n
 		}
 	}
 	send(msgs / 2)
-	if err := c.ChangeProtocol(1, dpu.ProtocolSequencer); err != nil {
-		t.Fatal(err)
-	}
+	c.requestChange(1, dpu.ProtocolSequencer)
 	send(msgs - msgs/2)
 
 	sequences := make([][]string, n)
 	for i := 0; i < n; i++ {
-		for _, d := range drain(t, c, i, msgs) {
+		for _, d := range c.drain(t, i, msgs) {
 			sequences[i] = append(sequences[i], fmt.Sprintf("%d:%s", d.Origin, d.Data))
 		}
 	}
@@ -89,27 +83,23 @@ func TestClusterTCPLargePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dpu.New(n, dpu.WithTransport(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr))
 
 	// A small preamble plus the oversized message plus a small coda, all
 	// from one origin: per-source FIFO means fragmentation must not
 	// disturb the ordering around the big message.
-	if err := c.Broadcast(1, []byte("before")); err != nil {
+	if err := c.node[1].Broadcast(bg, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Broadcast(1, payload); err != nil {
+	if err := c.node[1].Broadcast(bg, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Broadcast(1, []byte("after")); err != nil {
+	if err := c.node[1].Broadcast(bg, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 
 	for i := 0; i < n; i++ {
-		got := drain(t, c, i, 3)
+		got := c.drain(t, i, 3)
 		if string(got[0].Data) != "before" || string(got[2].Data) != "after" {
 			t.Fatalf("stack %d framing messages out of order (lengths %d, %d, %d)",
 				i, len(got[0].Data), len(got[1].Data), len(got[2].Data))
@@ -137,11 +127,7 @@ func TestLinkFaultsOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dpu.New(n, dpu.WithTransport(tr), dpu.WithFaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr), dpu.WithFaults())
 
 	if err := c.PartitionLink(0, 1); err != nil {
 		t.Fatalf("PartitionLink over injector: %v", err)
@@ -154,11 +140,11 @@ func TestLinkFaultsOverTransport(t *testing.T) {
 	}
 
 	// The healed cluster must still make progress end to end.
-	if err := c.Broadcast(0, []byte("post-heal")); err != nil {
+	if err := c.node[0].Broadcast(bg, []byte("post-heal")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		got := drain(t, c, i, 1)
+		got := c.drain(t, i, 1)
 		if string(got[0].Data) != "post-heal" {
 			t.Fatalf("stack %d delivered %q after heal", i, got[0].Data)
 		}

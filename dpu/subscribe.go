@@ -33,7 +33,8 @@ type SubscribeOptions struct {
 	Deliveries bool
 	// Switches selects protocol-replacement completion events.
 	Switches bool
-	// Views selects membership views (requires WithMembership).
+	// Views selects membership views (requires WithMembership;
+	// Subscribe fails with ErrNoMembership otherwise).
 	Views bool
 	// Advice selects adaptation decisions (requires WithAdaptive;
 	// Subscribe fails with ErrNoAdaptive otherwise).
@@ -76,10 +77,9 @@ type Event struct {
 }
 
 // Subscription is one consumer's set of typed event streams from one
-// stack. Unlike the legacy fixed channels, each subscription has its
-// own buffer and an explicit lag policy, and can be closed
-// independently. Streams end (channels close) when the subscription or
-// the cluster is closed.
+// stack. Each subscription has its own buffer and an explicit lag
+// policy, and can be closed independently. Streams end (channels close)
+// when the subscription or the cluster is closed.
 type Subscription struct {
 	c    *Cluster
 	slot *stackSlot
@@ -104,6 +104,9 @@ func (n *Node) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Views && !n.c.membership {
+		return nil, fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
+	}
 	if opts.Advice && n.c.engine == nil {
 		return nil, fmt.Errorf("%w: enable it with WithAdaptive", ErrNoAdaptive)
 	}
@@ -114,29 +117,12 @@ func (n *Node) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 		c:          n.c,
 		slot:       slot,
 		opts:       opts,
-		deliveries: make(chan Delivery, opts.Buffer),
-		switches:   make(chan SwitchEvent, opts.Buffer),
-		views:      make(chan View, opts.Buffer),
-		advice:     make(chan Advice, opts.Buffer),
-		events:     make(chan Event, opts.Buffer),
+		deliveries: newStream[Delivery](opts.Deliveries, opts.Buffer),
+		switches:   newStream[SwitchEvent](opts.Switches, opts.Buffer),
+		views:      newStream[View](opts.Views, opts.Buffer),
+		advice:     newStream[Advice](opts.Advice, opts.Buffer),
+		events:     newStream[Event](opts.Events, opts.Buffer),
 		done:       make(chan struct{}),
-	}
-	// Excluded streams are closed up front: ranging over them ends
-	// immediately instead of blocking on a channel that never receives.
-	if !opts.Deliveries {
-		close(s.deliveries)
-	}
-	if !opts.Switches {
-		close(s.switches)
-	}
-	if !opts.Views {
-		close(s.views)
-	}
-	if !opts.Advice {
-		close(s.advice)
-	}
-	if !opts.Events {
-		close(s.events)
 	}
 	slot.subMu.Lock()
 	// Cluster.Close closes c.closed before it snapshots the registries,
@@ -152,6 +138,19 @@ func (n *Node) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	slot.subs = append(slot.subs, s)
 	slot.subMu.Unlock()
 	return s, nil
+}
+
+// newStream makes one stream's channel: buffered when selected, and
+// otherwise unbuffered and closed up front, so ranging over an excluded
+// stream ends immediately instead of blocking on a channel that never
+// receives.
+func newStream[T any](selected bool, buffer int) chan T {
+	if selected {
+		return make(chan T, buffer)
+	}
+	ch := make(chan T)
+	close(ch)
+	return ch
 }
 
 // Deliveries returns the totally-ordered message stream (closed

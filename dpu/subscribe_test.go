@@ -2,12 +2,26 @@ package dpu_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/dpu"
 )
+
+// witness registers a second, roomy subscription on the stack. Taken
+// after the subscription under test, it is published after it within
+// each pump event, so what it has seen bounds what the first was offered.
+func witness(t *testing.T, n *dpu.Node) *dpu.Subscription {
+	t.Helper()
+	wit, err := n.Subscribe(dpu.SubscribeOptions{Deliveries: true, Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(wit.Close)
+	return wit
+}
 
 // TestSubscriptionDropOldest fills a 4-slot buffer with 10 deliveries
 // and asserts the drop-oldest policy: 6 counted drops, and the buffer
@@ -27,6 +41,7 @@ func TestSubscriptionDropOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	wit := witness(t, n0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -39,10 +54,10 @@ func TestSubscriptionDropOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The legacy channel is published after the subscription inside the
-	// same pump event, so once it has all 10 the subscription's
-	// bookkeeping for all 10 is complete.
-	drain(t, c, 0, 10)
+	// The witness is published after the subscription inside the same
+	// pump event, so once it has all 10 the subscription's bookkeeping
+	// for all 10 is complete.
+	drainSub(t, wit, 10)
 
 	if got := sub.Dropped(); got != 6 {
 		t.Errorf("Dropped = %d, want 6", got)
@@ -82,6 +97,7 @@ func TestSubscriptionBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	wit := witness(t, n0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -94,13 +110,13 @@ func TestSubscriptionBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The subscription publish precedes the legacy channel in stack 0's
-	// pump: events 0 and 1 pass through, event 2 blocks the executor,
-	// so the legacy stream sees exactly two deliveries and then stalls.
-	drain(t, c, 0, 2)
+	// The subscription publish precedes the witness in stack 0's pump:
+	// events 0 and 1 pass through, event 2 blocks the executor, so the
+	// witness sees exactly two deliveries and then stalls.
+	drainSub(t, wit, 2)
 	select {
-	case d := <-c.Deliveries(0):
-		t.Fatalf("legacy stream advanced past the blocked publish: %q", d.Data)
+	case d := <-wit.Deliveries():
+		t.Fatalf("witness advanced past the blocked publish: %q", d.Data)
 	case <-time.After(300 * time.Millisecond):
 	}
 
@@ -119,7 +135,7 @@ func TestSubscriptionBlock(t *testing.T) {
 	if got := sub.Dropped(); got != 0 {
 		t.Errorf("Dropped = %d under Block", got)
 	}
-	drain(t, c, 0, 3) // legacy stream catches up too
+	drainSub(t, wit, 3) // the sibling catches up too
 }
 
 // TestSubscriptionCloseUnblocksPublisher closes a subscription while
@@ -139,6 +155,7 @@ func TestSubscriptionCloseUnblocksPublisher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wit := witness(t, n0)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	n1, err := c.Node(1)
@@ -150,9 +167,9 @@ func TestSubscriptionCloseUnblocksPublisher(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drain(t, c, 0, 1) // the publisher is now blocked on event 2
-	sub.Close()       // must unblock it
-	drain(t, c, 0, 2) // remaining events flow again
+	drainSub(t, wit, 1) // the publisher is now blocked on event 2
+	sub.Close()         // must unblock it
+	drainSub(t, wit, 2) // remaining events flow again
 	for range sub.Deliveries() {
 		// Buffered events stay readable; the loop must end on close.
 	}
@@ -160,7 +177,7 @@ func TestSubscriptionCloseUnblocksPublisher(t *testing.T) {
 	if err := n0.Broadcast(ctx, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	drain(t, c, 0, 1)
+	drainSub(t, wit, 1)
 }
 
 // TestSubscriptionUnselectedStreamsClosed checks that a stream not
@@ -221,52 +238,26 @@ func TestSubscriptionSwitchStream(t *testing.T) {
 	}
 }
 
-// TestLegacyDroppedCounter fills the legacy per-stack delivery buffer
-// and checks the overflow is counted and the oldest entries are the
-// ones lost.
-func TestLegacyDroppedCounter(t *testing.T) {
-	c, err := dpu.New(2, dpu.WithSeed(46), dpu.WithDeliveryBuffer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	n1, err := c.Node(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A blocking observer tells us when all 6 have been ordered; the
-	// legacy channel of stack 0 is left unread so it overflows.
-	sub, err := n1.Subscribe(dpu.SubscribeOptions{Deliveries: true, Buffer: 16, Policy: dpu.Block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	for i := 0; i < 6; i++ {
-		if err := n1.Broadcast(ctx, []byte(fmt.Sprintf("d-%d", i))); err != nil {
-			t.Fatal(err)
+// TestSubscribePrerequisites pins which streams need an option the
+// cluster was not built with: a stream that could never fire is refused
+// up front, while the unified Events stream just omits those kinds.
+func TestSubscribePrerequisites(t *testing.T) {
+	c := newGroup(t, 2, dpu.WithSeed(46))
+	for _, tc := range []struct {
+		name string
+		opts dpu.SubscribeOptions
+		want error
+	}{
+		{"views without membership", dpu.SubscribeOptions{Views: true}, dpu.ErrNoMembership},
+		{"advice without adaptive", dpu.SubscribeOptions{Advice: true}, dpu.ErrNoAdaptive},
+		{"events", dpu.SubscribeOptions{Events: true}, nil},
+	} {
+		sub, err := c.node[0].Subscribe(tc.opts)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: Subscribe = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-	for i := 0; i < 6; i++ {
-		select {
-		case <-sub.Deliveries():
-		case <-time.After(timeout):
-			t.Fatal("stack 1 did not deliver")
+		if sub != nil {
+			sub.Close()
 		}
-	}
-	// Stack 0's pump runs independently of stack 1's: poll briefly.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Dropped(0) != 4 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := c.Dropped(0); got != 4 {
-		t.Fatalf("Dropped(0) = %d, want 4", got)
-	}
-	// The two buffered survivors are the oldest not-yet-dropped ones —
-	// the legacy channel drops newest-on-overflow, keeping 0 and 1.
-	ds := drain(t, c, 0, 2)
-	if string(ds[0].Data) != "d-0" || string(ds[1].Data) != "d-1" {
-		t.Errorf("survivors = %q, %q", ds[0].Data, ds[1].Data)
 	}
 }

@@ -1,10 +1,10 @@
 package dpu_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"testing"
-	"time"
 
 	"repro/dpu"
 	"repro/internal/transport"
@@ -32,40 +32,29 @@ func TestClusterOverRealUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dpu.New(n, dpu.WithTransport(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr))
 
 	send := func(from, count int) {
 		for i := 0; i < count; i++ {
-			if err := c.Broadcast(from, []byte(fmt.Sprintf("u-%d-%d", from, i))); err != nil {
+			if err := c.node[from].Broadcast(bg, []byte(fmt.Sprintf("u-%d-%d", from, i))); err != nil {
 				t.Fatal(err)
 			}
 			from = (from + 1) % n
 		}
 	}
 	send(0, msgs/2)
-	if err := c.ChangeProtocol(1, dpu.ProtocolSequencer); err != nil {
-		t.Fatal(err)
-	}
+	c.requestChange(1, dpu.ProtocolSequencer)
 	send(1, msgs-msgs/2)
 
 	for i := 0; i < n; i++ {
-		select {
-		case ev := <-c.Switches(i):
-			if ev.Protocol != dpu.ProtocolSequencer {
-				t.Fatalf("stack %d switched to %q", i, ev.Protocol)
-			}
-		case <-time.After(timeout):
-			t.Fatalf("stack %d never switched", i)
+		if ev := c.waitSwitch(t, i); ev.Protocol != dpu.ProtocolSequencer {
+			t.Fatalf("stack %d switched to %q", i, ev.Protocol)
 		}
 	}
 
 	sequences := make([][]string, n)
 	for i := 0; i < n; i++ {
-		for _, d := range drain(t, c, i, msgs) {
+		for _, d := range c.drain(t, i, msgs) {
 			sequences[i] = append(sequences[i], fmt.Sprintf("%d:%s", d.Origin, d.Data))
 		}
 	}
@@ -101,20 +90,16 @@ func TestClusterOverLossyUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := transport.Faulty(inner, transport.FaultConfig{Seed: 11, LossRate: 0.1, DupRate: 0.05})
-	c, err := dpu.New(n, dpu.WithTransport(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newGroup(t, n, dpu.WithTransport(tr))
 
 	for i := 0; i < msgs; i++ {
-		if err := c.Broadcast(i%n, []byte(fmt.Sprintf("lossy-%d", i))); err != nil {
+		if err := c.node[i%n].Broadcast(bg, []byte(fmt.Sprintf("lossy-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref := drain(t, c, 0, msgs)
+	ref := c.drain(t, 0, msgs)
 	for i := 1; i < n; i++ {
-		got := drain(t, c, i, msgs)
+		got := c.drain(t, i, msgs)
 		for k := range ref {
 			a := fmt.Sprintf("%d:%s", ref[k].Origin, ref[k].Data)
 			b := fmt.Sprintf("%d:%s", got[k].Origin, got[k].Data)
@@ -164,21 +149,14 @@ func TestLocalStacksValidation(t *testing.T) {
 	if _, err := dpu.New(3, dpu.WithTransport(tr), dpu.WithLocalStacks(5)); err == nil {
 		t.Fatal("out-of-range local stack accepted")
 	}
-	c, err := dpu.New(3, dpu.WithTransport(tr), dpu.WithLocalStacks(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Broadcast(0, []byte("x")); err == nil {
-		t.Fatal("broadcast from remote stack accepted")
+	c := newGroup(t, 3, dpu.WithTransport(tr), dpu.WithLocalStacks(1))
+	if _, err := c.Node(0); !errors.Is(err, dpu.ErrRemoteStack) {
+		t.Fatalf("handle on a remote stack: %v, want ErrRemoteStack", err)
 	}
 	if c.Stack(0) != nil || c.Stack(1) == nil {
 		t.Fatal("local/remote stack exposure wrong")
 	}
-	if c.Deliveries(0) != nil || c.Deliveries(1) == nil {
-		t.Fatal("local/remote delivery channels wrong")
-	}
-	if err := c.Broadcast(1, []byte("x")); err != nil {
+	if err := c.node[1].Broadcast(bg, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package dpu
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -19,12 +20,14 @@ func TestVirtualClockCluster(t *testing.T) {
 	}
 	defer c.Close()
 
+	nodes := make([]*Node, 3)
 	subs := make([]*Subscription, 3)
 	for i := range subs {
 		n, err := c.Node(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		nodes[i] = n
 		subs[i], err = n.Subscribe(SubscribeOptions{Events: true, Buffer: 4096, Policy: Block})
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +36,7 @@ func TestVirtualClockCluster(t *testing.T) {
 
 	const msgs = 20
 	for i := 0; i < msgs; i++ {
-		if err := c.Broadcast(i%3, []byte(fmt.Sprintf("m%d", i))); err != nil {
+		if err := nodes[i%3].Broadcast(context.Background(), []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,11 +67,13 @@ func TestVirtualClockDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		n0, err := c.Node(0)
-		if err != nil {
-			t.Fatal(err)
+		nodes := make([]*Node, 3)
+		for i := range nodes {
+			if nodes[i], err = c.Node(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		sub, err := n0.Subscribe(SubscribeOptions{Events: true, Buffer: 4096, Policy: Block})
+		sub, err := nodes[0].Subscribe(SubscribeOptions{Events: true, Buffer: 4096, Policy: Block})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +84,7 @@ func TestVirtualClockDeterminism(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			i := i
 			vc.AfterFunc(time.Duration(i)*time.Millisecond, func() {
-				c.Broadcast(i%3, []byte(fmt.Sprintf("m%d", i))) //nolint:errcheck
+				nodes[i%3].Broadcast(context.Background(), []byte(fmt.Sprintf("m%d", i))) //nolint:errcheck
 			})
 		}
 		vc.RunFor(3 * time.Second)

@@ -22,10 +22,10 @@ const (
 	KindConsRepl Kind = 2
 	// KindBench is benchmark/workload probe traffic.
 	KindBench Kind = 3
-	// KindAppPaced is application data issued through the dpu façade's
-	// outstanding-broadcast window (Node.Broadcast): its self-delivery
-	// releases a window slot, whereas KindApp (the unpaced legacy path)
-	// does not hold one.
+	// KindAppPaced is reserved: it marked window-paced application data
+	// while an unpaced broadcast path existed beside Node.Broadcast. All
+	// application data is KindApp now; the value stays reserved so old
+	// captures decode unambiguously.
 	KindAppPaced Kind = 4
 )
 

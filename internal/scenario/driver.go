@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/dpu"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -172,6 +174,10 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown transport %q (known: sim, udp, tcp)", sc.Name, trKind)
 	}
+	// A window as large as the number of ticks one sender can issue: the
+	// workload's Node.Broadcast then never blocks, which on the virtual
+	// clock's owner goroutine would deadlock the run.
+	dopts = append(dopts, dpu.WithMaxOutstanding(sc.maxTicks(clk.ExpectGrace())))
 	if sc.Membership {
 		dopts = append(dopts, dpu.WithMembership())
 	}
@@ -370,11 +376,32 @@ func (d *driver) subscribe(id int) error {
 	return nil
 }
 
+// period is the interval between one sender's broadcasts.
+func (w Workload) period() time.Duration {
+	period := time.Duration(float64(time.Second) / w.Rate)
+	if period <= 0 {
+		period = time.Millisecond
+	}
+	return period
+}
+
+// maxTicks bounds the broadcasts one sender issues over the run: a tick
+// rearms itself one period later until the last phase ends, and each
+// phase may run over by the clock's expectation grace.
+func (sc *Scenario) maxTicks(grace time.Duration) int {
+	if sc.Workload.Rate <= 0 {
+		return 1
+	}
+	var total time.Duration
+	for _, ph := range sc.Phases {
+		total += ph.Duration + grace
+	}
+	return int(total/sc.Workload.period()) + 2
+}
+
 // startWorkload schedules one self-rearming broadcast chain per sender.
 // Each tick runs as a virtual-clock event, so the whole load is part of
-// the deterministic schedule. The legacy Cluster.Broadcast is the right
-// call here: it hands the payload to the stack without blocking on the
-// outstanding window (blocking would deadlock the clock goroutine).
+// the deterministic schedule.
 func (d *driver) startWorkload() {
 	w := d.sc.Workload
 	if w.Rate <= 0 {
@@ -384,10 +411,7 @@ func (d *driver) startWorkload() {
 	if senders <= 0 || senders > d.sc.Nodes {
 		senders = d.sc.Nodes
 	}
-	period := time.Duration(float64(time.Second) / w.Rate)
-	if period <= 0 {
-		period = time.Millisecond
-	}
+	period := w.period()
 	for s := 0; s < senders; s++ {
 		s := s
 		seq := uint64(0)
@@ -396,7 +420,11 @@ func (d *driver) startWorkload() {
 			if d.workloadStopped.Load() || d.isRetired(s) {
 				return
 			}
-			if err := d.c.Broadcast(s, workloadPayload(s, seq, w.Payload)); err != nil {
+			n, err := d.c.Node(s)
+			if err == nil {
+				err = n.Broadcast(context.Background(), workloadPayload(s, seq, w.Payload))
+			}
+			if err != nil {
 				// The stack crashed or was evicted mid-run: its stream ends
 				// here, legitimately ragged.
 				d.markExempt(s)
@@ -595,9 +623,17 @@ func (d *driver) runAction(phase string, a Action, fail func(string, ...any)) {
 				return
 			}
 		}
-		if err := d.c.ChangeProtocol(initiator, a.To); err != nil {
-			fail("switch to %s: %v", a.To, err)
+		st := d.c.Stack(initiator)
+		if st == nil || !st.Running() {
+			fail("switch to %s: stack %d is not running here", a.To, initiator)
+			return
 		}
+		// Fire-and-forget; an unknown name replies at once, inside the phase.
+		st.Call(core.Service, core.ChangeProtocol{Protocol: a.To, Reply: func(r core.ChangeReply) {
+			if r.Err != nil {
+				fail("switch to %s: %v", a.To, r.Err)
+			}
+		}})
 	case "partition":
 		if err := d.c.PartitionLink(a.A, a.B); err != nil {
 			fail("partition %d-%d: %v", a.A, a.B, err)
@@ -679,11 +715,23 @@ func (d *driver) lowestRunning(skip int) (int, bool) {
 		if id == skip || d.isRetired(id) {
 			continue
 		}
-		if _, err := d.c.Status(id); err == nil {
+		if _, err := d.nodeStatus(id); err == nil {
 			return id, true
 		}
 	}
 	return -1, false
+}
+
+// nodeStatus reads one stack's replacement-layer status. The executor
+// answers promptly; the timeout only bounds a wedged stack.
+func (d *driver) nodeStatus(id int) (dpu.Status, error) {
+	n, err := d.c.Node(id)
+	if err != nil {
+		return dpu.Status{}, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return n.Status(ctx)
 }
 
 // status snapshots the reference stack's protocol and members. Safe on
@@ -694,7 +742,7 @@ func (d *driver) status() (string, []int) {
 	if !ok {
 		return "", nil
 	}
-	st, err := d.c.Status(id)
+	st, err := d.nodeStatus(id)
 	if err != nil {
 		return "", nil
 	}
