@@ -54,6 +54,14 @@ var deliveryCounter = metrics.NewCounter("core.deliveries")
 // when the requested implementation name is not in the registry.
 var ErrUnknownProtocol = errors.New("core: unknown abcast implementation")
 
+// ErrEvicted is returned through ChangeView.Reply and
+// ChangeProtocol.Reply when this stack leaves the view with the request
+// still unordered, and for every request made after that. Whatever the
+// stack had broadcast is discarded by the survivors' epoch filter and
+// nobody re-proposes it, so the request can never commit: the caller
+// decides whether to issue it again from a member.
+var ErrEvicted = errors.New("core: stack evicted from the view")
+
 // Service is the public atomic-broadcast service provided by the
 // replacement module. Applications and dependent protocols call and
 // subscribe to this service and never touch abcast.ServiceImpl.
@@ -313,8 +321,10 @@ type Repl struct {
 	pendingViews   map[uint64]func(ViewReply)
 	epochWaiters   []epochWaiter
 
-	// view is the ordered membership state (see view.go).
-	view viewState
+	// view is the ordered membership state (see view.go); evicted is set
+	// once this stack has applied its own removal from it.
+	view    viewState
+	evicted bool
 
 	// Sender-side batching state (Config.BatchDelay > 0): payloads
 	// accumulate as length-prefixed records in batch until a flush.
@@ -438,8 +448,13 @@ func (m *Repl) status() Status {
 // broadcasts it (changeABcast). Unknown names fail before anything is
 // sent, so a typo can never circulate through the group.
 func (m *Repl) requestChange(r ChangeProtocol) {
-	if _, known := m.cfg.Impls.Lookup(r.Protocol); !known {
-		err := fmt.Errorf("%w %q", ErrUnknownProtocol, r.Protocol)
+	var err error
+	if m.evicted {
+		err = ErrEvicted
+	} else if _, known := m.cfg.Impls.Lookup(r.Protocol); !known {
+		err = fmt.Errorf("%w %q", ErrUnknownProtocol, r.Protocol)
+	}
+	if err != nil {
 		if r.Reply != nil {
 			r.Reply(ChangeReply{Err: err})
 		} else {

@@ -13,6 +13,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/abcast"
@@ -141,6 +143,9 @@ func (m *Repl) requestView(r ChangeView) {
 		}
 	}
 	switch {
+	case m.evicted:
+		fail(ErrEvicted)
+		return
 	case r.Op != ViewJoin && r.Op != ViewLeave:
 		fail(fmt.Errorf("core: unknown view operation %d", r.Op))
 		return
@@ -179,6 +184,20 @@ func (m *Repl) failView(reqID uint64, err error) {
 	}
 	delete(m.pendingViews, reqID)
 	reply(ViewReply{Err: err})
+}
+
+// failPending answers every tracked view and protocol-change request
+// with err, oldest first. Called on self-eviction: whatever this stack
+// broadcast in the old epoch the survivors discard, only the initiator
+// re-proposes a request that lost the epoch race, and this initiator
+// has no inner service left — without this no Reply would ever fire.
+func (m *Repl) failPending(err error) {
+	for _, reqID := range slices.Sorted(maps.Keys(m.pendingViews)) {
+		m.failView(reqID, err)
+	}
+	for _, reqID := range slices.Sorted(maps.Keys(m.pendingChanges)) {
+		m.failChange(reqID, err)
+	}
 }
 
 // snapshotMembers returns a sorted copy of the current membership.
@@ -306,10 +325,12 @@ func (m *Repl) onView(sn uint64, initiator kernel.Addr, reqID uint64, op ViewOp,
 		}
 		m.Stk.Logf("repl: evicted from the view at epoch %d", m.sn)
 		evictionsCounter.Add(1)
+		m.evicted = true
 		ev := m.viewChangeEvent(op, member, false)
 		if mine {
 			m.resolveView(reqID, ev) // a self-requested departure still confirms
 		}
+		m.failPending(ErrEvicted)
 		m.flushEpochWaiters()
 		m.Stk.Indicate(Service, ev)
 		return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -165,6 +166,34 @@ func TestSelfEvictionRetiresInnerModule(t *testing.T) {
 	}
 	if len(r.sink.views) != 2 || fmt.Sprint(r.sink.views[1].Members) != "[1]" {
 		t.Fatalf("views %+v", r.sink.views)
+	}
+}
+
+func TestSelfEvictionFailsPendingRequests(t *testing.T) {
+	// Member 1's eviction of this stack is ordered while a view change
+	// and a protocol change of this stack are still unordered: nobody
+	// will ever order them, so their callers — and every caller after —
+	// get ErrEvicted, in request order.
+	r := newRig(t, Config{})
+	r.st.Call(Service, ChangeView{Op: ViewJoin, Member: 1})
+	r.pumpOwnBroadcasts(t)
+	var got []string
+	note := func(what string, err error) {
+		got = append(got, fmt.Sprintf("%s: %v", what, errors.Is(err, ErrEvicted)))
+	}
+	r.st.Call(Service, ChangeView{Op: ViewJoin, Member: 7, Reply: func(vr ViewReply) { note("join", vr.Err) }})
+	r.st.Call(Service, ChangeProtocol{Protocol: "mock2", Reply: func(cr ChangeReply) { note("change", cr.Err) }})
+	r.sync(t)
+	r.injectDeliver(encView(1, 1, 1, ViewLeave, false, 0, ""))
+	r.st.Call(Service, ChangeProtocol{Protocol: "mock2", Reply: func(cr ChangeReply) { note("late change", cr.Err) }})
+	r.st.Call(Service, ChangeView{Op: ViewLeave, Member: 1, Reply: func(vr ViewReply) { note("late leave", vr.Err) }})
+	r.sync(t)
+	r.sync(t)
+	var pending int
+	r.st.DoSync(func() { pending = len(r.repl.pendingViews) + len(r.repl.pendingChanges) })
+	want := "[join: true change: true late change: true late leave: true]"
+	if fmt.Sprint(got) != want || pending != 0 {
+		t.Fatalf("replies %v (still pending: %d), want %s", got, pending, want)
 	}
 }
 

@@ -108,7 +108,9 @@ type Result struct {
 	// NoOp marks an operation that matched the current view (joining a
 	// present member, removing an absent one).
 	NoOp bool
-	// Err is non-nil when the operation failed validation or wiring.
+	// Err is non-nil when the operation failed validation or wiring, or
+	// (core.ErrEvicted) when this stack was removed from the view before
+	// the operation was ordered: it did not commit and nobody retries it.
 	Err error
 }
 

@@ -1,6 +1,7 @@
 package gm_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stacktest"
 	"repro/internal/udp"
+	"repro/internal/vclock"
 )
 
 const timeout = 20 * time.Second
@@ -49,7 +51,12 @@ func (l *viewLog) snapshot() []gm.View {
 
 func build(t *testing.T, n int) (*stacktest.Cluster, []*viewLog) {
 	t.Helper()
-	c := stacktest.New(t, n, simnet.Config{}, nil)
+	return buildOn(t, n, simnet.Config{})
+}
+
+func buildOn(t *testing.T, n int, netCfg simnet.Config) (*stacktest.Cluster, []*viewLog) {
+	t.Helper()
+	c := stacktest.New(t, n, netCfg, nil)
 	c.Reg.MustRegister(udp.Factory(c.Tr))
 	c.Reg.MustRegister(rp2p.Factory(rp2p.Config{RTO: 5 * time.Millisecond}))
 	c.Reg.MustRegister(rbcast.Factory(rbcast.Config{}))
@@ -122,20 +129,53 @@ func TestLeaveAndJoinProduceConsistentViews(t *testing.T) {
 	}
 }
 
-func TestConcurrentOpsTotallyOrdered(t *testing.T) {
-	// Two conflicting operations issued concurrently must be applied in
-	// the same order on every stack (GM inherits ABcast's total order).
-	// Each eviction halts its target, so every stack observes a prefix
-	// of the same view sequence; the sole remaining member sees both.
-	c, logs := build(t, 3)
-	c.Stacks[0].Call(gm.Service, gm.Leave{P: 2})
-	c.Stacks[1].Call(gm.Service, gm.Leave{P: 0})
-	c.Eventually(timeout, "both ops on the survivor", func() bool {
-		return logs[1].count() >= 2
-	})
-	ref := logs[1].snapshot()
-	if len(ref[0].Members) != 2 || len(ref[1].Members) != 1 || !ref[1].Contains(1) {
-		t.Fatalf("survivor view sequence %+v", ref)
+// Two conflicting evictions issued at the same instant — stack 0 asks
+// for Leave{2}, stack 1 for Leave{0} — are applied in one order on every
+// stack (GM inherits ABcast's total order). Each eviction halts its
+// target, so every stack observes a prefix of the survivor's view
+// sequence. Which of the two is ordered first decides what becomes of the
+// other; the two tests below force one winner each with link latencies,
+// under virtual time, and concurrentLeaves is their common start.
+func concurrentLeaves(t *testing.T, slow kernel.Addr, d time.Duration) (c *stacktest.Cluster, logs []*viewLog, vc *vclock.Virtual, from0, from1 chan gm.Result) {
+	vc = vclock.NewVirtual()
+	c, logs = buildOn(t, 3, simnet.Config{Clock: vc, BaseLatency: time.Millisecond})
+	for p := kernel.Addr(0); p < 3; p++ {
+		if p != slow {
+			c.Net.SetLinkLatency(simnet.Addr(slow), simnet.Addr(p), d)
+		}
+	}
+	from0, from1 = make(chan gm.Result, 1), make(chan gm.Result, 1)
+	c.Stacks[0].Call(gm.Service, gm.Leave{P: 2, Reply: func(r gm.Result) { from0 <- r }})
+	c.Stacks[1].Call(gm.Service, gm.Leave{P: 0, Reply: func(r gm.Result) { from1 <- r }})
+	return c, logs, vc, from0, from1
+}
+
+// reply returns the Result a request was answered with; after RunFor
+// everything that was going to happen has happened, so an empty channel
+// is a request that was left unanswered.
+func reply(t *testing.T, what string, ch chan gm.Result) gm.Result {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	default:
+		t.Fatalf("%s was never answered", what)
+		return gm.Result{}
+	}
+}
+
+// assertPrefixes checks that every stack's view log is a prefix of the
+// survivor's, and that the survivor's is want (member lists, in order).
+func assertPrefixes(t *testing.T, logs []*viewLog, survivor int, want ...[]kernel.Addr) {
+	t.Helper()
+	ref := logs[survivor].snapshot()
+	if len(ref) != len(want) {
+		t.Fatalf("survivor %d saw views %+v, want members %v", survivor, ref, want)
+	}
+	for k, v := range ref {
+		if v.ID != uint64(k+1) || fmt.Sprint(v.Members) != fmt.Sprint(want[k]) {
+			t.Fatalf("survivor %d view[%d] = %+v, want id %d members %v", survivor, k, v, k+1, want[k])
+		}
 	}
 	for i, l := range logs {
 		vs := l.snapshot()
@@ -143,10 +183,72 @@ func TestConcurrentOpsTotallyOrdered(t *testing.T) {
 			t.Fatalf("stack %d saw %d views, survivor saw %d", i, len(vs), len(ref))
 		}
 		for k := range vs {
-			if fmt.Sprintf("%v", vs[k]) != fmt.Sprintf("%v", ref[k]) {
+			if fmt.Sprint(vs[k]) != fmt.Sprint(ref[k]) {
 				t.Fatalf("stack %d view[%d] = %+v, survivor saw %+v", i, k, vs[k], ref[k])
 			}
 		}
+	}
+}
+
+func TestConcurrentLeavesVictimsRequestOrderedFirst(t *testing.T) {
+	// Stack 1 is 20 hops away: 0 and 2 order Leave{2} before they hear of
+	// Leave{0}. Stack 1's request loses the epoch race, stack 1 — still a
+	// member — proposes it again in the new epoch, and it commits: the
+	// sole survivor sees both views.
+	_, logs, vc, from0, from1 := concurrentLeaves(t, 1, 20*time.Millisecond)
+	vc.RunFor(time.Second)
+	if r := reply(t, "Leave{2} from stack 0", from0); r.Err != nil || r.View.ID != 1 {
+		t.Fatalf("Leave{2} from stack 0: %+v", r)
+	}
+	if r := reply(t, "Leave{0} from stack 1", from1); r.Err != nil || r.View.ID != 2 {
+		t.Fatalf("Leave{0} from stack 1: %+v", r)
+	}
+	assertPrefixes(t, logs, 1, []kernel.Addr{0, 1}, []kernel.Addr{1})
+	if n := logs[0].count(); n != 2 {
+		t.Errorf("stack 0 saw %d views, want both (the second is its own eviction)", n)
+	}
+	if n := logs[2].count(); n != 1 {
+		t.Errorf("stack 2 saw %d views, want its own eviction only", n)
+	}
+}
+
+func TestConcurrentLeavesEvictorsRequestOrderedFirst(t *testing.T) {
+	// Stack 0 is 200 hops away: 1 and 2 suspect it, order Leave{0} in a
+	// round of their own and install {1, 2}. Stack 0 learns of its
+	// eviction with Leave{2} still unordered. The survivors never order
+	// that request and nobody proposes it again, so stack 0's caller is
+	// told so (this used to be silence: ROADMAP 2(c)). The group is
+	// unharmed: the same request from a member commits.
+	c, logs, vc, from0, from1 := concurrentLeaves(t, 0, 200*time.Millisecond)
+	vc.RunFor(2 * time.Second)
+	if r := reply(t, "Leave{0} from stack 1", from1); r.Err != nil || r.View.ID != 1 {
+		t.Fatalf("Leave{0} from stack 1: %+v", r)
+	}
+	if r := reply(t, "Leave{2} from stack 0", from0); !errors.Is(r.Err, core.ErrEvicted) {
+		t.Fatalf("Leave{2} from evicted stack 0: %+v, want core.ErrEvicted", r)
+	}
+	assertPrefixes(t, logs, 1, []kernel.Addr{1, 2})
+	for i, l := range logs {
+		if n := l.count(); n != 1 {
+			t.Errorf("stack %d saw %d views, want 1", i, n)
+		}
+	}
+
+	// Requests made after the eviction are answered the same way.
+	late := make(chan gm.Result, 1)
+	c.Stacks[0].Call(gm.Service, gm.Leave{P: 2, Reply: func(r gm.Result) { late <- r }})
+	again := make(chan gm.Result, 1)
+	c.Stacks[1].Call(gm.Service, gm.Leave{P: 2, Reply: func(r gm.Result) { again <- r }})
+	vc.RunFor(time.Second)
+	if r := reply(t, "Leave{2} from stack 0 after its eviction", late); !errors.Is(r.Err, core.ErrEvicted) {
+		t.Fatalf("Leave{2} from stack 0 after its eviction: %+v, want core.ErrEvicted", r)
+	}
+	if r := reply(t, "Leave{2} from stack 1", again); r.Err != nil || r.View.ID != 2 {
+		t.Fatalf("Leave{2} from stack 1: %+v", r)
+	}
+	assertPrefixes(t, logs, 1, []kernel.Addr{1, 2}, []kernel.Addr{1})
+	if n := logs[0].count(); n != 1 {
+		t.Errorf("evicted stack 0 saw %d views, want 1", n)
 	}
 }
 

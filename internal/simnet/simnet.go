@@ -3,8 +3,10 @@
 // fabric with a parameterised fault and latency model: one-way base
 // latency, uniform jitter, a bandwidth term proportional to packet size,
 // probabilistic loss and duplication, link cuts (partitions) and
-// endpoint crashes. Packets are delivered asynchronously on timer
-// goroutines; receivers re-inject them into their stack's executor.
+// endpoint crashes. Packets are delivered asynchronously by the
+// fabric's clock — on wall time one pacer goroutine, in (deadline, send
+// order); under vclock.Virtual the driver of the clock — and receivers
+// re-inject them into their stack's executor.
 //
 // The model is deliberately simple but exercises exactly the code paths
 // the protocols depend on: variable delay (reordering across sources),
@@ -60,8 +62,11 @@ type Config struct {
 	// LoopbackLatency is the delay for self-addressed packets.
 	LoopbackLatency time.Duration
 	// Clock supplies delivery timers and the egress-queue timebase. Nil
-	// means the wall clock; a vclock.Virtual runs the whole fabric under
-	// deterministic virtual time. Fixed at New; Update cannot change it.
+	// or vclock.Wall means wall time, kept by a vclock.Paced the network
+	// owns (a runtime timer per packet would round every sub-millisecond
+	// hop up to a millisecond); a vclock.Virtual runs the whole fabric
+	// under deterministic virtual time. Fixed at New; Update cannot
+	// change it.
 	Clock vclock.Clock
 }
 
@@ -93,6 +98,7 @@ type Network struct {
 	mu      sync.Mutex
 	cfg     Config
 	clock   vclock.Clock
+	pacer   *vclock.Paced // clock, when the network runs on wall time and owns it
 	rng     *rand.Rand
 	eps     map[Addr]*Endpoint
 	cuts    map[link]bool
@@ -107,12 +113,15 @@ type Network struct {
 // New creates a network with the given configuration.
 func New(cfg Config) *Network {
 	clock := cfg.Clock
-	if clock == nil {
-		clock = vclock.Wall
+	var pacer *vclock.Paced
+	if clock == nil || clock == vclock.Wall {
+		pacer = vclock.NewPaced()
+		clock = pacer
 	}
 	return &Network{
 		cfg:     cfg,
 		clock:   clock,
+		pacer:   pacer,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		eps:     make(map[Addr]*Endpoint),
 		cuts:    make(map[link]bool),
@@ -143,9 +152,10 @@ func (e *Endpoint) Close() {
 	}
 }
 
-// Open attaches an endpoint at addr. recv is invoked on a timer
-// goroutine for every delivered packet; it must hand the packet to the
-// stack's executor and return quickly.
+// Open attaches an endpoint at addr. recv is invoked on the clock's
+// goroutine (the wall-time pacer, or the virtual clock's driver) for
+// every delivered packet, one packet at a time; it must hand the packet
+// to the stack's executor and return quickly.
 func (n *Network) Open(addr Addr, recv func(from Addr, data []byte)) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -329,12 +339,13 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// Close shuts the fabric down: pending deliveries are cancelled and
-// subsequent sends discarded.
+// Close shuts the fabric down: pending deliveries are cancelled,
+// subsequent sends discarded and, on wall time, the pacer released. It
+// must not be called from a recv callback.
 func (n *Network) Close() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.closed {
+		n.mu.Unlock()
 		return
 	}
 	n.closed = true
@@ -342,4 +353,9 @@ func (n *Network) Close() {
 		tm.Stop()
 	}
 	n.timers = make(map[vclock.Timer]struct{})
+	n.mu.Unlock()
+	if n.pacer != nil {
+		// Outside n.mu: the pacer may be inside a delivery waiting for it.
+		n.pacer.Close()
+	}
 }

@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"encoding/binary"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -322,5 +325,83 @@ func TestStatsByteCounting(t *testing.T) {
 	c.wait(t, 2)
 	if st := n.Stats(); st.Bytes != 128 {
 		t.Errorf("Bytes = %d, want 128", st.Bytes)
+	}
+}
+
+// Two packets sent back to back on a zero-jitter link are due a few µs
+// apart. One runtime timer per packet ran each delivery on a goroutine
+// of its own and let the second overtake the first; the wall-time pacer
+// delivers in (deadline, send order).
+func TestWallClockLinkIsFIFO(t *testing.T) {
+	const packets = 2000
+	n := New(Config{BaseLatency: 200 * time.Microsecond})
+	defer n.Close()
+	var got []uint16 // pacer goroutine only, until done is closed
+	done := make(chan struct{})
+	a, err := n.Open(0, func(Addr, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Open(1, func(_ Addr, data []byte) {
+		got = append(got, binary.BigEndian.Uint16(data))
+		if len(got) == packets {
+			close(done)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < packets; i++ {
+		a.Send(1, binary.BigEndian.AppendUint16(nil, uint16(i)))
+	}
+	<-done
+	for i, seq := range got {
+		if int(seq) != i {
+			t.Fatalf("packet %d arrived in position %d", seq, i)
+		}
+	}
+}
+
+// openDescriptors counts the process's open descriptors; ok is false
+// where /proc does not say.
+func openDescriptors() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
+}
+
+// A network on wall time starts its pacer with the first packet and
+// Close gives everything back: goroutine, thread and wake pipe.
+func TestCloseReleasesThePacer(t *testing.T) {
+	cycle := func(i int) {
+		n := New(Config{BaseLatency: time.Hour})
+		a, err := n.Open(0, func(Addr, []byte) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Open(1, func(Addr, []byte) { t.Error("a packet an hour away was delivered") }); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			a.Send(0, []byte("loopback")) // LoopbackLatency 0: delivered, or dropped by Close
+		}
+		a.Send(1, []byte("pending at Close"))
+		n.Close()
+	}
+	cycle(0) // whatever the first use of anything allocates is not a leak
+	goroutines := runtime.NumGoroutine()
+	fds, countFDs := openDescriptors()
+	for i := 0; i < 200; i++ {
+		cycle(i)
+	}
+	New(Config{}).Close() // never sent: nothing was started
+	// Close returns when the pacer has run its last statement, which is
+	// an instant before the runtime stops counting it.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > goroutines; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > goroutines {
+		t.Errorf("%d goroutines before, %d after 200 networks", goroutines, after)
+	}
+	if after, _ := openDescriptors(); countFDs && after != fds {
+		t.Errorf("%d descriptors before, %d after 200 networks", fds, after)
 	}
 }

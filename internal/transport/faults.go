@@ -482,8 +482,9 @@ func (e faultyBatchEndpoint) Enqueue(to Addr, data []byte) {
 		}
 		return
 	}
-	// A delayed datagram re-materializes on a timer goroutine, outside
-	// any executor pass — no Flush will follow, and BatchSender's
+	// A delayed datagram re-materializes on the fault clock's goroutine
+	// (a runtime timer's on wall time, the driver's under virtual time),
+	// outside any executor pass — no Flush will follow, and BatchSender's
 	// single-caller contract forbids touching the queue from here. Send
 	// it directly: one unbatched syscall per delayed datagram is the
 	// cost of shaping it.

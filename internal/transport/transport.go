@@ -8,9 +8,10 @@ import "errors"
 type Addr int
 
 // RecvFunc is invoked for every datagram delivered to an endpoint. It
-// runs on a transport-owned goroutine (a simnet timer goroutine or a
-// socket read loop); implementations must hand the packet to their
-// stack's executor and return quickly. The data slice is owned by the
+// runs on a transport-owned goroutine (the simnet clock's — one pacer
+// on wall time, the driver under virtual time — or a socket read loop);
+// implementations must hand the packet to their stack's executor and
+// return quickly. The data slice is owned by the
 // receiver and remains valid after the call returns.
 type RecvFunc func(from Addr, data []byte)
 

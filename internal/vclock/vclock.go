@@ -2,7 +2,11 @@
 // under discrete-event virtual time. Production code uses the Wall
 // clock, which delegates to the runtime; simulations use Virtual, a
 // deterministic event scheduler that advances time only when every
-// registered event source (kernel executors) is quiescent.
+// registered event source (kernel executors) is quiescent. Paced is
+// the third: wall time again, but with Virtual's deadline heap fired by
+// one goroutine that keeps sub-millisecond deadlines, for a simulated
+// fabric that runs in real time (see Paced). The three are the stack's
+// only adapter to the runtime clock.
 //
 // # Determinism
 //
@@ -91,11 +95,9 @@ func IsVirtual(c Clock) bool {
 // Step and RunFor must be called from a single goroutine; Now,
 // AfterFunc, Stop and Register are safe from any goroutine.
 type Virtual struct {
-	mu     sync.Mutex
-	base   time.Time
-	now    int64 // nanoseconds since base
-	events eventHeap
-	seq    uint64
+	schedule
+	base time.Time
+	now  int64 // nanoseconds since base; guarded by schedule.mu
 
 	srcMu sync.Mutex
 	srcs  []Source
@@ -113,7 +115,9 @@ func NewVirtual() *Virtual {
 // event's virtual offset into the run.
 func (v *Virtual) Base() time.Time { return v.base }
 
+// vevent is one armed callback, and the Timer handed out for it.
 type vevent struct {
+	s       *schedule
 	at      int64
 	seq     uint64
 	fn      func()
@@ -150,6 +154,71 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
+// schedule is the deadline heap both clocks own: Virtual fires its head
+// when every source is quiescent, Paced when the head is due. Events
+// fire in (deadline, registration) order whoever drives.
+type schedule struct {
+	mu     sync.Mutex
+	events eventHeap
+	seq    uint64
+}
+
+// armLocked registers fn at deadline at; s.mu must be held.
+func (s *schedule) armLocked(at int64, fn func()) *vevent {
+	s.seq++
+	ev := &vevent{s: s, at: at, seq: s.seq, fn: fn}
+	heap.Push(&s.events, ev)
+	return ev
+}
+
+// popDueLocked removes the earliest event with deadline <= limit (a
+// negative limit means no bound) and marks it fired; s.mu must be held.
+// It returns nil when no such event exists.
+func (s *schedule) popDueLocked(limit int64) *vevent {
+	for s.events.Len() > 0 {
+		ev := s.events[0]
+		if limit >= 0 && ev.at > limit {
+			return nil
+		}
+		heap.Pop(&s.events)
+		ev.index = -1
+		if ev.stopped {
+			continue
+		}
+		ev.fired = true
+		return ev
+	}
+	return nil
+}
+
+func (ev *vevent) Stop() bool {
+	ev.s.mu.Lock()
+	defer ev.s.mu.Unlock()
+	if ev.stopped || ev.fired {
+		return false
+	}
+	ev.stopped = true
+	if ev.index >= 0 {
+		heap.Remove(&ev.s.events, ev.index)
+		ev.index = -1
+	}
+	return true
+}
+
+// PendingEvents returns the number of scheduled, unfired, unstopped
+// events (for tests and diagnostics).
+func (s *schedule) PendingEvents() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, ev := range s.events {
+		if !ev.stopped {
+			n++
+		}
+	}
+	return n
+}
+
 // Now returns the current virtual instant.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
@@ -172,29 +241,7 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.seq++
-	ev := &vevent{at: v.now + int64(d), seq: v.seq, fn: fn}
-	heap.Push(&v.events, ev)
-	return &virtualTimer{v: v, ev: ev}
-}
-
-type virtualTimer struct {
-	v  *Virtual
-	ev *vevent
-}
-
-func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	if t.ev.stopped || t.ev.fired {
-		return false
-	}
-	t.ev.stopped = true
-	if t.ev.index >= 0 {
-		heap.Remove(&t.v.events, t.ev.index)
-		t.ev.index = -1
-	}
-	return true
+	return v.armLocked(v.now+int64(d), fn)
 }
 
 // Register adds an event source to the quiescence poll set. Sources are
@@ -248,23 +295,14 @@ func (v *Virtual) quiesce() {
 func (v *Virtual) popNext(limit int64) func() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for v.events.Len() > 0 {
-		ev := v.events[0]
-		if limit >= 0 && ev.at > limit {
-			return nil
-		}
-		heap.Pop(&v.events)
-		ev.index = -1
-		if ev.stopped {
-			continue
-		}
-		ev.fired = true
-		if ev.at > v.now {
-			v.now = ev.at
-		}
-		return ev.fn
+	ev := v.popDueLocked(limit)
+	if ev == nil {
+		return nil
 	}
-	return nil
+	if ev.at > v.now {
+		v.now = ev.at
+	}
+	return ev.fn
 }
 
 // Step waits for quiescence, then fires the earliest pending event.
@@ -298,18 +336,4 @@ func (v *Virtual) RunFor(d time.Duration) {
 		v.now = end
 	}
 	v.mu.Unlock()
-}
-
-// PendingEvents returns the number of scheduled, unfired, unstopped
-// events (for tests and diagnostics).
-func (v *Virtual) PendingEvents() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, ev := range v.events {
-		if !ev.stopped {
-			n++
-		}
-	}
-	return n
 }
