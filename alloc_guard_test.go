@@ -5,12 +5,17 @@
 package repro_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/rbcast"
+	"repro/internal/rp2p"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
+	"repro/internal/udp"
 	"repro/internal/wire"
 )
 
@@ -134,5 +139,91 @@ func TestPooledWriterAllocBudget(t *testing.T) {
 	// small residue rather than asserting exactly zero.
 	if avg > 0.5 {
 		t.Errorf("pooled writer allocates %.2f allocs/op in steady state, budget 0.5", avg)
+	}
+}
+
+// TestLargeBroadcastByteBudget bounds what the host allocates to move
+// one 128-KiB reliable broadcast through three stacks over TCP loopback,
+// in bytes. The payload crosses four links (two first sends, two
+// relays), so four reassembly buffers — half a megabyte — are what the
+// receive side has to allocate; the send side refers to the
+// broadcaster's buffer, and on relay to the received one, all the way to
+// writev. When every layer copied into a buffer of its own (a record, a
+// frame per destination, a packet per destination, the stream queue, and
+// the same again for each relay) this read 3.0–3.2 MB; it reads 0.50
+// now. Bytes, not time: the budget leaves room for a reassembly buffer
+// that has to grow when a header gains a byte, and for less than two
+// further copies of the payload anywhere in the three stacks.
+func TestLargeBroadcastByteBudget(t *testing.T) {
+	const (
+		n        = 3
+		messages = 200
+		size     = 128 << 10
+		budget   = 0.75 * (1 << 20) // bytes allocated per message, process-wide
+		inFlight = 4                // stays far below the TCP queue limit, so nothing is dropped and resent
+	)
+	book := make(map[transport.Addr]string, n)
+	for i, a := range transporttest.ReserveStreamAddrs(t, n) {
+		book[transport.Addr(i)] = a
+	}
+	tr, err := transport.NewTCP(transport.TCPConfig{Book: book})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	reg := kernel.NewRegistry()
+	reg.MustRegister(udp.Factory(tr))
+	reg.MustRegister(rp2p.Factory(rp2p.Config{}))
+	reg.MustRegister(rbcast.Factory(rbcast.Config{}))
+	peers := make([]kernel.Addr, n)
+	for i := range peers {
+		peers[i] = kernel.Addr(i)
+	}
+	delivered := make(chan struct{}, n*messages)
+	stacks := make([]*kernel.Stack, n)
+	for i := range stacks {
+		st := kernel.NewStack(kernel.Config{Addr: kernel.Addr(i), Peers: peers, Registry: reg})
+		defer st.Close()
+		stacks[i] = st
+		if err := st.DoSync(func() {
+			if _, e := st.CreateProtocol(rbcast.Protocol); e != nil {
+				t.Errorf("stack %d: %v", i, e)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st.Call(rbcast.Service, rbcast.Listen{Channel: "big", Handler: func(d rbcast.Deliver) {
+			if len(d.Data) == size {
+				delivered <- struct{}{}
+			}
+		}})
+	}
+	payload := make([]byte, size) // immutable, so one buffer serves every broadcast
+	round := func(count int) {
+		for sent, got := 0, 0; got < n*count; {
+			for ; sent < count && n*sent < got+n*inFlight; sent++ {
+				stacks[sent%n].Call(rbcast.Service, rbcast.Broadcast{Channel: "big", Data: payload})
+			}
+			select {
+			case <-delivered:
+				got++
+			case <-time.After(30 * time.Second):
+				t.Fatalf("delivered %d of %d", got, n*count)
+			}
+		}
+	}
+	round(2 * n) // connections up, reassembly buffers sized
+	var before, after runtime.MemStats
+	clean := tr.Stats() // losing the simultaneous-dial tie-break costs a write error during warm-up
+	runtime.ReadMemStats(&before)
+	round(messages)
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / messages
+	t.Logf("%.2f MB allocated per 128-KiB broadcast", perMsg/(1<<20))
+	if perMsg > budget {
+		t.Errorf("a 128-KiB broadcast allocates %.2f MB process-wide, budget %.2f MB", perMsg/(1<<20), budget/(1<<20))
+	}
+	if st := tr.Stats(); st.SendErrs != clean.SendErrs || st.Malformed != 0 || st.Reconnects != clean.Reconnects {
+		t.Errorf("transport stats %+v (after warm-up: %+v): the measured interval was not clean", st, clean)
 	}
 }

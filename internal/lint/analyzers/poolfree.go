@@ -11,14 +11,22 @@ import (
 
 // PoolFree enforces the PR 3 pooled-buffer contract: a *wire.Writer
 // obtained from wire.GetWriter is owned by the acquiring function and
-// must reach a matching Free on every return path. Two findings exist:
+// must reach a matching Free on every return path. Three findings
+// exist:
 //
 //   - leak: some path returns while an acquired writer is neither freed
 //     nor deferred-freed — the buffer never returns to the pool;
 //   - ownership transfer: the writer value escapes the function (stored
 //     into a field/map/slice, passed as an argument, captured by a
 //     closure, returned), so "Free on every path here" can no longer be
-//     checked locally.
+//     checked locally;
+//   - pooled body: the writer's bytes are handed over as a Body (the
+//     Body field of rp2p.Send or udp.Send, the body argument of
+//     transport.BodySender.EnqueueBody). A Body is never copied: it is
+//     kept by reference until an ack or a socket write that happens
+//     long after the call, and read from other goroutines meanwhile,
+//     so the pool would recycle the buffer under its readers. Data
+//     fields are copied while the request is handled and are fine.
 //
 // Transfers are sometimes the design (rp2p parks encoded packets until
 // the ack; rbcast frames live in the module between executor passes):
@@ -83,6 +91,7 @@ func checkPoolScope(pass *lint.Pass, body *ast.BlockStmt) {
 	if len(c.acquired) == 0 {
 		return
 	}
+	c.checkBodies()
 	c.checkEscapes()
 	if len(c.acquired) == 0 {
 		return
@@ -137,6 +146,95 @@ func (c *poolChecker) walkScope(root ast.Node, fn func(ast.Node)) {
 			fn(n)
 		}
 		return true
+	})
+}
+
+// checkBodies reports bytes of a tracked writer that are handed over as
+// a by-reference body: the value of a Body field in a composite literal
+// or an assignment, or the last argument of an EnqueueBody call. The
+// bytes are recognised as w.Bytes() (through a method chain or a slice
+// expression) or as a local assigned from that.
+func (c *poolChecker) checkBodies() {
+	alias := make(map[*types.Var]*types.Var) // local []byte -> the writer it came from
+	var pooled func(e ast.Expr) *types.Var
+	pooled = func(e ast.Expr) *types.Var {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			return pooled(e.X)
+		case *ast.Ident:
+			if v, ok := c.pass.Info.Uses[e].(*types.Var); ok {
+				return alias[v]
+			}
+		case *ast.CallExpr:
+			sel, ok := e.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Bytes" {
+				return nil
+			}
+			// w.Bytes(), or w.Raw(x).Bytes(): the chain's root is the writer.
+			root := sel.X
+			for {
+				if call, ok := ast.Unparen(root).(*ast.CallExpr); ok {
+					if inner, ok := call.Fun.(*ast.SelectorExpr); ok {
+						root = inner.X
+						continue
+					}
+				}
+				break
+			}
+			if id, ok := ast.Unparen(root).(*ast.Ident); ok {
+				if v, ok := c.pass.Info.Uses[id].(*types.Var); ok {
+					if _, tracked := c.acquired[v]; tracked {
+						return v
+					}
+				}
+			}
+		}
+		return nil
+	}
+	check := func(e ast.Expr) {
+		if w := pooled(e); w != nil {
+			acq := c.pass.Fset.Position(c.acquired[w])
+			c.pass.Report(lint.Diagnostic{
+				Pos: e.Pos(),
+				Message: fmt.Sprintf(
+					"bytes of pooled wire.Writer %s (acquired at %s:%d) passed as a Body: a Body is kept by reference past the call and read from other goroutines, so it must not come from the pool (copy it, or send it as Data)",
+					w.Name(), trimPath(acq.Filename), acq.Line),
+			})
+		}
+	}
+	c.walkScope(c.body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if i >= len(n.Rhs) || len(n.Lhs) != len(n.Rhs) {
+					break
+				}
+				switch lhs := lhs.(type) {
+				case *ast.Ident:
+					obj := c.pass.Info.Defs[lhs]
+					if obj == nil {
+						obj = c.pass.Info.Uses[lhs]
+					}
+					if v, ok := obj.(*types.Var); ok {
+						if w := pooled(n.Rhs[i]); w != nil {
+							alias[v] = w
+						}
+					}
+				case *ast.SelectorExpr:
+					if lhs.Sel.Name == "Body" {
+						check(n.Rhs[i])
+					}
+				}
+			}
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Body" {
+				check(n.Value)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "EnqueueBody" && len(n.Args) > 0 {
+				check(n.Args[len(n.Args)-1])
+			}
+		}
 	})
 }
 

@@ -68,3 +68,49 @@ func suppressedTransfer(h *holder) {
 	//dpulint:ignore poolfree fixture demonstrates a documented ownership transfer
 	h.w = w
 }
+
+// A Body is kept by reference after the call that hands it over; a Data
+// is copied during it.
+type send struct{ Data, Body []byte }
+
+type bodySender interface {
+	EnqueueBody(to int, head, body []byte)
+}
+
+func bodyFromPool(out func(send)) {
+	w := wire.GetWriter(8)
+	w.Byte(1)
+	out(send{Data: w.Bytes(), Body: w.Bytes()}) // want `poolfree: .*passed as a Body`
+	w.Free()
+}
+
+func bodyFromPoolThroughLocal(out func(send)) {
+	w := wire.GetWriter(8)
+	rest := w.Byte(1).Byte(2).Bytes()[1:]
+	var s send
+	s.Body = rest // want `poolfree: .*passed as a Body`
+	out(s)
+	w.Free()
+}
+
+func bodyFromPoolEnqueued(ep bodySender) {
+	w := wire.GetWriter(8)
+	w.Byte(1)
+	ep.EnqueueBody(1, nil, w.Bytes()) // want `poolfree: .*passed as a Body`
+	w.Free()
+}
+
+func okHeadFromPool(ep bodySender, out func(send), body []byte) {
+	w := wire.GetWriter(8)
+	w.Byte(1)
+	out(send{Data: w.Bytes(), Body: body})
+	ep.EnqueueBody(1, w.Bytes(), body)
+	w.Free()
+}
+
+func suppressedBody(out func(send)) {
+	w := wire.GetWriter(8)
+	//dpulint:ignore poolfree fixture: out is synchronous and copies the body before it returns
+	out(send{Body: w.Bytes()})
+	w.Free()
+}

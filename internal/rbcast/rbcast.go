@@ -21,6 +21,14 @@
 // datagram per peer instead of one per message per peer, and a relayed
 // record is copied straight from the incoming frame without
 // re-encoding.
+//
+// A record whose data exceeds maxFrameBytes would fill a frame by
+// itself, so it is not copied into one: it goes to RP2P at once as a
+// frame of one record, the encoded record header as rp2p.Send.Data and
+// the data itself — the broadcaster's slice, or on relay the received
+// one — by reference as rp2p.Send.Body. The bytes on the wire are the
+// same as if the record had been coalesced, and records to one
+// destination still leave in the order they were enqueued.
 package rbcast
 
 import (
@@ -63,8 +71,11 @@ var (
 
 // Broadcast requests a reliable broadcast to the whole group,
 // including the sender. Data is handed through to the local channel
-// handler (which may retain it) and copied into outgoing frames, so the
-// caller must not mutate it afterwards.
+// handler (which may retain it) and either copied into outgoing frames
+// or, above maxFrameBytes, sent by reference (rp2p.Send.Body: kept until
+// every peer has acknowledged it and read by the transport's writers
+// meanwhile). Either way the caller must never mutate it afterwards,
+// and must not pool it.
 type Broadcast struct {
 	Channel string
 	Data    []byte
@@ -159,6 +170,7 @@ type Module struct {
 	unclaimed  map[string][]Deliver
 	drops      uint64
 	dropLogged map[string]bool
+	refMin     int // data longer than this travels by reference (maxFrameBytes)
 
 	// Outgoing frame accumulation, one pooled writer per destination,
 	// flushed at the end of every executor pass.
@@ -182,6 +194,7 @@ func Factory(cfg Config) kernel.Factory {
 				handlers:   make(map[string]func(Deliver)),
 				unclaimed:  make(map[string][]Deliver),
 				dropLogged: make(map[string]bool),
+				refMin:     maxFrameBytes,
 				outq:       make(map[kernel.Addr]*wire.Writer),
 			}
 		},
@@ -234,40 +247,64 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 func (m *Module) broadcast(b Broadcast) {
 	m.seq++
 	origin := m.Stk.Addr()
-	// Encode the record once into a pooled scratch buffer, then append
-	// it to every destination's pending frame.
-	rec := wire.GetWriter(len(b.Data) + len(b.Channel) + 24)
-	rec.Uvarint(uint64(origin)).Uvarint(m.seq).String(b.Channel).BytesField(b.Data)
+	// Encode the record header once into a pooled scratch buffer; header
+	// and data then go to every destination.
+	head := wire.GetWriter(len(b.Channel) + 32)
+	head.Uvarint(uint64(origin)).Uvarint(m.seq).String(b.Channel).Uvarint(uint64(len(b.Data)))
 	m.markSeen(origin, m.seq)
 	for _, p := range m.Stk.Others() {
-		m.enqueueRecord(p, rec.Bytes())
+		m.enqueueRecord(p, head.Bytes(), b.Data)
 	}
-	rec.Free()
+	head.Free()
 	m.deliver(b.Channel, Deliver{Origin: origin, Data: b.Data})
 }
 
-// enqueueRecord appends one encoded record to the destination's pending
-// frame. A frame that would exceed the size cap is flushed BEFORE the
-// append, so coalescing never builds a datagram larger than one the
-// biggest single record would need on its own (an oversized record
-// still travels alone, exactly as it would without coalescing).
-func (m *Module) enqueueRecord(p kernel.Addr, rec []byte) {
+// enqueueRecord queues one record — head is its encoded header up to
+// and including the data length, data the bytes that follow — for the
+// destination, by appending it to the destination's pending frame. A
+// frame that would exceed the size cap is flushed BEFORE the append, so
+// coalescing never builds a datagram larger than one the biggest single
+// record would need on its own (an oversized record still travels
+// alone, exactly as it would without coalescing).
+//
+// Data longer than refMin is that oversized record and is not copied at
+// all (sendByRef) — unless RP2P is unbound: the request would park
+// holding head, which is the caller's scratch, so that cold case takes
+// the copying path, whose frame a parked call may keep.
+func (m *Module) enqueueRecord(p kernel.Addr, head, data []byte) {
+	if len(data) > m.refMin && m.Stk.Provider(rp2p.Service) != nil {
+		m.sendByRef(p, head, data)
+		return
+	}
+	n := len(head) + len(data)
 	f := m.outq[p]
 	if f == nil {
-		f = wire.GetWriter(len(rec) + 256)
+		f = wire.GetWriter(n + 256)
 		//dpulint:ignore poolfree frame parked in m.outq between executor passes; flushFrames and Stop guarantee the Free
 		m.outq[p] = f
 		m.outOrder = append(m.outOrder, p)
 	}
-	if f.Len() > 0 && f.Len()+len(rec) > maxFrameBytes {
+	if f.Len() > 0 && f.Len()+n > maxFrameBytes {
 		if m.sendFrame(p, f) {
 			f.Reset()
 		} else {
-			f = wire.GetWriter(len(rec) + 256) // ownership passed to a parked call
+			f = wire.GetWriter(n + 256) // ownership passed to a parked call
 			m.outq[p] = f
 		}
 	}
-	f.Raw(rec)
+	f.Raw(head).Raw(data)
+}
+
+// sendByRef sends one record to p as a frame of its own, now: whatever
+// is pending for p first, to keep the order, then head as the RP2P
+// message and data as its by-reference body. RP2P is bound, so it copies
+// head and the pending frame while the requests are handled.
+func (m *Module) sendByRef(p kernel.Addr, head, data []byte) {
+	if f := m.outq[p]; f != nil && f.Len() > 0 {
+		m.sendFrame(p, f)
+		f.Reset()
+	}
+	m.Stk.CallSync(rp2p.Service, rp2p.Send{To: p, Channel: rp2pChannel, Data: head, Body: data})
 }
 
 // sendFrame hands one frame to RP2P. It reports whether the caller
@@ -320,19 +357,18 @@ func (m *Module) onRecv(rv rp2p.Recv) {
 		if r.Err() != nil {
 			return // truncated frame: drop the unreadable tail
 		}
-		rec := rv.Data[start:r.Pos()]
+		head := rv.Data[start : r.Pos()-len(data)]
 		if !m.markSeen(origin, seq) {
 			continue // already relayed and delivered
 		}
 		recvCounter.Add(1)
 		// Relay before delivering: agreement despite sender crash. The
-		// record is appended to the relay frames verbatim — no
-		// re-encoding.
+		// record goes into the relay frames verbatim — no re-encoding.
 		for _, p := range m.Stk.Others() {
 			if p == origin || p == rv.From {
 				continue
 			}
-			m.enqueueRecord(p, rec)
+			m.enqueueRecord(p, head, data)
 			relayCounter.Add(1)
 		}
 		m.deliver(channel, Deliver{Origin: origin, Data: data})

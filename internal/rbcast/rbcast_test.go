@@ -45,16 +45,22 @@ func (l *delivLog) snapshot() []rbcast.Deliver {
 
 func build(t *testing.T, n int, netCfg simnet.Config) (*stacktest.Cluster, []*delivLog) {
 	c := stacktest.New(t, n, netCfg, nil)
-	c.Reg.MustRegister(udp.Factory(c.Tr))
-	c.Reg.MustRegister(rp2p.Factory(rp2p.Config{RTO: 5 * time.Millisecond}))
+	return c, buildOver(c, c.Tr, rp2p.Config{RTO: 5 * time.Millisecond})
+}
+
+// buildOver assembles rbcast on every stack of c with the udp modules
+// on tr, and a listener on channel "t" per stack.
+func buildOver(c *stacktest.Cluster, tr transport.Transport, cfg rp2p.Config) []*delivLog {
+	c.Reg.MustRegister(udp.Factory(tr))
+	c.Reg.MustRegister(rp2p.Factory(cfg))
 	c.Reg.MustRegister(rbcast.Factory(rbcast.Config{}))
 	c.CreateAll(rbcast.Protocol)
-	logs := make([]*delivLog, n)
+	logs := make([]*delivLog, len(c.Stacks))
 	for i := range logs {
 		logs[i] = &delivLog{}
 		c.Stacks[i].Call(rbcast.Service, rbcast.Listen{Channel: "t", Handler: logs[i].add})
 	}
-	return c, logs
+	return logs
 }
 
 func TestBroadcastReachesEveryoneIncludingSender(t *testing.T) {

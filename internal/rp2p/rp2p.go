@@ -19,6 +19,7 @@ package rp2p
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,10 +54,23 @@ const Protocol = "net/rp2p"
 // returns. A self-addressed Send is delivered by handing Data straight
 // to the channel handler, which may retain it — do not pool buffers
 // sent to self.
+//
+// Body, when non-empty, is the rest of the message: the receiver's
+// Recv.Data is Data followed by Body. Its ownership is the opposite of
+// Data's — it is never copied, the packet keeps the slice until the
+// peer acknowledges it and every (re)transmission hands it on to
+// udp.Send.Body, where a stream transport reads it from its own
+// goroutine. Body must therefore be immutable from the call on, for as
+// long as anyone holds it, and must not be a pooled buffer (dpu-lint's
+// poolfree analyzer flags wire.Writer bytes passed as a Body). The two
+// cold cases — a self-addressed Send, and a Send made while the UDP
+// service is unbound, which parks the request — join Data and Body into
+// one fresh buffer instead.
 type Send struct {
 	To      kernel.Addr
 	Channel string
 	Data    []byte
+	Body    []byte
 }
 
 // Recv is handed to the channel's registered handler for every
@@ -160,11 +174,15 @@ const (
 // The encoding lives in a pooled wire.Writer (with wire.FrameOverhead
 // bytes of leading headroom for the UDP frame header, so transmissions
 // cross the framing layer without a copy) that is released back to the
-// pool once the packet is acknowledged.
+// pool once the packet is acknowledged. A Send.Body is not part of it:
+// the packet on the wire is the writer's bytes followed by body, which
+// stays the sender's slice, and only the writer's bytes are re-stamped
+// on retransmission.
 type outPkt struct {
 	seq   uint64
 	w     *wire.Writer // encoded packet; timestamp field starts at tsOff
 	tsOff int
+	body  []byte // Send.Body, by reference until acked
 }
 
 type peer struct {
@@ -357,6 +375,9 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 
 func (m *Module) send(s Send) {
 	m.stats.Sent++
+	if len(s.Body) > 0 && (s.To == m.Stk.Addr() || m.Stk.Provider(udp.Service) == nil) {
+		s.Data, s.Body = slices.Concat(s.Data, s.Body), nil
+	}
 	if s.To == m.Stk.Addr() {
 		// Local shortcut: the executor's FIFO already gives order.
 		m.deliver(Recv{From: s.To, Channel: s.Channel, Data: s.Data})
@@ -370,7 +391,7 @@ func (m *Module) send(s Send) {
 	w.Uint64(0) // transmit timestamp, stamped per transmission
 	w.String(s.Channel).Raw(s.Data)
 	//dpulint:ignore poolfree buffer parked in the retransmission window; onAck, dropPeer and Stop guarantee the Free
-	pkt := &outPkt{seq: p.nextSeq, w: w, tsOff: tsOff}
+	pkt := &outPkt{seq: p.nextSeq, w: w, tsOff: tsOff, body: s.Body}
 	p.nextSeq++
 	if len(p.unacked) < m.cfg.Window {
 		p.unacked[pkt.seq] = pkt
@@ -387,7 +408,7 @@ func (m *Module) transmit(p *peer, pkt *outPkt) {
 	binary.BigEndian.PutUint64(encoded[pkt.tsOff:], uint64(m.Stk.Now().UnixNano()))
 	// Synchronous dispatch into the UDP module: no queue round-trip, and
 	// the headroom byte lets the frame go out without a copy.
-	m.Stk.CallSync(udp.Service, udp.Send{To: p.addr, Chan: udp.ChanRP2P, Data: encoded, Headroom: true})
+	m.Stk.CallSync(udp.Service, udp.Send{To: p.addr, Chan: udp.ChanRP2P, Data: encoded, Body: pkt.body, Headroom: true})
 }
 
 func (m *Module) armRetransmit(p *peer) {

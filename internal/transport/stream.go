@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/vclock"
@@ -60,15 +64,16 @@ const streamHelloMax = 13
 // it must be torn down (the byte stream is desynchronized).
 var errStreamMalformed = errors.New("transport: malformed stream frame")
 
-// errStreamShort reports that a buffer holds only a prefix of a frame;
+// errStreamShort reports that a buffer holds only a prefix of a hello;
 // the caller should read more bytes and retry. Never a failure.
 var errStreamShort = errors.New("transport: short stream frame")
 
 // appendStreamHello appends the connection hello for initiator from.
 func appendStreamHello(dst []byte, from Addr) []byte {
-	w := wire.NewWriter(streamHelloMax)
-	w.Byte(streamMagic).Byte(streamKind).Byte(streamVersion).Uvarint(uint64(from))
-	return append(dst, w.Bytes()...)
+	var h [streamHelloMax]byte
+	h[0], h[1], h[2] = streamMagic, streamKind, streamVersion
+	n := 3 + binary.PutUvarint(h[3:], uint64(from))
+	return append(dst, h[:n]...)
 }
 
 // decodeStreamHello parses a connection hello from the front of b,
@@ -104,103 +109,175 @@ func decodeStreamHello(b []byte) (from Addr, n int, err error) {
 	return Addr(f), 3 + r.Pos(), nil
 }
 
-// appendStreamMessage appends payload to dst as fragment frames of at
-// most maxFrag bytes each and returns the extended buffer plus the
-// number of fragments emitted (always ≥ 1; an empty payload is a single
-// empty FIN frame).
-func appendStreamMessage(dst []byte, payload []byte, maxFrag int) ([]byte, int) {
-	frags := 0
+// sendQueue is what one link has accepted and not yet written, held as
+// the slices a single vectored write takes. Copied bytes (fragment
+// headers, message heads, whole body-less messages) accumulate in
+// chunk; bodies are referenced where the caller left them. The zero
+// value is an empty queue.
+type sendQueue struct {
+	bufs  net.Buffers // the stream bytes, in order
+	chunk []byte      // backing store of the copied entries of bufs
+	tail  int         // offset in chunk where bufs' last entry starts, when open
+	open  bool        // bufs' last entry is chunk's tail and grows in place
+	bytes int         // total length of bufs, copied and referenced alike
+}
+
+// copyIn appends a copy of b to the stream. Consecutive copies extend
+// one entry of bufs; when append moves chunk, earlier entries keep
+// aliasing the old array, whose bytes are final.
+func (q *sendQueue) copyIn(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if !q.open {
+		q.open, q.tail = true, len(q.chunk)
+		q.bufs = append(q.bufs, nil)
+	}
+	q.chunk = append(q.chunk, b...)
+	q.bufs[len(q.bufs)-1] = q.chunk[q.tail:]
+	q.bytes += len(b)
+}
+
+// ref appends b itself to the stream; see BodySender for what that asks
+// of the caller.
+func (q *sendQueue) ref(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	q.bufs = append(q.bufs, b)
+	q.open = false
+	q.bytes += len(b)
+}
+
+// appendMessage queues head‖body as one stream message, in fragment
+// frames of at most maxFrag bytes each, and returns the number of
+// fragments (always ≥ 1; an empty message is a single empty FIN frame).
+// Frame headers and head are copied, body is referenced.
+func (q *sendQueue) appendMessage(head, body []byte, maxFrag int) (frags int) {
+	rest := len(head) + len(body)
 	for {
-		frag := payload
-		fin := byte(streamFIN)
-		if len(frag) > maxFrag {
-			frag = frag[:maxFrag]
-			fin = 0
+		n := min(rest, maxFrag)
+		rest -= n
+		var hdr [1 + binary.MaxVarintLen64]byte
+		if rest == 0 {
+			hdr[0] = streamFIN
 		}
-		payload = payload[len(frag):]
-		w := wire.NewWriter(2 + 10)
-		w.Byte(fin).Uvarint(uint64(len(frag)))
-		dst = append(dst, w.Bytes()...)
-		dst = append(dst, frag...)
+		q.copyIn(hdr[:1+binary.PutUvarint(hdr[1:], uint64(n))])
+		k := min(n, len(head))
+		q.copyIn(head[:k])
+		q.ref(body[:n-k])
+		head, body = head[k:], body[n-k:]
 		frags++
-		if fin != 0 {
-			return dst, frags
+		if rest == 0 {
+			return frags
 		}
 	}
 }
 
-// streamDecoder reassembles messages from a stream of fragment frames.
-// One decoder per connection; not safe for concurrent use.
+// streamReadBuf is the decoder's read buffer. Frame headers and bodies
+// shorter than it are parsed out of it, so one read still collects a
+// burst of small messages; a longer body is read from the connection
+// straight into the message (bufio.Reader bypasses its buffer for a
+// read at least this large), so of a 64 KiB fragment only the bytes
+// that arrived with its header are copied twice.
+const streamReadBuf = 4 << 10
+
+// streamDecoder reassembles messages from a connection's fragment
+// frames and hands them to deliver in batches: the messages completed
+// between two reads of the connection are one batch, since only a read
+// can block. One decoder per connection; not safe for concurrent use.
 type streamDecoder struct {
 	maxMessage int
 	maxFrag    int
-	pending    []byte // partial message under reassembly (nil between messages)
-	mid        bool   // a fragment has been consumed since the last FIN
-	sizeHint   int    // size of the last multi-fragment message
+	from       Addr           // sender stamped on every packet
+	deliver    func([]Packet) // receives ownership of the batch
+
+	src      io.Reader
+	batch    []Packet
+	sizeHint int // size of the last multi-fragment message
 }
 
-// feed parses every complete frame at the front of buf, invoking emit
-// once per completed message with an owned slice (the decoder keeps no
-// reference). It returns the number of bytes consumed; the caller
-// retains buf[n:] for the next feed. A non-nil error is a framing
-// violation: the connection is desynchronized and must be torn down.
-func (d *streamDecoder) feed(buf []byte, emit func(msg []byte)) (int, error) {
-	consumed := 0
+// Read is the decoder's view of the connection: whatever is complete is
+// delivered before the read that may wait for more.
+func (d *streamDecoder) Read(p []byte) (int, error) {
+	d.flush()
+	return d.src.Read(p)
+}
+
+func (d *streamDecoder) flush() {
+	if len(d.batch) > 0 {
+		d.deliver(d.batch)
+		d.batch = nil
+	}
+}
+
+// run decodes src until it fails, and returns why: an error wrapping
+// errStreamMalformed is a framing violation (the stream is
+// desynchronized and the connection must be torn down), anything else
+// is the connection's own error. Either way every message completed
+// before it has been delivered and the partial one is discarded.
+func (d *streamDecoder) run(src io.Reader) error {
+	d.src = src
+	br := bufio.NewReaderSize(d, streamReadBuf)
+	defer d.flush()
+	var msg []byte // message under reassembly, nil between messages
+	frags := 0
 	for {
-		b := buf[consumed:]
-		if len(b) < 2 {
-			return consumed, nil
+		flags, err := br.ReadByte()
+		if err != nil {
+			return err
 		}
-		flags := b[0]
 		if flags&^streamFIN != 0 {
-			return consumed, fmt.Errorf("%w: reserved flag bits %#02x", errStreamMalformed, flags)
+			return fmt.Errorf("%w: reserved flag bits %#02x", errStreamMalformed, flags)
 		}
-		r := wire.NewReader(b[1:])
-		ln := r.Uvarint()
-		if r.Err() != nil {
-			if len(b) >= 1+10 {
-				return consumed, fmt.Errorf("%w: fragment length overflow", errStreamMalformed)
+		var lb [binary.MaxVarintLen64]byte
+		n := 0
+		for more := true; more && n < len(lb); n++ {
+			if lb[n], err = br.ReadByte(); err != nil {
+				return err
 			}
-			return consumed, nil // length prefix not complete yet
+			more = lb[n] >= 0x80
 		}
+		ln, k := binary.Uvarint(lb[:n])
+		if k <= 0 {
+			return fmt.Errorf("%w: fragment length overflow", errStreamMalformed)
+		}
+		fin := flags&streamFIN != 0
 		if ln > uint64(d.maxFrag) {
-			return consumed, fmt.Errorf("%w: %d-byte fragment exceeds limit %d", errStreamMalformed, ln, d.maxFrag)
+			return fmt.Errorf("%w: %d-byte fragment exceeds limit %d", errStreamMalformed, ln, d.maxFrag)
 		}
-		if ln == 0 && flags&streamFIN == 0 {
+		if ln == 0 && !fin {
 			// An empty non-final fragment makes no reassembly progress; a
 			// peer emitting one is broken (or an attack on the read loop).
-			return consumed, fmt.Errorf("%w: empty non-final fragment", errStreamMalformed)
+			return fmt.Errorf("%w: empty non-final fragment", errStreamMalformed)
 		}
-		if len(d.pending)+int(ln) > d.maxMessage {
-			return consumed, fmt.Errorf("%w: reassembled message exceeds limit %d", errStreamMalformed, d.maxMessage)
+		if len(msg)+int(ln) > d.maxMessage {
+			return fmt.Errorf("%w: reassembled message exceeds limit %d", errStreamMalformed, d.maxMessage)
 		}
-		header := 1 + r.Pos()
-		if len(b) < header+int(ln) {
-			return consumed, nil // fragment body not complete yet
-		}
-		frag := b[header : header+int(ln)]
-		consumed += header + int(ln)
-		if flags&streamFIN != 0 {
-			if !d.mid && d.pending == nil {
-				// Whole message in one frame: hand the receiver its own
-				// copy without an intermediate pending buffer.
-				msg := append([]byte(nil), frag...)
-				emit(msg)
-				continue
+		if msg == nil {
+			// The header carries no total length; bulk traffic repeats its
+			// sizes, so a message that continues is sized for the previous
+			// one instead of doubling up from one fragment.
+			size := int(ln)
+			if !fin {
+				size = max(d.sizeHint, 2*size)
 			}
-			msg := append(d.pending, frag...)
-			d.pending, d.mid, d.sizeHint = nil, false, len(msg)
-			emit(msg)
+			msg = make([]byte, 0, size)
+		}
+		have := len(msg)
+		msg = slices.Grow(msg, int(ln))[:have+int(ln)]
+		if _, err := io.ReadFull(br, msg[have:]); err != nil {
+			return err
+		}
+		frags++
+		if !fin {
 			continue
 		}
-		if d.pending == nil {
-			// The header carries no total length; bulk traffic repeats
-			// its sizes, so size the buffer for the previous message
-			// instead of doubling up from one fragment.
-			d.pending = make([]byte, 0, max(d.sizeHint, 2*len(frag)))
+		if frags > 1 {
+			d.sizeHint = len(msg)
 		}
-		d.pending = append(d.pending, frag...)
-		d.mid = true
+		d.batch = append(d.batch, Packet{From: d.from, Data: msg})
+		msg, frags = nil, 0
 	}
 }
 

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -73,7 +76,7 @@ type TCPStats struct {
 
 // TCPTransport sends length-prefixed stream frames over real net.Conn
 // connections using a mutable address book. It satisfies Transport,
-// BatchOpener and (via its endpoints) BatchSender and Router, so the
+// BatchOpener and (via its endpoints) BodySender and Router, so the
 // stack above runs unmodified over streams.
 //
 // Connections are managed per (endpoint, peer) pair: the first send to
@@ -147,15 +150,15 @@ func (t *TCPTransport) logf(format string, args ...any) {
 }
 
 // Open binds the TCP listener for addr's book entry and starts its
-// accept loop. The returned endpoint implements BatchSender: Enqueue
-// parks frames per peer and Flush writes each peer's batch as one
-// coalesced buffer.
+// accept loop. The returned endpoint implements BodySender: Enqueue and
+// EnqueueBody park frames per peer and Flush writes each peer's batch
+// with one vectored write.
 func (t *TCPTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
 	return t.open(addr, recv, nil)
 }
 
 // OpenBatch binds the listener like Open but delivers incoming messages
-// in batches: every message reassembled from one socket read arrives in
+// in batches: the messages completed between two socket reads arrive in
 // one callback. It implements the optional BatchOpener extension.
 func (t *TCPTransport) OpenBatch(addr Addr, recv BatchRecvFunc) (Endpoint, error) {
 	if recv == nil {
@@ -314,16 +317,22 @@ func (e *tcpEndpoint) Addr() Addr { return e.addr }
 // drop the message, as network loss would; RP2P's retransmission
 // recovers.
 func (e *tcpEndpoint) Send(to Addr, data []byte) {
-	if l := e.park(to, data); l != nil {
+	if l := e.park(to, data, nil); l != nil {
 		l.kick()
 	}
 }
 
 // Enqueue frames data onto the peer link's queue for the next Flush.
-// Enqueue and Flush must be called from one goroutine at a time (the
-// stack executor); Send may be used concurrently from other goroutines.
-func (e *tcpEndpoint) Enqueue(to Addr, data []byte) {
-	l := e.park(to, data)
+// Enqueue, EnqueueBody and Flush must be called from one goroutine at a
+// time (the stack executor); Send may be used concurrently from other
+// goroutines.
+func (e *tcpEndpoint) Enqueue(to Addr, data []byte) { e.EnqueueBody(to, data, nil) }
+
+// EnqueueBody frames head‖body as one message onto the peer link's
+// queue for the next Flush: head is copied, body stays where it is until
+// the link's writer has written it (see BodySender).
+func (e *tcpEndpoint) EnqueueBody(to Addr, head, body []byte) {
+	l := e.park(to, head, body)
 	if l == nil {
 		return
 	}
@@ -336,8 +345,8 @@ func (e *tcpEndpoint) Enqueue(to Addr, data []byte) {
 }
 
 // Flush wakes the writer of every link touched by Enqueue since the
-// previous Flush; each writer drains its whole queue with one
-// conn.Write, so one executor pass costs one coalesced write per peer.
+// previous Flush; each writer drains its whole queue with one writev,
+// so one executor pass costs one vectored write per peer.
 func (e *tcpEndpoint) Flush() {
 	for i, l := range e.dirty {
 		l.kick()
@@ -346,9 +355,9 @@ func (e *tcpEndpoint) Flush() {
 	e.dirty = e.dirty[:0]
 }
 
-// park frames data onto to's link queue and returns the link, or nil
-// when the message was dropped.
-func (e *tcpEndpoint) park(to Addr, data []byte) *tcpLink {
+// park frames head‖body onto to's link queue and returns the link, or
+// nil when the message was dropped.
+func (e *tcpEndpoint) park(to Addr, head, body []byte) *tcpLink {
 	t := e.tr
 	if e.closed.Load() {
 		t.sendErrs.Add(1)
@@ -359,10 +368,11 @@ func (e *tcpEndpoint) park(to Addr, data []byte) *tcpLink {
 		t.logf("transport: drop send %d->%d: address not in book", e.addr, to)
 		return nil
 	}
-	if len(data) > t.cfg.MaxMessage {
+	size := len(head) + len(body)
+	if size > t.cfg.MaxMessage {
 		t.sendErrs.Add(1)
 		t.logf("transport: drop send %d->%d: %d-byte payload exceeds stream limit %d",
-			e.addr, to, len(data), t.cfg.MaxMessage)
+			e.addr, to, size, t.cfg.MaxMessage)
 		return nil
 	}
 	l := e.link(to)
@@ -376,20 +386,19 @@ func (e *tcpEndpoint) park(to Addr, data []byte) *tcpLink {
 		t.sendErrs.Add(1)
 		return nil
 	}
-	if len(l.pending) > t.cfg.QueueLimit {
+	if l.q.bytes > t.cfg.QueueLimit {
 		l.mu.Unlock()
 		t.sendErrs.Add(1)
 		t.logf("transport: drop send %d->%d: peer queue over %d bytes", e.addr, to, t.cfg.QueueLimit)
 		return nil
 	}
-	var frags int
-	l.pending, frags = appendStreamMessage(l.pending, data, t.cfg.MaxFragment)
+	frags := l.q.appendMessage(head, body, t.cfg.MaxFragment)
 	l.mu.Unlock()
 	if frags > 1 {
 		t.fragments.Add(uint64(frags))
 		streamFragmentsCounter.Add(uint64(frags))
 	}
-	t.payloadedBytes.Add(uint64(len(data)))
+	t.payloadedBytes.Add(uint64(size))
 	return l
 }
 
@@ -501,27 +510,35 @@ func (e *tcpEndpoint) admit(conn net.Conn) {
 	// Inbound connections were initiated by the remote peer.
 	if l.adopt(conn, from) {
 		e.wg.Add(1)
-		go l.readConn(conn, append([]byte(nil), buf...))
+		go l.readConn(conn, io.MultiReader(bytes.NewReader(buf), conn))
 	}
 }
 
-// recvMsg delivers one reassembled message unless the endpoint has
-// closed. An endpoint opened with OpenBatch receives it inside a batch.
-func (e *tcpEndpoint) recvMsg(from Addr, msgs [][]byte) {
-	if e.closed.Load() || len(msgs) == 0 {
+// recvMsgs delivers one decoder batch unless the endpoint has closed.
+// An endpoint opened with OpenBatch receives the batch as it is: the
+// decoder gave the slice up.
+func (e *tcpEndpoint) recvMsgs(pkts []Packet) {
+	if e.closed.Load() {
 		return
 	}
-	e.tr.delivered.Add(uint64(len(msgs)))
+	e.tr.delivered.Add(uint64(len(pkts)))
 	if e.brecv != nil {
-		pkts := make([]Packet, len(msgs))
-		for i, m := range msgs {
-			pkts[i] = Packet{From: from, Data: m}
-		}
 		e.brecv(pkts)
 		return
 	}
-	for _, m := range msgs {
-		e.recv(from, m)
+	for _, p := range pkts {
+		e.recv(p.From, p.Data)
+	}
+}
+
+// decode runs a stream decoder for messages from peer over src until
+// the stream ends, and counts a framing violation.
+func (e *tcpEndpoint) decode(peer Addr, src io.Reader) {
+	t := e.tr
+	dec := &streamDecoder{maxMessage: t.cfg.MaxMessage, maxFrag: t.cfg.MaxFragment, from: peer, deliver: e.recvMsgs}
+	if err := dec.run(src); errors.Is(err, errStreamMalformed) {
+		t.malformed.Add(1)
+		t.logf("transport: endpoint %d: stream from %d desynchronized: %v", e.addr, peer, err)
 	}
 }
 
@@ -559,7 +576,7 @@ func (e *tcpEndpoint) Close() {
 }
 
 // tcpLink is the connection manager for one (endpoint, peer) pair: a
-// queue of encoded frames, at most one live connection, and a writer
+// queue of framed messages, at most one live connection, and a writer
 // goroutine that dials lazily and redials with capped backoff.
 type tcpLink struct {
 	ep   *tcpEndpoint
@@ -567,10 +584,10 @@ type tcpLink struct {
 	wake chan struct{} // capacity 1: writer wake-up
 
 	mu            sync.Mutex
-	pending       []byte   // encoded frames awaiting write
-	conn          net.Conn // canonical connection (nil while down)
-	connInitiator Addr     // dialing side of conn, for the tie-break
-	everUp        bool     // a connection has been established before
+	q             sendQueue // framed messages awaiting write
+	conn          net.Conn  // canonical connection (nil while down)
+	connInitiator Addr      // dialing side of conn, for the tie-break
+	everUp        bool      // a connection has been established before
 	closed        bool
 }
 
@@ -629,7 +646,7 @@ func (l *tcpLink) dropConn(c net.Conn) {
 func (l *tcpLink) shutdown() {
 	l.mu.Lock()
 	l.closed = true
-	l.pending = nil
+	l.q = sendQueue{}
 	c := l.conn
 	l.conn = nil
 	l.mu.Unlock()
@@ -640,9 +657,10 @@ func (l *tcpLink) shutdown() {
 }
 
 // runWriter is the link's writer goroutine: woken by kick, it drains
-// the whole queue with one conn.Write per wake-up, dialing (and
-// redialing, with capped backoff on the injected clock) whenever
-// traffic finds the connection down.
+// the whole queue with one vectored write per wake-up (net.Buffers on a
+// TCP connection is writev), dialing (and redialing, with capped
+// backoff on the injected clock) whenever traffic finds the connection
+// down.
 func (l *tcpLink) runWriter() {
 	e := l.ep
 	defer e.wg.Done()
@@ -661,7 +679,7 @@ func (l *tcpLink) runWriter() {
 				l.mu.Unlock()
 				return
 			}
-			if len(l.pending) == 0 {
+			if l.q.bytes == 0 {
 				l.mu.Unlock()
 				break
 			}
@@ -670,10 +688,11 @@ func (l *tcpLink) runWriter() {
 				// our own frames and deliver on this (transport-owned)
 				// goroutine. Dialing our own listener would put both halves
 				// of one connection on this link and confuse the tie-break.
-				buf := l.pending
-				l.pending = nil
+				bufs := l.q.bufs
+				l.q = sendQueue{}
 				l.mu.Unlock()
-				l.deliverLocal(buf)
+				e.decode(e.addr, &bufs)
+				t.sent.Add(1)
 				continue
 			}
 			conn := l.conn
@@ -684,11 +703,11 @@ func (l *tcpLink) runWriter() {
 				}
 				continue
 			}
-			buf := l.pending
-			l.pending = nil
+			bufs := l.q.bufs
+			l.q = sendQueue{}
 			l.mu.Unlock()
-			if _, err := conn.Write(buf); err != nil {
-				// The frames in buf are lost, as network loss; the stream
+			if _, err := bufs.WriteTo(conn); err != nil {
+				// The frames in bufs are lost, as network loss; the stream
 				// restarts clean on the next connection.
 				t.sendErrs.Add(1)
 				t.logf("transport: %d->%d: write: %v", e.addr, l.peer, err)
@@ -698,23 +717,6 @@ func (l *tcpLink) runWriter() {
 			t.sent.Add(1)
 		}
 	}
-}
-
-// deliverLocal reassembles self-addressed frames and delivers them in
-// one batch; buf always holds whole frames (park only appends complete
-// messages).
-func (l *tcpLink) deliverLocal(buf []byte) {
-	e := l.ep
-	t := e.tr
-	dec := &streamDecoder{maxMessage: t.cfg.MaxMessage, maxFrag: t.cfg.MaxFragment}
-	var msgs [][]byte
-	if _, err := dec.feed(buf, func(m []byte) { msgs = append(msgs, m) }); err != nil {
-		t.malformed.Add(1)
-		t.logf("transport: endpoint %d: self-delivery desynchronized: %v", e.addr, err)
-		return
-	}
-	t.sent.Add(1)
-	e.recvMsg(e.addr, msgs)
 }
 
 // connect establishes a connection for the link, retrying with capped
@@ -740,7 +742,7 @@ func (l *tcpLink) connect(backoff *Backoff) bool {
 		if !ok {
 			// Evicted mid-dial: drop the queued frames as loss.
 			l.mu.Lock()
-			l.pending = nil
+			l.q = sendQueue{}
 			l.mu.Unlock()
 			return true
 		}
@@ -758,7 +760,7 @@ func (l *tcpLink) connect(backoff *Backoff) bool {
 				conn.Close()
 			} else if l.adopt(conn, e.addr) {
 				e.wg.Add(1)
-				go l.readConn(conn, nil)
+				go l.readConn(conn, conn)
 				return true
 			} else {
 				// Lost the tie-break to an inbound connection: use that one.
@@ -773,44 +775,11 @@ func (l *tcpLink) connect(backoff *Backoff) bool {
 }
 
 // readConn reassembles messages off one connection until it dies or the
-// endpoint closes. seed carries bytes already read past the hello by
-// admit. Messages decoded from one socket read are delivered as one
-// batch.
-func (l *tcpLink) readConn(conn net.Conn, seed []byte) {
+// endpoint closes. src is conn, preceded by whatever admit read past the
+// hello.
+func (l *tcpLink) readConn(conn net.Conn, src io.Reader) {
 	e := l.ep
 	defer e.wg.Done()
 	defer l.dropConn(conn)
-	t := e.tr
-	dec := &streamDecoder{maxMessage: t.cfg.MaxMessage, maxFrag: t.cfg.MaxFragment}
-	buf := make([]byte, 0, 32<<10)
-	buf = append(buf, seed...)
-	var msgs [][]byte
-	emit := func(m []byte) { msgs = append(msgs, m) }
-	for {
-		n, err := dec.feed(buf, emit)
-		if err != nil {
-			t.malformed.Add(1)
-			t.logf("transport: endpoint %d: connection from %d desynchronized: %v", e.addr, l.peer, err)
-			return
-		}
-		if len(msgs) > 0 {
-			e.recvMsg(l.peer, msgs)
-			msgs = nil
-		}
-		buf = buf[:copy(buf, buf[n:])]
-		if len(buf) == cap(buf) {
-			// The partial frame outgrew the buffer; grow geometrically.
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		rn, err := conn.Read(buf[len(buf):cap(buf)])
-		if rn > 0 {
-			buf = buf[:len(buf)+rn]
-		}
-		if err != nil && rn == 0 {
-			// Connection dead (peer closed, tie-break eviction, shutdown).
-			return
-		}
-	}
+	e.decode(l.peer, src)
 }

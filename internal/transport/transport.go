@@ -76,6 +76,28 @@ type BatchSender interface {
 	Flush()
 }
 
+// BodySender is an optional BatchSender extension for backends that can
+// transmit one message handed over as two slices without joining them
+// first (the TCP endpoint: one writev). EnqueueBody queues the message
+// head‖body exactly as Enqueue(to, head‖body) would — same wire bytes,
+// same ordering with Enqueue, transmitted by the same Flush — but the
+// two halves have opposite ownership:
+//
+//   - head is copied before EnqueueBody returns, like Enqueue's data;
+//   - body is kept BY REFERENCE until the backend has written it, which
+//     may be long after Flush returns. The caller must never write to
+//     those bytes again (not after the write either: the same slice may
+//     be queued to several peers and retransmitted), so a pooled or
+//     reused buffer must not be passed as body. The backend only reads
+//     it, from its own goroutine.
+//
+// Backends without the extension are served by their caller joining
+// the halves and using Enqueue/Send (internal/udp does, in one place).
+type BodySender interface {
+	BatchSender
+	EnqueueBody(to Addr, head, body []byte)
+}
+
 // Router is an optional Transport extension for fabrics with explicit
 // routing state (the real-socket address book): membership views admit
 // and retire endpoints at runtime through it. Fabrics with implicit

@@ -188,6 +188,13 @@ func TestBatchPartialSendError(t *testing.T) {
 // Sends arrives through the BatchRecvFunc with correct senders,
 // payloads and order, and the batched backend uses far fewer read
 // syscalls than datagrams.
+//
+// A reader left to itself can drain loopback as fast as sendmmsg fills
+// it, one datagram per recvmmsg, so the test does not leave it to
+// itself: the first callback holds the read loop until Flush has
+// returned. Loopback delivers inside the sender's syscall, so by then
+// every other datagram sits in the socket buffer and the next recvmmsg
+// cannot help returning a batch.
 func TestOpenBatchDelivery(t *testing.T) {
 	tr, err := NewUDP(UDPConfig{Book: reserveBook(t, 2)})
 	if err != nil {
@@ -199,9 +206,13 @@ func TestOpenBatchDelivery(t *testing.T) {
 		pkt   packet
 	}
 	ch := make(chan delivery, 512)
+	flushed := make(chan struct{})
 	batches := 0
 	if _, err := tr.OpenBatch(1, func(pkts []Packet) {
 		batches++
+		if batches == 1 {
+			<-flushed
+		}
 		for _, p := range pkts {
 			ch <- delivery{batches, packet{p.From, string(p.Data)}}
 		}
@@ -218,6 +229,7 @@ func TestOpenBatchDelivery(t *testing.T) {
 		bs.Enqueue(1, []byte(fmt.Sprintf("m%03d", i)))
 	}
 	bs.Flush()
+	close(flushed)
 	maxBatch := 0
 	for i := 0; i < n; i++ {
 		select {

@@ -64,10 +64,24 @@ const (
 // payload crosses the framing layer without a copy. The sender must
 // have reserved that leading region (wire.Writer.Pad(wire.FrameOverhead);
 // its payload starts at Data[wire.FrameOverhead]).
+//
+// Body, when non-empty, is the rest of the datagram: the payload on the
+// wire is Data (past its headroom) followed by Body, under one checksum.
+// Its ownership is the opposite of Data's. The module only reads it,
+// but a stream transport keeps the slice until its writer has written
+// it, after the request returns: Body must be immutable from the call
+// on and must not be a pooled buffer (transport.BodySender). Over every
+// other transport the two are joined here, once, and Body is not
+// retained.
+//
+// (The byte-sized fields sit together at the end so that the request,
+// which is boxed into an interface per datagram, stays in the 64-byte
+// allocation class.)
 type Send struct {
 	To       kernel.Addr
-	Chan     byte
 	Data     []byte
+	Body     []byte
+	Chan     byte
 	Headroom bool
 }
 
@@ -94,6 +108,7 @@ type Module struct {
 	tr      transport.Transport
 	ep      transport.Endpoint
 	bs      transport.BatchSender // non-nil when the endpoint batches sends
+	vs      transport.BodySender  // non-nil when it also takes a body by reference
 	unflush func()                // unregisters the per-batch Flush hook
 	openErr error
 }
@@ -131,6 +146,7 @@ func (m *Module) Start() {
 	m.ep = ep
 	if bs, ok := ep.(transport.BatchSender); ok {
 		m.bs = bs
+		m.vs, _ = ep.(transport.BodySender)
 		// Start runs on the executor, where RegisterFlusher is legal:
 		// from here on every drained event batch ends with one Flush,
 		// which is what turns N Send requests into one sendmmsg.
@@ -150,7 +166,7 @@ func (m *Module) Stop() {
 	if m.bs != nil {
 		m.bs.Flush()
 		m.unflush()
-		m.bs, m.unflush = nil, nil
+		m.bs, m.vs, m.unflush = nil, nil, nil
 	}
 	if m.ep != nil {
 		m.ep.Close()
@@ -202,25 +218,38 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 	if s.Headroom && len(s.Data) >= wire.FrameOverhead {
 		// The sender reserved the frame header: no framing copy at all.
 		s.Data[0] = s.Chan
-		wire.SealFrame(s.Data, uint64(m.Stk.Addr()))
-		m.send(transport.Addr(s.To), s.Data)
+		wire.SealSplitFrame(s.Data, s.Body, uint64(m.Stk.Addr()))
+		m.send(transport.Addr(s.To), s.Data, s.Body)
 		return
 	}
 	w := wire.GetWriter(len(s.Data) + wire.FrameOverhead)
 	w.Byte(s.Chan).Pad(wire.FrameOverhead - 1).Raw(s.Data)
 	frame := w.Bytes()
-	wire.SealFrame(frame, uint64(m.Stk.Addr()))
-	m.send(transport.Addr(s.To), frame)
+	wire.SealSplitFrame(frame, s.Body, uint64(m.Stk.Addr()))
+	m.send(transport.Addr(s.To), frame, s.Body)
 	w.Free() // the transport has copied (or enqueued a copy of) the frame
 }
 
-// send hands one sealed frame to the transport: onto the batch queue
-// when the endpoint batches (the registered flusher transmits it at the
-// end of this executor pass), immediately otherwise. Both paths copy
-// before returning. Executor-only.
+// send hands one sealed frame (frame‖body) to the transport: onto the
+// batch queue when the endpoint batches (the registered flusher
+// transmits it at the end of this executor pass), immediately
+// otherwise. Every path copies frame before returning; body goes by
+// reference to an endpoint that takes one and is joined to frame here
+// for all the others. Executor-only.
 //
 //dpulint:executor
-func (m *Module) send(to transport.Addr, frame []byte) {
+func (m *Module) send(to transport.Addr, frame, body []byte) {
+	switch {
+	case len(body) == 0:
+	case m.vs != nil:
+		m.vs.EnqueueBody(to, frame, body)
+		return
+	default:
+		w := wire.GetWriter(len(frame) + len(body))
+		m.send(to, w.Raw(frame).Raw(body).Bytes(), nil)
+		w.Free()
+		return
+	}
 	if m.bs != nil {
 		m.bs.Enqueue(to, frame)
 		return

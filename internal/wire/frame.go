@@ -40,14 +40,20 @@ var framesRejected = metrics.NewCounter("wire.frames_rejected")
 func RejectFrame() { framesRejected.Add(1) }
 
 // frameSum computes the integrity checksum of a sealed or to-be-sealed
-// frame: CRC32-C over the salt, the tag byte, and the payload (the
-// 4-byte checksum slot itself is excluded).
-func frameSum(frame []byte, salt uint64) uint32 {
+// frame whose payload is frame[FrameOverhead:] followed by body:
+// CRC32-C over the salt, the tag byte, and the payload (the 4-byte
+// checksum slot itself is excluded). A CRC is a running sum, so the
+// split is invisible in the result.
+func frameSum(frame, body []byte, salt uint64) uint32 {
 	var hdr [9]byte
 	binary.BigEndian.PutUint64(hdr[:8], salt)
 	hdr[8] = frame[0]
 	sum := crc32.Update(0, castagnoli, hdr[:])
-	return crc32.Update(sum, castagnoli, frame[FrameOverhead:])
+	sum = crc32.Update(sum, castagnoli, frame[FrameOverhead:])
+	if len(body) > 0 { // almost every frame has none; spare them the call
+		sum = crc32.Update(sum, castagnoli, body)
+	}
+	return sum
 }
 
 // SealFrame stamps the checksum into frame[1:5]. The caller has already
@@ -55,8 +61,16 @@ func frameSum(frame []byte, salt uint64) uint32 {
 // the frame must be at least FrameOverhead bytes. Sealing is idempotent,
 // so retransmitting a parked buffer through the framing layer again is
 // harmless.
-func SealFrame(frame []byte, salt uint64) {
-	binary.BigEndian.PutUint32(frame[1:FrameOverhead], frameSum(frame, salt))
+func SealFrame(frame []byte, salt uint64) { SealSplitFrame(frame, nil, salt) }
+
+// SealSplitFrame seals a frame that travels as two slices: head carries
+// the tag, the checksum slot and the first payload bytes, body the rest
+// of the payload. The checksum stamped into head[1:5] is the one
+// SealFrame would stamp into the concatenation, so the receiver opens
+// head‖body with OpenFrame and cannot tell the difference. body is only
+// read.
+func SealSplitFrame(head, body []byte, salt uint64) {
+	binary.BigEndian.PutUint32(head[1:FrameOverhead], frameSum(head, body, salt))
 }
 
 // OpenFrame validates a received frame against salt and splits it into
@@ -69,7 +83,7 @@ func OpenFrame(data []byte, salt uint64) (tag byte, payload []byte, ok bool) {
 		framesRejected.Add(1)
 		return 0, nil, false
 	}
-	if binary.BigEndian.Uint32(data[1:FrameOverhead]) != frameSum(data, salt) {
+	if binary.BigEndian.Uint32(data[1:FrameOverhead]) != frameSum(data, nil, salt) {
 		framesRejected.Add(1)
 		return 0, nil, false
 	}
