@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -78,28 +79,28 @@ func TestPoolDispatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBatchEnqueueFlushAllocBudget asserts the batched send path is
-// (amortized) allocation-light in steady state: Enqueue parks the frame
-// on a pooled writer and the per-destination queue reuses its backing
-// array; Flush builds sendmmsg headers into arrays wired up once at
-// open. The residue allowed covers the RawConn closure and sync.Pool
-// slack.
+// TestBatchEnqueueFlushAllocBudget asserts the batched send path costs
+// the same per Flush however many payloads it carries: Enqueue copies a
+// payload into the datagram its peer's flush sends, whose buffer and
+// queue slot the endpoint reuses, and Flush builds the sendmmsg headers
+// into arrays wired up once at open. 64 small payloads to one peer are
+// one datagram and one syscall. The receiving end is a bare socket
+// nobody reads, so that only the sender's allocations are counted.
 func TestBatchEnqueueFlushAllocBudget(t *testing.T) {
 	if !transport.BatchSyscallsAvailable() {
 		t.Skip("no batched syscall backend on this platform")
 	}
-	book := make(map[transport.Addr]string, 2)
-	for i, a := range transporttest.ReserveAddrs(t, 2) {
-		book[transport.Addr(i)] = a
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sink.Close()
+	book := map[transport.Addr]string{0: transporttest.ReserveAddrs(t, 1)[0], 1: sink.LocalAddr().String()}
 	tr, err := transport.NewUDP(transport.UDPConfig{Book: book})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Open(1, func(transport.Addr, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
 	ep, err := tr.Open(0, func(transport.Addr, []byte) {})
 	if err != nil {
 		t.Fatal(err)
@@ -109,20 +110,23 @@ func TestBatchEnqueueFlushAllocBudget(t *testing.T) {
 		t.Fatalf("%T is not a BatchSender", ep)
 	}
 	payload := make([]byte, 128)
-	// Warm up: let the send queue and writer pool reach steady state.
-	for i := 0; i < 64; i++ {
-		bs.Enqueue(1, payload)
-	}
-	bs.Flush()
-	avg := testing.AllocsPerRun(5000, func() {
-		for i := 0; i < 8; i++ {
+	flush := func(payloads int) {
+		for i := 0; i < payloads; i++ {
 			bs.Enqueue(1, payload)
 		}
 		bs.Flush()
-	})
-	perDatagram := avg / 8
-	if perDatagram > 1.0 {
-		t.Errorf("batched send path allocates %.2f allocs/datagram, budget 1.0", perDatagram)
+	}
+	flush(64) // warm up: the queue slot and its buffer exist from here on
+	before := tr.Stats()
+	flush(64)
+	if st := tr.Stats(); st.Sent != before.Sent+1 || st.SendCalls != before.SendCalls+1 || st.SendErrs != before.SendErrs {
+		t.Fatalf("64 payloads to one peer: %d datagrams in %d syscalls, want 1 in 1", st.Sent-before.Sent, st.SendCalls-before.SendCalls)
+	}
+	few := testing.AllocsPerRun(2000, func() { flush(8) })
+	many := testing.AllocsPerRun(2000, func() { flush(64) })
+	t.Logf("allocations per flush: %.2f at 8 payloads, %.2f at 64", few, many)
+	if many > few+0.5 || many > 3 {
+		t.Errorf("a flush of 64 payloads allocates %.2f times, of 8 payloads %.2f: budget 3, and no growth with the payload count", many, few)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,6 +215,54 @@ func TestFlusherRunsAfterEachDrainedBatch(t *testing.T) {
 				t.Fatalf("flusher ran mid-batch at position %d (log %v)", i, snapshot)
 			}
 		}
+	}
+}
+
+// TestFlusherArmedByAFlusherRunsLast is the shape udp's transport flush
+// relies on: a flusher registered while the flushers run (armed by the
+// traffic an earlier one produced) runs in the same pass, after it, and
+// may unregister itself there without a later flusher being skipped.
+func TestFlusherArmedByAFlusherRunsLast(t *testing.T) {
+	st := NewStack(Config{Addr: 0, Peers: []Addr{0}})
+	defer st.Close()
+	var log []string
+	var disarm func()
+	armed := func() {
+		log = append(log, "armed")
+		disarm()
+		disarm = nil
+	}
+	registeredC := false
+	if err := st.DoSync(func() {
+		st.RegisterFlusher(func() {
+			log = append(log, "a")
+			if disarm == nil {
+				disarm = st.RegisterFlusher(armed)
+			}
+			if !registeredC {
+				registeredC = true
+				st.RegisterFlusher(func() { log = append(log, "c") })
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	var n int
+	if err := st.DoSync(func() { got, n = append(got, log...), len(st.flushers) }); err != nil {
+		t.Fatal(err)
+	}
+	// Pass one: a arms the flush and registers c behind it; the flush
+	// unregisters itself and c still runs. Pass two: the flush, armed
+	// again by a, now runs after c.
+	if want := "[a armed c]"; fmt.Sprint(got) != want || n != 2 {
+		t.Fatalf("first pass ran %v with %d flushers left, want %s and 2", got, n, want)
+	}
+	if err := st.DoSync(func() { got, n = append(got[:0], log...), len(st.flushers) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[a armed c a c armed]"; fmt.Sprint(got) != want || n != 2 {
+		t.Fatalf("two passes ran %v with %d flushers left, want %s and 2", got, n, want)
 	}
 }
 

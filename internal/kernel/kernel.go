@@ -234,6 +234,7 @@ type Stack struct {
 	ensuring   map[ServiceID]bool
 	flushers   []flusher
 	flusherSeq int
+	flushAt    int // index of the flusher runFlushers is running
 
 	timerMu sync.Mutex
 	timers  map[*Timer]struct{}
@@ -405,8 +406,10 @@ type flusher struct {
 
 // RegisterFlusher registers fn to run on the executor after every
 // drained event batch (and before the executor sleeps), so a module can
-// coalesce the batch's outgoing traffic into fewer datagrams. The
-// returned handle unregisters it. Executor-only.
+// coalesce the batch's outgoing traffic into fewer datagrams. Flushers
+// run in registration order; one registered by a flusher runs in the
+// same pass, after it. The returned handle unregisters fn, and may be
+// called from a flusher, fn's own included. Executor-only.
 //
 //dpulint:executor
 func (st *Stack) RegisterFlusher(fn func()) (unregister func()) {
@@ -417,6 +420,9 @@ func (st *Stack) RegisterFlusher(fn func()) (unregister func()) {
 		for i, f := range st.flushers {
 			if f.id == id {
 				st.flushers = append(st.flushers[:i], st.flushers[i+1:]...)
+				if i <= st.flushAt {
+					st.flushAt-- // keep a running walk on the next flusher
+				}
 				return
 			}
 		}
@@ -424,9 +430,12 @@ func (st *Stack) RegisterFlusher(fn func()) (unregister func()) {
 }
 
 // runFlushers runs after each drained batch, on the executor goroutine.
+// It walks the live slice, so a flusher appended during the walk — udp
+// arms its transport flush on the first datagram of a pass, which may
+// come from another flusher — runs in this pass.
 func (st *Stack) runFlushers() {
-	for _, f := range st.flushers {
-		f.fn()
+	for st.flushAt = 0; st.flushAt < len(st.flushers); st.flushAt++ {
+		st.flushers[st.flushAt].fn()
 	}
 }
 

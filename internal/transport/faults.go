@@ -163,8 +163,9 @@ type FaultyTransport struct {
 
 // Open opens the inner endpoint and wraps its sender. An inner endpoint
 // that batches sends (BatchSender) stays batched through the decorator:
-// the wrapper applies per-datagram fates at Enqueue time and forwards
-// Flush, so fault injection composes with syscall amortization.
+// the wrapper applies one fate per Enqueue, before the inner endpoint
+// packs the survivors into datagrams, and forwards Flush, so fault
+// injection composes with packing and syscall amortization.
 func (t *FaultyTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
 	ep, err := t.inner.Open(addr, recv)
 	if err != nil {
@@ -449,9 +450,10 @@ func (e faultyEndpoint) Send(to Addr, data []byte) {
 func (e faultyEndpoint) Close() { e.ep.Close() }
 
 // faultyBatchEndpoint decorates a batching endpoint: every Enqueue
-// rolls the same per-datagram fate as Send would (the fate sequence is
-// indifferent to which path carried the datagram), survivors stay on
-// the inner batch queue, and Flush passes through.
+// rolls the same fate as Send would (the fate sequence is indifferent
+// to which path carried the payload), survivors stay on the inner batch
+// queue — packed with whatever else the flush sends their peer, each
+// still sealed by its own checksum — and Flush passes through.
 type faultyBatchEndpoint struct {
 	faultyEndpoint
 	bs BatchSender

@@ -57,8 +57,9 @@ type BatchOpener interface {
 }
 
 // BatchSender is an optional Endpoint extension for backends that can
-// amortize the per-datagram send cost (one sendmmsg per flush on the
-// batched linux backend). The contract mirrors Send: Enqueue copies (or
+// amortize the per-datagram send cost (the UDP backend packs what one
+// flush sends to a peer into shared datagrams, and writes them with one
+// sendmmsg on linux). The contract mirrors Send: Enqueue copies (or
 // encodes) data before returning, delivery is best-effort, and queued
 // datagrams to one destination leave in Enqueue order. Flush transmits
 // everything queued since the previous Flush; an endpoint with nothing
@@ -67,8 +68,8 @@ type BatchOpener interface {
 // backend's receive path but not with each other.
 //
 // Every call sequence that ends in Flush is equivalent to the same
-// sequence of plain Sends — BatchSender changes syscall count, never
-// semantics — so callers may mix Send and Enqueue freely as long as
+// sequence of plain Sends — BatchSender changes syscall and datagram
+// counts, never semantics — so callers may mix Send and Enqueue freely as long as
 // they do not rely on cross-path ordering within one batch.
 type BatchSender interface {
 	Endpoint

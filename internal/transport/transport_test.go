@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sort"
@@ -158,9 +159,10 @@ func TestUDPSendErrors(t *testing.T) {
 	}
 }
 
-// TestUDPFrameCorruption feeds raw datagrams — truncated, mis-tagged
-// and version-skewed — straight into the socket and checks the decoder
-// drops each without disturbing subsequent good frames.
+// TestUDPFrameCorruption feeds raw datagrams — truncated, mis-tagged,
+// version-skewed and mis-tiled — straight into the socket and checks the
+// decoder drops each whole, counted once, delivering no part of it and
+// leaving the good datagram after them alone.
 func TestUDPFrameCorruption(t *testing.T) {
 	book := reserveBook(t, 1)
 	tr, err := NewUDP(UDPConfig{Book: book})
@@ -183,15 +185,21 @@ func TestUDPFrameCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	good := wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(3).Raw([]byte("ok")).Bytes()
+	good := wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(3).BytesField([]byte("ok")).BytesField(nil).Bytes()
 	bad := [][]byte{
-		{},                                   // empty datagram
-		{frameMagic},                         // truncated after magic
-		{frameMagic, frameVersion},           // truncated before the sender address
-		good[:2],                             // truncated header
-		{0x00, frameVersion, 0x01, 'x'},      // wrong magic
-		{frameMagic, frameVersion + 1, 0x01}, // wrong version
+		{},                                    // empty datagram
+		{frameMagic},                          // truncated after magic
+		{frameMagic, frameVersion},            // truncated before the sender address
+		good[:2],                              // truncated header
+		{0x00, frameVersion, 0x01, 0x01, 'x'}, // wrong magic
+		{frameMagic, frameVersion + 1, 0x01, 0x01, 'x'}, // a later version
+		{frameMagic, 1, 0x01, 'x', 'y'},                 // version 1: one payload, no length
 		append([]byte{frameMagic, frameVersion}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // overflowing sender varint
+		{frameMagic, frameVersion, 0x01},                            // zero segments
+		{frameMagic, frameVersion, 0x01, 0x05, 'x'},                 // a length past the end
+		{frameMagic, frameVersion, 0x01, 0x01, 'x', 0x80},           // a truncated length varint
+		{frameMagic, frameVersion, 0x01, 0x02, 'o', 'k', 0x03, 'x'}, // a good segment, then one cut short
+		good[:len(good)-2],                                          // cut inside a segment
 	}
 	for i, b := range bad {
 		if _, err := raw.WriteToUDP(b, dst); err != nil {
@@ -202,16 +210,17 @@ func TestUDPFrameCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The good frame arrives; none of the bad ones do.
+	// The good datagram's two payloads arrive; nothing of the bad ones.
 	expectPacket(t, ch, packet{3, "ok"})
+	expectPacket(t, ch, packet{3, ""})
 	expectQuiet(t, ch, 50*time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := tr.Stats(); st.Malformed == uint64(len(bad)) {
+		if st := tr.Stats(); st.Malformed == uint64(len(bad)) && st.Delivered == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("malformed count %d, want %d", tr.Stats().Malformed, len(bad))
+			t.Fatalf("stats %+v, want %d malformed and 2 delivered", tr.Stats(), len(bad))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -257,21 +266,120 @@ func TestUDPOverLimitDatagram(t *testing.T) {
 	expectPacket(t, ch0, packet{1, "ok"})
 }
 
-// TestDecodeFrameTruncation checks every strict prefix of a valid frame
-// is rejected (the wire reader's sticky ErrTruncated path).
-func TestDecodeFrameTruncation(t *testing.T) {
-	full := wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(300).Raw([]byte("payload")).Bytes()
-	from, payload, ok := decodeFrame(full)
-	if !ok || from != 300 || string(payload) != "payload" {
-		t.Fatalf("full frame: from=%d payload=%q ok=%v", from, payload, ok)
+// segments decodes a datagram into its sender and payloads.
+func segments(b []byte) (from Addr, payloads []string, ok bool) {
+	from, body, n, ok := decodeFrame(b)
+	for len(body) > 0 {
+		var seg []byte
+		seg, body, _ = nextSegment(body)
+		payloads = append(payloads, string(seg))
 	}
-	// Prefixes shorter than the 4-byte header (magic, version, 2-byte
-	// uvarint) must fail; longer prefixes just shorten the payload.
-	for cut := 0; cut < 4; cut++ {
-		if _, _, ok := decodeFrame(full[:cut]); ok {
-			t.Fatalf("truncated frame of %d bytes accepted", cut)
+	if len(payloads) != n {
+		panic(fmt.Sprintf("decodeFrame counted %d segments, %d found", n, len(payloads)))
+	}
+	return from, payloads, ok
+}
+
+// TestDecodeFrameTruncation checks that no strict prefix of a
+// one-payload datagram decodes, and that a prefix of a datagram of
+// several decodes only where it happens to end on a segment boundary —
+// and then to exactly the segments before the cut, never a part of one.
+func TestDecodeFrameTruncation(t *testing.T) {
+	one := wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(300).BytesField([]byte("payload")).Bytes()
+	if from, got, ok := segments(one); !ok || from != 300 || fmt.Sprint(got) != "[payload]" {
+		t.Fatalf("full datagram: from=%d payloads=%q ok=%v", from, got, ok)
+	}
+	for cut := 0; cut < len(one); cut++ {
+		if _, _, _, ok := decodeFrame(one[:cut]); ok {
+			t.Fatalf("%d-byte prefix of a %d-byte datagram accepted", cut, len(one))
 		}
 	}
+
+	w := wire.NewWriter(64).Byte(frameMagic).Byte(frameVersion).Uvarint(300)
+	ends := map[int][]string{}
+	var want []string
+	for _, p := range []string{"pay", "", "load", string(make([]byte, 200))} {
+		w.BytesField([]byte(p))
+		want = append(want, p)
+		ends[w.Len()] = append([]string(nil), want...)
+	}
+	several := w.Bytes()
+	for cut := 0; cut <= len(several); cut++ {
+		_, got, ok := segments(several[:cut])
+		if prefix, boundary := ends[cut]; ok != boundary || (ok && fmt.Sprint(got) != fmt.Sprint(prefix)) {
+			t.Fatalf("%d-byte prefix: ok=%v with %d payloads, want ok=%v", cut, ok, len(got), boundary)
+		}
+	}
+}
+
+// FuzzDatagramFrame fuzzes the datagram decoder with what a socket may
+// hand it: it never panics, a segment it accepts never reaches outside
+// the datagram, and an accepted datagram re-encodes to exactly its
+// bytes. The same input, cut into payloads at fuzzer-chosen points,
+// also drives an encode→decode round trip through the send queue, which
+// must give back every payload, in order, in datagrams within the cap.
+func FuzzDatagramFrame(f *testing.F) {
+	f.Add(wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(3).BytesField([]byte("ok")).Bytes(), uint16(2), uint8(3))
+	f.Add(wire.NewWriter(16).Byte(frameMagic).Byte(frameVersion).Uvarint(1).BytesField(nil).BytesField([]byte("ab")).Bytes(), uint16(64), uint8(1))
+	f.Add([]byte{frameMagic, frameVersion, 0x01}, uint16(100), uint8(7))                        // zero segments
+	f.Add([]byte{frameMagic, frameVersion, 0x01, 0x05, 'x'}, uint16(16), uint8(2))              // a length past the end
+	f.Add([]byte{frameMagic, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(9), uint8(0)) // version 1, overflowing sender
+	f.Fuzz(func(t *testing.T, data []byte, capHint uint16, cutHint uint8) {
+		// 1. Adversarial decode.
+		if from, body, n, ok := decodeFrame(data); ok {
+			re := wire.NewWriter(len(data)).Byte(frameMagic).Byte(frameVersion).Uvarint(uint64(from))
+			for k := 0; k < n; k++ {
+				var seg []byte
+				seg, body, _ = nextSegment(body)
+				if cap(seg) != len(seg) {
+					t.Fatalf("segment %d can reach %d bytes past its end", k, cap(seg)-len(seg))
+				}
+				re.BytesField(seg)
+			}
+			if len(body) != 0 || !bytes.Equal(re.Bytes(), data) {
+				t.Fatalf("accepted datagram of %d bytes re-encodes to %d", len(data), re.Len())
+			}
+		}
+
+		// 2. Round trip: data cut into payloads, packed under a
+		// fuzzer-chosen cap, unpacked in order.
+		tr := &UDPTransport{cfg: UDPConfig{MaxPacket: MaxDatagram}, book: map[Addr]*net.UDPAddr{9: {}}}
+		e := &udpEndpoint{tr: tr, addr: 7, cap: int(capHint)%2048 + 1, hdr: []byte{frameMagic, frameVersion, 7}}
+		var payloads [][]byte
+		for rest, step := data, int(cutHint)%17; ; step = (step*5 + 3) % 17 {
+			k := min(step, len(rest))
+			payloads, rest = append(payloads, rest[:k]), rest[k:]
+			if len(rest) == 0 {
+				break
+			}
+		}
+		for _, p := range payloads {
+			e.Enqueue(9, p)
+		}
+		var got [][]byte
+		for _, d := range e.sendq {
+			if d.n > 1 && len(d.buf) > e.cap {
+				t.Fatalf("a datagram of %d payloads grew to %d bytes past the %d-byte cap", d.n, len(d.buf), e.cap)
+			}
+			from, body, n, ok := decodeFrame(d.buf)
+			if !ok || from != 7 || n != d.n {
+				t.Fatalf("packed datagram does not decode: ok=%v from=%d %d of %d payloads", ok, from, n, d.n)
+			}
+			for len(body) > 0 {
+				var seg []byte
+				seg, body, _ = nextSegment(body)
+				got = append(got, seg)
+			}
+		}
+		if len(got) != len(payloads) {
+			t.Fatalf("%d payloads packed, %d unpacked", len(payloads), len(got))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], payloads[i]) {
+				t.Fatalf("payload %d changed in the round trip", i)
+			}
+		}
+	})
 }
 
 func TestSimAdapterRoundTrip(t *testing.T) {

@@ -4,9 +4,9 @@ package transport
 
 // Batched-syscall backend for the real-socket transport: sendmmsg and
 // recvmmsg move up to sendBatch/recvBatch datagrams per kernel
-// crossing, which is where the per-message cost of the UDP path lives
-// once the stack itself is allocation-free (see docs/PERFORMANCE.md's
-// syscall-budget section).
+// crossing (see docs/PERFORMANCE.md's syscall-budget section). What
+// goes into a datagram is decided in udpsock.go, on every platform;
+// this file only moves datagrams.
 //
 // The backend is deliberately built on the stdlib only: raw
 // SYS_SENDMMSG/SYS_RECVMMSG syscalls through syscall.RawConn, with the
@@ -19,11 +19,8 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sync"
 	"syscall"
 	"unsafe"
-
-	"repro/internal/wire"
 )
 
 // batchSyscalls reports at build time that this platform compiles the
@@ -57,45 +54,17 @@ type sockaddrBuf struct {
 	len uint32
 }
 
-// queuedSend is one framed datagram parked between Enqueue and Flush.
-// The frame lives in a pooled wire.Writer freed after the syscall (or
-// by discard on Close).
-type queuedSend struct {
-	w    *wire.Writer
-	plen int // payload bytes (frame minus header), for UDPStats.Bytes
-	sa   sockaddrBuf
-}
-
-type enqueueResult byte
-
-const (
-	enqueueOK enqueueResult = iota
-	enqueueBadAddr
-	enqueueClosed
-)
-
-// batchIO is the per-endpoint syscall state. The send queue is guarded
-// by mu — uncontended in steady state (Enqueue and Flush both run on
-// the stack executor; only Close crosses goroutines) — while the recv
-// arrays are owned exclusively by the read loop. mu is never held
-// across a syscall: flush swaps the queue out and sends from a local
-// slice, so Close (discard) is never parked behind the netpoller.
+// batchIO is the per-endpoint syscall state: the sendmmsg arrays, owned
+// by the endpoint's flushMu holder, and the recvmmsg arrays, owned by
+// its read loop. The send queue itself is the endpoint's.
 type batchIO struct {
 	rc syscall.RawConn
 	v6 bool // socket family: encode destinations as INET6
 
-	mu     sync.Mutex
-	sendq  []queuedSend
-	closed bool
-	// flushMu serializes flushers. Enqueue/Flush are already called
-	// from one goroutine at a time (the stack executor), but the
-	// scatter arrays below must never be shared by two concurrent
-	// flushes, and flushMu enforces that without coupling it to mu.
-	flushMu sync.Mutex
-	// sendmmsg scatter arrays, rebuilt from the drained queue on every
-	// flush; owned by the flushMu holder.
-	shdrs [sendBatch]mmsghdr
-	siovs [sendBatch]syscall.Iovec
+	// sendmmsg scatter arrays, rebuilt from the flushed queue.
+	shdrs  [sendBatch]mmsghdr
+	siovs  [sendBatch]syscall.Iovec
+	saddrs [sendBatch]sockaddrBuf
 
 	// recvmmsg arrays, laid out once: riovs[i] points at its slot in
 	// rbufs. Source addresses are not collected (Name is nil) — the
@@ -159,78 +128,50 @@ func (b *batchIO) encodeAddr(dst *net.UDPAddr, out *sockaddrBuf) bool {
 	return true
 }
 
-// enqueue parks one framed datagram for the next flush, taking
-// ownership of w on success.
-func (b *batchIO) enqueue(w *wire.Writer, plen int, dst *net.UDPAddr) enqueueResult {
-	var qs queuedSend
-	if !b.encodeAddr(dst, &qs.sa) {
-		return enqueueBadAddr
-	}
-	qs.w, qs.plen = w, plen
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return enqueueClosed
-	}
-	b.sendq = append(b.sendq, qs)
-	return enqueueOK
-}
-
-// flush drains the send queue in sendmmsg batches. A partial send
-// continues from where the kernel stopped; a hard error drops the
-// datagram at the front of the batch (counted as SendErrs, i.e. loss)
-// and continues, so flush always terminates.
-//
-// The queue is swapped out under mu and the syscall loop runs on the
-// local slice with mu released: sendmmsg can park in the netpoller
-// waiting for writability, and Close (discard) must never block behind
-// kernel send-buffer state. closed is re-checked before each syscall
-// batch so a mid-flush Close discards the remainder promptly.
-func (b *batchIO) flush(e *udpEndpoint) {
+// send writes a flushed queue in sendmmsg batches, datagrams in queue
+// order. A partial send continues from where the kernel stopped; a hard
+// errno drops the datagram at the front of the batch (its payloads
+// counted as SendErrs, i.e. loss) and continues, so send always
+// terminates. closed is re-checked before each batch, so a mid-flush
+// Close discards the remainder promptly.
+func (b *batchIO) send(e *udpEndpoint, q []datagram) {
 	t := e.tr
-	b.flushMu.Lock()
-	defer b.flushMu.Unlock()
-	b.mu.Lock()
-	q := b.sendq
-	b.sendq = nil
-	b.mu.Unlock()
-	rest := q
-	for len(rest) > 0 {
-		b.mu.Lock()
-		closed := b.closed
-		b.mu.Unlock()
-		if closed {
-			break
-		}
-		n := len(rest)
-		if n > sendBatch {
-			n = sendBatch
-		}
-		for i := 0; i < n; i++ {
-			frame := rest[i].w.Bytes()
-			b.siovs[i].Base = &frame[0]
-			b.siovs[i].Len = uint64(len(frame))
-			h := &b.shdrs[i].hdr
-			h.Name = (*byte)(unsafe.Pointer(&rest[i].sa.sa))
-			h.Namelen = rest[i].sa.len
-			h.Iov = &b.siovs[i]
+	for len(q) > 0 && !e.closed.Load() {
+		n := 0
+		for ; n < len(q) && n < sendBatch; n++ {
+			d := &q[n]
+			if !b.encodeAddr(d.dst, &b.saddrs[n]) {
+				break
+			}
+			b.siovs[n].Base = &d.buf[0]
+			b.siovs[n].Len = uint64(len(d.buf))
+			h := &b.shdrs[n].hdr
+			h.Name = (*byte)(unsafe.Pointer(&b.saddrs[n].sa))
+			h.Namelen = b.saddrs[n].len
+			h.Iov = &b.siovs[n]
 			h.Iovlen = 1
+		}
+		if n == 0 {
+			// An address family the raw socket cannot encode (e.g. a v6
+			// destination on a v4 socket): the stdlib path handles it.
+			e.write(&q[0])
+			q = q[1:]
+			continue
 		}
 		sent, errno, err := b.sendmmsg(n)
 		if err != nil {
-			// Socket closed under us: the rest is discarded as loss
-			// (freed below, with the counter bumped here).
-			t.sendErrs.Add(uint64(len(rest)))
-			break
+			// Socket closed under us: the rest is discarded as loss.
+			for i := range q {
+				e.lost(&q[i])
+			}
+			return
 		}
 		t.sendCalls.Add(1)
 		batchSendsCounter.Add(1)
 		for i := 0; i < sent; i++ {
-			t.sent.Add(1)
-			t.bytes.Add(uint64(rest[i].plen))
-			rest[i].w.Free()
+			e.sent(&q[i])
 		}
-		rest = rest[sent:]
+		q = q[sent:]
 		if errno != 0 || sent == 0 {
 			// A hard errno is attributable to the first undelivered
 			// datagram (sendmmsg sends in order and stops at the first
@@ -241,24 +182,10 @@ func (b *batchIO) flush(e *udpEndpoint) {
 			if errno != 0 {
 				t.logf("transport: batch send from %d: %v", e.addr, errno)
 			}
-			t.sendErrs.Add(1)
-			rest[0].w.Free()
-			rest = rest[1:]
+			e.lost(&q[0])
+			q = q[1:]
 		}
 	}
-	// Closed (or socket dead) mid-flush: whatever survived the loop is
-	// discarded.
-	for i := range rest {
-		rest[i].w.Free()
-	}
-	// Hand the batch storage back for reuse — unless Close got here
-	// first (keep it discarded) or a concurrent Enqueue started a fresh
-	// queue (keep its contents).
-	b.mu.Lock()
-	if !b.closed && b.sendq == nil {
-		b.sendq = q[:0]
-	}
-	b.mu.Unlock()
 }
 
 // sendmmsg issues one SYS_SENDMMSG for the first n prepared headers,
@@ -321,16 +248,6 @@ func (b *batchIO) recvBatch() (n int, errno syscall.Errno, err error) {
 	return n, 0, nil
 }
 
-// recvBytes sums the datagram lengths of the last recvBatch's first n
-// messages — the arena capacity for a zero-realloc payload copy.
-func (b *batchIO) recvBytes(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		total += int(b.rhdrs[i].msglen)
-	}
-	return total
-}
-
 // recvMsg returns the i-th datagram of the last recvBatch, and whether
 // it exceeded the configured packet limit (truncated by the kernel or
 // exactly filling the over-limit sentinel byte).
@@ -340,16 +257,4 @@ func (b *batchIO) recvMsg(i int) (raw []byte, overLimit bool) {
 		return nil, true
 	}
 	return b.rbufs[i][:ln], false
-}
-
-// discard marks the backend closed and frees everything still queued.
-// Called from Close; Enqueue and Flush observe closed under mu.
-func (b *batchIO) discard() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	for i := range b.sendq {
-		b.sendq[i].w.Free()
-	}
-	b.sendq = nil
 }

@@ -3,29 +3,19 @@
 package transport
 
 // Portable stub for platforms without sendmmsg/recvmmsg: endpoints
-// still satisfy BatchSender (Enqueue degrades to Send, Flush to a
-// no-op) and OpenBatch still works (singleton batches through the
-// portable read loop), so callers never branch on the platform.
+// write each packed datagram with WriteToUDP and read with ReadFromUDP
+// (OpenBatch delivers one batch per datagram), so callers never branch
+// on the platform.
 
 import (
 	"errors"
 	"net"
 	"syscall"
-
-	"repro/internal/wire"
 )
 
 // batchSyscalls reports at build time that this platform has no batched
 // syscall backend.
 const batchSyscalls = false
-
-type enqueueResult byte
-
-const (
-	enqueueOK enqueueResult = iota
-	enqueueBadAddr
-	enqueueClosed
-)
 
 // batchIO is never instantiated off linux; the methods exist so
 // udpsock.go compiles unchanged (every call site is nil-guarded).
@@ -35,11 +25,8 @@ func newBatchIO(*net.UDPConn, int) (*batchIO, error) {
 	return nil, errors.New("batched syscalls not supported on this platform")
 }
 
-func (b *batchIO) enqueue(*wire.Writer, int, *net.UDPAddr) enqueueResult { return enqueueClosed }
-func (b *batchIO) flush(*udpEndpoint)                                    {}
+func (b *batchIO) send(*udpEndpoint, []datagram) {}
 func (b *batchIO) recvBatch() (int, syscall.Errno, error) {
 	return 0, 0, errors.New("unsupported")
 }
-func (b *batchIO) recvBytes(int) int          { return 0 }
 func (b *batchIO) recvMsg(int) ([]byte, bool) { return nil, true }
-func (b *batchIO) discard()                   {}

@@ -8,10 +8,13 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // batchVariant builds one transport shape to run the conformance suite
@@ -51,11 +54,19 @@ func batchVariants() []batchVariant {
 	}
 }
 
+// unwrap returns the socket endpoint under a Faulty decorator.
+func unwrap(ep Endpoint) *udpEndpoint {
+	if f, ok := ep.(faultyBatchEndpoint); ok {
+		ep = f.ep
+	}
+	return ep.(*udpEndpoint)
+}
+
 // TestBatchSenderConformance checks the BatchSender contract on every
 // transport shape: Enqueue+Flush is observationally a sequence of
-// Sends — per-destination FIFO order, datagram-counting stats, loss on
-// oversized or unroutable frames — regardless of how many syscalls
-// carry it.
+// Sends — per-destination FIFO order, payload-counting delivery, loss
+// on oversized or unroutable payloads — regardless of how many
+// datagrams and syscalls carry it.
 func TestBatchSenderConformance(t *testing.T) {
 	for _, v := range batchVariants() {
 		t.Run(v.name+"/flush-ordering", func(t *testing.T) {
@@ -93,15 +104,73 @@ func TestBatchSenderConformance(t *testing.T) {
 					expectPacket(t, ch2, packet{0, fmt.Sprintf("to2-%d-%d", c, i)})
 				}
 			}
+			// 240 small payloads: each flush packs what it sends to a peer
+			// into one datagram, and the batched backend writes both with
+			// one sendmmsg.
 			st := u.Stats()
-			if want := uint64(2 * perCycle * cycles); st.Sent != want || st.Delivered != want {
-				t.Fatalf("stats count datagrams, not syscalls: sent=%d delivered=%d want %d", st.Sent, st.Delivered, want)
+			if want := uint64(2 * perCycle * cycles); st.Delivered != want || st.Sent > 2*cycles {
+				t.Fatalf("%d payloads delivered in %d datagrams; want %d in at most %d", st.Delivered, st.Sent, want, 2*cycles)
 			}
-			if BatchSyscallsAvailable() && v.name != "fallback" {
-				// 240 datagrams in 3 flushes of ceil(80/32)=3 syscalls.
-				if st.SendCalls > 12 {
-					t.Fatalf("batched backend used %d send syscalls for %d datagrams", st.SendCalls, st.Sent)
-				}
+			if BatchSyscallsAvailable() && v.name != "fallback" && st.SendCalls > cycles {
+				t.Fatalf("batched backend used %d send syscalls for %d flushes", st.SendCalls, cycles)
+			}
+		})
+
+		t.Run(v.name+"/over-the-cap", func(t *testing.T) {
+			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 2), MaxPacket: 2048})
+			defer tr.Close()
+			recv1, ch1 := collector(16)
+			if _, err := tr.Open(1, recv1); err != nil {
+				t.Fatal(err)
+			}
+			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := ep0.(BatchSender)
+			// The cap is MaxPacket; a datagram of four 500-byte payloads
+			// (3 + 4×502 bytes) fits under it, five do not.
+			if c := unwrap(ep0).cap; c != 2048 {
+				t.Fatalf("cap %d, want MaxPacket", c)
+			}
+			var want []string
+			for i := 0; i < 10; i++ {
+				p := fmt.Sprintf("%03d%s", i, make([]byte, 497))
+				want = append(want, p)
+				bs.Enqueue(1, []byte(p))
+			}
+			bs.Flush()
+			for _, p := range want {
+				expectPacket(t, ch1, packet{0, p})
+			}
+			if st := u.Stats(); st.Sent != 3 || st.Delivered != 10 || st.Bytes != 5000 {
+				t.Fatalf("10 payloads of 500 bytes under a 2048-byte cap: %+v, want 3 datagrams", st)
+			}
+		})
+
+		t.Run(v.name+"/a-payload-of-the-cap-travels-alone", func(t *testing.T) {
+			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 2)})
+			defer tr.Close()
+			recv1, ch1 := collector(16)
+			if _, err := tr.Open(1, recv1); err != nil {
+				t.Fatal(err)
+			}
+			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := ep0.(BatchSender)
+			unwrap(ep0).cap = 1000 // as if bound on a link of MTU 1028
+			big := string(make([]byte, 1000))
+			for _, p := range []string{"a", big, "b"} {
+				bs.Enqueue(1, []byte(p))
+			}
+			bs.Flush()
+			for _, p := range []string{"a", big, "b"} {
+				expectPacket(t, ch1, packet{0, p})
+			}
+			if st := u.Stats(); st.Sent != 3 || st.Delivered != 3 {
+				t.Fatalf("a payload of exactly the cap between two small ones: %+v, want 3 datagrams", st)
 			}
 		})
 
@@ -126,8 +195,8 @@ func TestBatchSenderConformance(t *testing.T) {
 			expectPacket(t, ch1, packet{0, "ok-2"})
 			expectQuiet(t, ch1, 50*time.Millisecond)
 			st := u.Stats()
-			if st.Sent != 2 || st.SendErrs != 2 {
-				t.Fatalf("want 2 sent + 2 errors, got %+v", st)
+			if st.Sent != 1 || st.Delivered != 2 || st.SendErrs != 2 {
+				t.Fatalf("want 2 payloads in 1 datagram + 2 errors, got %+v", st)
 			}
 		})
 
@@ -151,9 +220,10 @@ func TestBatchSenderConformance(t *testing.T) {
 
 // TestBatchPartialSendError drives a real partial-batch sendmmsg
 // failure: with MaxPacket raised past the UDP payload ceiling, a
-// middle datagram passes the config check but draws EMSGSIZE from the
-// kernel. The failed datagram must be counted as loss (SendErrs) and
-// the rest of the batch must still go out, in order.
+// middle payload passes the config check, travels alone because it is
+// larger than the cap, and draws EMSGSIZE from the kernel. Only it is
+// lost (SendErrs); the datagrams before and after it still go out, in
+// order.
 func TestBatchPartialSendError(t *testing.T) {
 	if !BatchSyscallsAvailable() {
 		t.Skip("no batched syscall backend on this platform")
@@ -179,22 +249,22 @@ func TestBatchPartialSendError(t *testing.T) {
 	expectPacket(t, ch1, packet{0, "before"})
 	expectPacket(t, ch1, packet{0, "after"})
 	st := tr.Stats()
-	if st.Sent != 2 || st.SendErrs != 1 {
+	if st.Sent != 2 || st.SendErrs != 1 || st.Delivered != 2 {
 		t.Fatalf("partial-batch error must count as loss: %+v", st)
 	}
 }
 
 // TestOpenBatchDelivery checks batched receive end to end: a burst of
-// Sends arrives through the BatchRecvFunc with correct senders,
-// payloads and order, and the batched backend uses far fewer read
-// syscalls than datagrams.
+// Sends — a datagram each — arrives through the BatchRecvFunc with
+// correct senders, payloads and order, and the batched backend uses far
+// fewer read syscalls than datagrams.
 //
-// A reader left to itself can drain loopback as fast as sendmmsg fills
-// it, one datagram per recvmmsg, so the test does not leave it to
-// itself: the first callback holds the read loop until Flush has
-// returned. Loopback delivers inside the sender's syscall, so by then
-// every other datagram sits in the socket buffer and the next recvmmsg
-// cannot help returning a batch.
+// A reader left to itself can drain loopback as fast as the sender
+// fills it, one datagram per recvmmsg, so the test does not leave it to
+// itself: the first callback holds the read loop until the last Send
+// has returned. Loopback delivers inside the sender's syscall, so by
+// then every other datagram sits in the socket buffer and the next
+// recvmmsg cannot help returning a batch.
 func TestOpenBatchDelivery(t *testing.T) {
 	tr, err := NewUDP(UDPConfig{Book: reserveBook(t, 2)})
 	if err != nil {
@@ -223,12 +293,10 @@ func TestOpenBatchDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := ep0.(BatchSender)
 	const n = 200
 	for i := 0; i < n; i++ {
-		bs.Enqueue(1, []byte(fmt.Sprintf("m%03d", i)))
+		ep0.Send(1, []byte(fmt.Sprintf("m%03d", i)))
 	}
-	bs.Flush()
 	close(flushed)
 	maxBatch := 0
 	for i := 0; i < n; i++ {
@@ -339,4 +407,105 @@ func TestFaultyBatchFates(t *testing.T) {
 	bs.Enqueue(1, []byte("delayed"))
 	bs.Flush() // nothing on the queue: the delayed copy rides a timer
 	expectPacket(t, ch1, packet{0, "delayed"})
+}
+
+// TestFaultyCorruptionIsPerPayload checks that fault fates stay per
+// payload over the packing backend: with every payload corrupted in
+// flight, each one's own checksum rejects it — wire.frames_rejected
+// counts payloads, not datagrams — while the one datagram that carries
+// them all is well-formed.
+func TestFaultyCorruptionIsPerPayload(t *testing.T) {
+	u, err := NewUDP(UDPConfig{Book: reserveBook(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := Faulty(u, FaultConfig{Seed: 11, CorruptRate: 1})
+	defer ft.Close()
+	got := make(chan []byte, 64)
+	if _, err := ft.OpenBatch(1, func(pkts []Packet) {
+		for _, p := range pkts {
+			got <- p.Data
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep0, err := ft.Open(0, func(Addr, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := ep0.(BatchSender)
+	before := metrics.Counters()["wire.frames_rejected"]
+	const k = 20
+	for i := 0; i < k; i++ {
+		f := append(make([]byte, wire.FrameOverhead), fmt.Sprintf("payload %02d", i)...)
+		f[0] = 1
+		wire.SealFrame(f, 0)
+		bs.Enqueue(1, f)
+	}
+	bs.Flush()
+	for i := 0; i < k; i++ {
+		select {
+		case d := <-got:
+			if _, _, ok := wire.OpenFrame(d, 0); ok {
+				t.Fatalf("corrupted payload %d opened", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out at payload %d", i)
+		}
+	}
+	rejected := metrics.Counters()["wire.frames_rejected"] - before
+	if fs := ft.Stats(); fs.Corrupted != k || rejected != k {
+		t.Fatalf("%d payloads corrupted, %d frames rejected; want %d and %d", fs.Corrupted, rejected, k, k)
+	}
+	if st := u.Stats(); st.Sent != 1 || st.Delivered != k || st.Malformed != 0 {
+		t.Fatalf("socket stats %+v, want %d payloads in one well-formed datagram", st, k)
+	}
+}
+
+// TestLinkCap checks where the packing cap comes from: the MTU of the
+// interface holding the bound address — loopback's, clamped to
+// MaxDatagram, for 127.0.0.1 — or the smallest up interface's for a
+// wildcard bind, and never more than MaxPacket.
+func TestLinkCap(t *testing.T) {
+	capOf := func(cfg UDPConfig) int {
+		tr, err := NewUDP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ep, err := tr.Open(0, func(Addr, []byte) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return unwrap(ep).cap
+	}
+	ifs, err := net.Interfaces()
+	if err != nil {
+		t.Skipf("no interfaces to read: %v", err)
+	}
+	loopback, smallest := 0, 0
+	for _, ifc := range ifs {
+		if ifc.Flags&net.FlagUp == 0 || ifc.MTU <= 0 {
+			continue
+		}
+		if ifc.Flags&net.FlagLoopback != 0 {
+			loopback = ifc.MTU
+		}
+		if smallest == 0 || ifc.MTU < smallest {
+			smallest = ifc.MTU
+		}
+	}
+	t.Logf("loopback MTU %d, smallest up MTU %d", loopback, smallest)
+	if want := min(loopback-28, MaxDatagram); capOf(UDPConfig{Book: reserveBook(t, 1)}) != want {
+		t.Errorf("cap at 127.0.0.1 is %d, want %d", capOf(UDPConfig{Book: reserveBook(t, 1)}), want)
+	}
+	if loopback >= 65536 && capOf(UDPConfig{Book: reserveBook(t, 1)}) != 65507 {
+		t.Errorf("cap on a 64-KiB loopback is not MaxDatagram")
+	}
+	if got := capOf(UDPConfig{Book: reserveBook(t, 1), MaxPacket: 4096}); got != 4096 {
+		t.Errorf("cap under MaxPacket 4096 is %d", got)
+	}
+	if want, got := min(smallest-28, MaxDatagram), capOf(UDPConfig{Book: map[Addr]string{0: "0.0.0.0:0"}}); got != want {
+		t.Errorf("cap of a wildcard bind is %d, want %d (smallest up MTU %d)", got, want, smallest)
+	}
 }

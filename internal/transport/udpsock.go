@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -18,13 +19,22 @@ var (
 	batchRecvsCounter = metrics.NewCounter("transport.batch_recvs")
 )
 
-// Real-socket frame layout (one frame per UDP datagram), encoded with
-// the internal/wire codec shared by every protocol header:
+// Real-socket datagram layout, encoded with the internal/wire codec
+// shared by every protocol header:
 //
 //	magic   byte    0xD7 — rejects strays from other programs
-//	version byte    1
+//	version byte    2
 //	from    uvarint sender's group address
-//	payload rest    opaque datagram body
+//	then one or more segments, which tile the rest of the datagram:
+//	  length  uvarint
+//	  payload length bytes: one Send's or one Enqueue's data
+//
+// A Send is a datagram of one segment. A Flush packs the payloads it
+// sends to one peer, in Enqueue order, into as few datagrams as cross
+// the endpoint's link unfragmented (see linkCap). Decoding is
+// all-or-nothing: a datagram whose segments do not tile it exactly is
+// dropped whole and counted once, so no prefix of it is ever delivered.
+// Version 1 (one payload, no length) is not accepted.
 //
 // The sender's address travels in the frame rather than being inferred
 // from the socket source address, so the address book may point at
@@ -33,18 +43,18 @@ var (
 // cluster); authentication is out of scope.
 const (
 	frameMagic   byte = 0xD7
-	frameVersion byte = 1
+	frameVersion byte = 2
 )
 
-// MaxDatagram is the default receive buffer and the largest payload a
-// UDP endpoint accepts (the practical UDP payload ceiling).
+// MaxDatagram is the default receive buffer and the largest datagram a
+// UDP endpoint sends or accepts (the practical UDP payload ceiling).
 const MaxDatagram = 65507
 
 // BatchSyscallsAvailable reports whether this build carries the batched
 // syscall backend (sendmmsg/recvmmsg on linux). When false, BatchSender
-// and OpenBatch still work but degrade to the single-datagram path;
-// benchmarks and alloc guards use this to skip batch-specific
-// assertions.
+// and OpenBatch still work — a Flush still packs, and writes each
+// datagram with its own syscall — and benchmarks and alloc guards use
+// this to skip syscall-count assertions.
 func BatchSyscallsAvailable() bool { return batchSyscalls }
 
 // UDPConfig configures a real-socket transport.
@@ -52,17 +62,17 @@ type UDPConfig struct {
 	// Book maps every group address to its UDP "host:port". All
 	// entries are resolved once, in NewUDP.
 	Book map[Addr]string
-	// MaxPacket bounds the receive buffer (default MaxDatagram).
+	// MaxPacket bounds the receive buffer and the datagrams a Flush
+	// packs (default MaxDatagram).
 	MaxPacket int
 	// Logf, when non-nil, receives diagnostics (send errors, malformed
 	// frames). The transport never logs through any other channel.
 	Logf func(format string, args ...any)
-	// DisableBatching forces the portable single-datagram syscall path
-	// even on platforms with a batched backend (sendmmsg/recvmmsg).
-	// Endpoints still implement BatchSender — Enqueue degrades to an
-	// immediate Send and Flush to a no-op — so callers need no
-	// platform-specific code. Benchmarks use this to measure the
-	// batching delta on one binary.
+	// DisableBatching forces the portable one-datagram-per-syscall path
+	// (WriteToUDP/ReadFromUDP) even on platforms with a batched backend
+	// (sendmmsg/recvmmsg). Endpoints still implement BatchSender and a
+	// Flush still packs, so callers need no platform-specific code.
+	// Benchmarks use this to measure the syscall delta on one binary.
 	DisableBatching bool
 	// SocketBuffer, when positive, requests SO_RCVBUF and SO_SNDBUF of
 	// that many bytes on every endpoint socket (the kernel may clamp to
@@ -75,16 +85,17 @@ type UDPConfig struct {
 
 // UDPStats counts socket activity. Retrieve a snapshot with Stats.
 //
-// SendCalls/RecvCalls count syscalls, Sent/Delivered count datagrams:
-// on the batched backend one sendmmsg flush or recvmmsg read moves many
-// datagrams per call, so SendCalls/Sent is the measured syscall
-// amortization ratio (dpu-bench's syscalls_per_message probe).
+// A payload is one Send's or Enqueue's data; a datagram carries one or
+// more of them. Sent counts datagrams, Delivered, SendErrs and Bytes
+// count payloads, and SendCalls/RecvCalls count syscalls. So, for one
+// group, Delivered/Sent is how many payloads a datagram carries and
+// SendCalls/Sent how many datagrams one sendmmsg moves.
 type UDPStats struct {
-	Sent      uint64 // datagrams handed to the socket
-	Delivered uint64 // well-formed frames delivered to receivers
-	Malformed uint64 // frames dropped by the decoder
-	SendErrs  uint64 // socket write failures (dropped, as loss)
-	Bytes     uint64 // payload bytes sent
+	Sent      uint64 // datagrams written to the socket
+	Delivered uint64 // payloads handed to receivers
+	Malformed uint64 // datagrams dropped whole by the decoder
+	SendErrs  uint64 // payloads dropped on send (unroutable, oversized, refused by the socket), as loss
+	Bytes     uint64 // payload bytes in the datagrams sent
 	SendCalls uint64 // write syscalls (WriteToUDP or sendmmsg)
 	RecvCalls uint64 // read syscalls (ReadFromUDP or recvmmsg)
 }
@@ -139,15 +150,16 @@ func (t *UDPTransport) logf(format string, args ...any) {
 
 // Open binds the socket listed for addr in the address book and starts
 // its read loop. The returned endpoint always implements BatchSender:
-// on platforms with the sendmmsg backend Enqueue/Flush amortize write
-// syscalls, elsewhere they degrade to immediate Sends.
+// a Flush packs its payloads per peer into datagrams, written with
+// sendmmsg where the batched backend is live, one WriteToUDP each
+// elsewhere.
 func (t *UDPTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
 	return t.open(addr, recv, nil)
 }
 
 // OpenBatch binds the socket like Open but delivers incoming datagrams
-// through recv in batches: one recvmmsg worth per callback on the
-// batched backend, singleton batches on the portable path. It
+// through recv in batches: the payloads of one recvmmsg per callback on
+// the batched backend, of one datagram on the portable path. It
 // implements the optional BatchOpener extension.
 func (t *UDPTransport) OpenBatch(addr Addr, recv BatchRecvFunc) (Endpoint, error) {
 	if recv == nil {
@@ -185,7 +197,9 @@ func (t *UDPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endp
 			t.logf("transport: endpoint %d: SO_SNDBUF %d: %v", addr, t.cfg.SocketBuffer, err)
 		}
 	}
-	ep := &udpEndpoint{tr: t, addr: addr, conn: conn, recv: recv, brecv: brecv}
+	ep := &udpEndpoint{tr: t, addr: addr, conn: conn, recv: recv, brecv: brecv,
+		cap: linkCap(ua.IP, t.cfg.MaxPacket),
+		hdr: wire.NewWriter(maxFrameHeader).Byte(frameMagic).Byte(frameVersion).Uvarint(uint64(addr)).Bytes()}
 	if !t.cfg.DisableBatching {
 		// Best-effort: a setup failure (unsupported platform, raw-conn
 		// error) leaves bio nil and the endpoint on the portable path.
@@ -203,6 +217,52 @@ func (t *UDPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endp
 		go ep.readLoop()
 	}
 	return ep, nil
+}
+
+// linkCap is the largest datagram an endpoint bound at ip packs: the
+// MTU of the interface holding ip, less the IP and UDP headers (28
+// bytes over IPv4, 48 over IPv6), so that a packed datagram crosses the
+// link as one IP packet and losing it loses one IP packet, as losing an
+// unpacked one did. A wildcard bind, or an address no interface holds,
+// takes the smallest MTU among the host's up interfaces; with none
+// readable, IPv6's minimum link MTU applies. The cap never exceeds
+// maxPacket or MaxDatagram. It is read once, when the endpoint opens.
+func linkCap(ip net.IP, maxPacket int) int {
+	c := 1280 - 48
+	if mtu := interfaceMTU(ip); mtu > 0 {
+		c = mtu - 28
+		if ip.To4() == nil {
+			c = mtu - 48
+		}
+	}
+	return min(c, maxPacket, MaxDatagram)
+}
+
+// interfaceMTU returns the MTU of the up interface holding ip, or the
+// smallest MTU among the up interfaces when none does (or ip is a
+// wildcard); 0 when no interface can be read.
+func interfaceMTU(ip net.IP) int {
+	ifs, err := net.Interfaces()
+	if err != nil {
+		return 0
+	}
+	smallest := 0
+	for _, ifc := range ifs {
+		if ifc.Flags&net.FlagUp == 0 || ifc.MTU <= 0 {
+			continue
+		}
+		if addrs, err := ifc.Addrs(); err == nil && !ip.IsUnspecified() {
+			for _, a := range addrs {
+				if n, ok := a.(*net.IPNet); ok && n.IP.Equal(ip) {
+					return ifc.MTU
+				}
+			}
+		}
+		if smallest == 0 || ifc.MTU < smallest {
+			smallest = ifc.MTU
+		}
+	}
+	return smallest
 }
 
 // AddRoute maps a group address to a "host:port" endpoint at runtime,
@@ -265,7 +325,23 @@ type udpEndpoint struct {
 	recv  RecvFunc      // set when opened with Open
 	brecv BatchRecvFunc // set when opened with OpenBatch
 	bio   *batchIO      // nil: batched syscalls unavailable or disabled
+	cap   int           // largest datagram a Flush packs (linkCap)
+	hdr   []byte        // the frame header every datagram starts with
 	wg    sync.WaitGroup
+
+	// The send queue: the datagrams packed since the last Flush, in the
+	// order they were opened. Enqueue and Flush run on one goroutine (the
+	// stack executor); mu only fences them off from Close, and is never
+	// held across a syscall — Flush swaps the queue out and writes from
+	// its own slice, so Close never waits behind a full send buffer.
+	// Slots past the queue's length keep their buffers for reuse.
+	mu    sync.Mutex
+	sendq []datagram
+	// flushMu serializes flushes: bio's scatter arrays must never be
+	// shared by two of them.
+	flushMu sync.Mutex
+
+	frames []rxFrame // readBatchLoop's checked datagrams, reused per recvmmsg
 
 	// closed is an atomic, not a mutex-guarded bool: the receive hot
 	// path checks it once per datagram (or batch) and must not take a
@@ -273,90 +349,183 @@ type udpEndpoint struct {
 	closed atomic.Bool
 }
 
+// datagram is one packed datagram between Enqueue and Flush.
+type datagram struct {
+	to    Addr
+	dst   *net.UDPAddr
+	buf   []byte // header and segments
+	n     int    // payloads packed into it
+	bytes int    // their length, for UDPStats.Bytes
+}
+
+// rxFrame is one checked datagram of a recvmmsg batch.
+type rxFrame struct {
+	from Addr
+	body []byte // the segments, aliasing the receive buffer
+	segs int
+}
+
+// spareDatagrams bounds how many datagram buffers an endpoint keeps
+// between flushes — as many as it keeps receive buffers for recvmmsg.
+const spareDatagrams = 32
+
 // Addr returns the endpoint's group address.
 func (e *udpEndpoint) Addr() Addr { return e.addr }
 
-// Send frames data and writes it to the socket of to's book entry.
-// Failures (unknown address, oversized payload, socket errors) drop the
-// datagram, as network loss would; RP2P's retransmission recovers.
+// route looks to up in the address book. A payload that is unroutable,
+// or too large to travel in a datagram of MaxPacket bytes, is counted
+// and dropped, as network loss would drop it; RP2P's retransmission
+// recovers.
+func (e *udpEndpoint) route(to Addr, data []byte, op string) (*net.UDPAddr, bool) {
+	t := e.tr
+	t.bookMu.RLock()
+	dst, ok := t.book[to]
+	t.bookMu.RUnlock()
+	if ok && len(data) <= t.cfg.MaxPacket-maxFrameHeader {
+		return dst, true
+	}
+	reason := "address not in book"
+	if ok {
+		reason = "oversized payload"
+	}
+	t.sendErrs.Add(1)
+	t.logf("transport: drop %s %d->%d: %s", op, e.addr, to, reason)
+	return nil, false
+}
+
+// Send writes data to to's book entry at once, as a datagram of its
+// own.
 func (e *udpEndpoint) Send(to Addr, data []byte) {
-	t := e.tr
-	t.bookMu.RLock()
-	dst, ok := t.book[to]
-	t.bookMu.RUnlock()
-	if !ok || len(data) > t.cfg.MaxPacket-maxFrameHeader {
-		reason := "address not in book"
-		if ok {
-			reason = "oversized payload"
-		}
-		t.sendErrs.Add(1)
-		t.logf("transport: drop send %d->%d: %s", e.addr, to, reason)
+	dst, ok := e.route(to, data, "send")
+	if !ok {
 		return
 	}
 	w := wire.GetWriter(len(data) + maxFrameHeader)
-	w.Byte(frameMagic).Byte(frameVersion).Uvarint(uint64(e.addr)).Raw(data)
-	t.sendCalls.Add(1)
-	_, err := e.conn.WriteToUDP(w.Bytes(), dst)
+	w.Raw(e.hdr).BytesField(data)
+	e.write(&datagram{to: to, dst: dst, buf: w.Bytes(), n: 1, bytes: len(data)})
 	w.Free() // the kernel has copied the datagram
-	if err != nil {
-		t.sendErrs.Add(1)
-		t.logf("transport: send %d->%d: %v", e.addr, to, err)
-		return
-	}
-	t.sent.Add(1)
-	t.bytes.Add(uint64(len(data)))
 }
 
-// Enqueue frames data and parks it on the endpoint's send queue for the
-// next Flush; on platforms without the sendmmsg backend it degrades to
-// an immediate Send. Like Send, failures (unknown address, oversized
-// payload) drop the datagram as loss. Enqueue and Flush must be called
-// from one goroutine at a time (the stack executor).
+// Enqueue copies data into the datagram the next Flush sends to to: the
+// last one opened for to since the previous Flush, or a new one when
+// that one cannot take it without outgrowing the endpoint's cap. A
+// payload larger than the cap on its own therefore travels alone, and
+// the payloads to one peer keep their Enqueue order. Like Send, an
+// unroutable or oversized payload is dropped as loss. Enqueue and Flush
+// must be called from one goroutine at a time (the stack executor).
 func (e *udpEndpoint) Enqueue(to Addr, data []byte) {
-	t := e.tr
-	if e.bio == nil {
-		e.Send(to, data)
+	dst, ok := e.route(to, data, "enqueue")
+	if !ok {
 		return
 	}
-	t.bookMu.RLock()
-	dst, ok := t.book[to]
-	t.bookMu.RUnlock()
-	if !ok || len(data) > t.cfg.MaxPacket-maxFrameHeader {
-		reason := "address not in book"
-		if ok {
-			reason = "oversized payload"
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		e.tr.sendErrs.Add(1)
+		return
+	}
+	d := e.packInto(to, dst, uvarintLen(len(data))+len(data))
+	d.buf = append(binary.AppendUvarint(d.buf, uint64(len(data))), data...)
+	d.n++
+	d.bytes += len(data)
+}
+
+// packInto returns the queued datagram to (to, dst) with room for a
+// segment of seg bytes, opening a new one — on a spare buffer when one
+// is large enough — when the destination's last datagram is full.
+// Called with mu held.
+func (e *udpEndpoint) packInto(to Addr, dst *net.UDPAddr, seg int) *datagram {
+	for i := len(e.sendq) - 1; i >= 0; i-- {
+		if d := &e.sendq[i]; d.to == to {
+			if d.dst == dst && len(d.buf)+seg <= e.cap {
+				return d
+			}
+			break
 		}
-		t.sendErrs.Add(1)
-		t.logf("transport: drop enqueue %d->%d: %s", e.addr, to, reason)
+	}
+	n := len(e.sendq)
+	if n < cap(e.sendq) {
+		e.sendq = e.sendq[:n+1]
+	} else {
+		e.sendq = append(e.sendq, datagram{})
+	}
+	d := &e.sendq[n]
+	buf := d.buf[:0]
+	if need := len(e.hdr) + seg; cap(buf) < need {
+		buf = make([]byte, 0, max(need, e.cap))
+	}
+	*d = datagram{to: to, dst: dst, buf: append(buf, e.hdr...)}
+	return d
+}
+
+// Flush writes every datagram packed since the previous Flush: through
+// sendmmsg, as few calls as the batch size allows, when the endpoint has
+// the batched backend, one WriteToUDP each otherwise. A no-op when
+// nothing is queued.
+func (e *udpEndpoint) Flush() {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	e.mu.Lock()
+	q := e.sendq
+	e.sendq = nil
+	e.mu.Unlock()
+	if e.bio != nil {
+		e.bio.send(e, q)
+	} else {
+		for i := range q {
+			if e.closed.Load() {
+				break
+			}
+			e.write(&q[i])
+		}
+	}
+	// Hand the storage back for the next flush, keeping a bounded number
+	// of buffers no larger than the cap — unless Close came first.
+	for i := range q {
+		if i >= spareDatagrams || cap(q[i].buf) > e.cap {
+			q[i].buf = nil
+		}
+		q[i].dst = nil
+	}
+	e.mu.Lock()
+	if !e.closed.Load() && e.sendq == nil {
+		e.sendq = q[:0]
+	}
+	e.mu.Unlock()
+}
+
+// write sends one datagram with the portable syscall.
+func (e *udpEndpoint) write(d *datagram) {
+	e.tr.sendCalls.Add(1)
+	if _, err := e.conn.WriteToUDP(d.buf, d.dst); err != nil {
+		e.tr.logf("transport: send %d->%d: %v", e.addr, d.to, err)
+		e.lost(d)
 		return
 	}
-	w := wire.GetWriter(len(data) + maxFrameHeader)
-	w.Byte(frameMagic).Byte(frameVersion).Uvarint(uint64(e.addr)).Raw(data)
-	//dpulint:ignore poolfree frame parked on the batch send queue; flush and discard (via Close) guarantee the Free
-	switch e.bio.enqueue(w, len(data), dst) {
-	case enqueueOK:
-	case enqueueBadAddr:
-		// Address family the raw backend cannot encode (e.g. a v6
-		// destination on a v4 socket): let the stdlib path handle it.
-		w.Free()
-		e.Send(to, data)
-	case enqueueClosed:
-		w.Free()
-		t.sendErrs.Add(1)
-	}
+	e.sent(d)
 }
 
-// Flush transmits everything enqueued since the previous Flush, in as
-// few sendmmsg calls as the batch size allows. A no-op when nothing is
-// queued or the batched backend is unavailable.
-func (e *udpEndpoint) Flush() {
-	if e.bio != nil {
-		e.bio.flush(e)
-	}
+// sent counts a datagram the socket took.
+func (e *udpEndpoint) sent(d *datagram) {
+	e.tr.sent.Add(1)
+	e.tr.bytes.Add(uint64(d.bytes))
 }
 
-// maxFrameHeader bounds the frame header: magic, version and a uvarint
-// address of at most 10 bytes.
+// lost counts the payloads of a datagram the socket refused.
+func (e *udpEndpoint) lost(d *datagram) { e.tr.sendErrs.Add(uint64(d.n)) }
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v int) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// maxFrameHeader bounds what one payload costs in a datagram of its
+// own: magic, version, a sender address below 1<<31 (a 5-byte uvarint)
+// and a segment length of at most 5 bytes.
 const maxFrameHeader = 12
 
 // maxRecvFailures bounds how many consecutive transient recvmmsg errnos
@@ -364,7 +533,7 @@ const maxFrameHeader = 12
 // (an fd-level fault, not pressure) and stopping rather than spinning.
 const maxRecvFailures = 100
 
-// readLoop decodes frames off the socket until the endpoint closes.
+// readLoop reads one datagram per syscall until the endpoint closes.
 func (e *udpEndpoint) readLoop() {
 	defer e.wg.Done()
 	t := e.tr
@@ -380,29 +549,29 @@ func (e *udpEndpoint) readLoop() {
 			// Socket closed (endpoint shutdown) or unrecoverable.
 			return
 		}
-		if n == len(buf) {
-			t.malformed.Add(1)
-			wire.RejectFrame()
-			t.logf("transport: endpoint %d: dropped over-limit datagram (>%d bytes)", e.addr, t.cfg.MaxPacket)
+		f, ok := e.check(buf[:n], n == len(buf))
+		if !ok || e.closed.Load() {
 			continue
 		}
-		from, payload, ok := decodeFrame(buf[:n])
-		if !ok {
-			t.malformed.Add(1)
-			wire.RejectFrame()
-			t.logf("transport: endpoint %d: dropped malformed %d-byte frame", e.addr, n)
+		if e.brecv != nil {
+			// Opened with OpenBatch but on the portable loop: one batch
+			// per datagram.
+			frame := [1]rxFrame{f}
+			e.deliver(frame[:])
 			continue
 		}
-		t.delivered.Add(1)
-		// The receiver owns its slice; the read buffer is reused.
-		e.recvPacket(from, append([]byte(nil), payload...))
+		for b := f.body; len(b) > 0; {
+			var seg []byte
+			seg, b, _ = nextSegment(b)
+			// The receiver owns its slice; the read buffer is reused.
+			e.recv(f.from, append([]byte(nil), seg...))
+		}
 	}
 }
 
 // readBatchLoop drains the socket with recvmmsg until the endpoint
-// closes, delivering each syscall's worth of frames as one batch. The
-// decoded payloads of a batch share a single arena allocation — the
-// per-packet copy of the portable path amortized recvBatch ways.
+// closes, delivering the payloads of each syscall's worth of datagrams
+// as one batch.
 func (e *udpEndpoint) readBatchLoop() {
 	defer e.wg.Done()
 	t := e.tr
@@ -430,61 +599,76 @@ func (e *udpEndpoint) readBatchLoop() {
 		}
 		failures = 0
 		batchRecvsCounter.Add(1)
-		// The receiver owns pkts and the arena (it typically enqueues
-		// the whole batch as one executor task), so both are fresh per
-		// batch: two allocations per syscall, not two per packet.
-		pkts := make([]Packet, 0, n)
-		arena := make([]byte, 0, e.bio.recvBytes(n))
+		frames := e.frames[:0]
 		for i := 0; i < n; i++ {
-			raw, overLimit := e.bio.recvMsg(i)
-			if overLimit {
-				t.malformed.Add(1)
-				wire.RejectFrame()
-				t.logf("transport: endpoint %d: dropped over-limit datagram (>%d bytes)", e.addr, t.cfg.MaxPacket)
-				continue
+			if f, ok := e.check(e.bio.recvMsg(i)); ok {
+				frames = append(frames, f)
 			}
-			from, payload, ok := decodeFrame(raw)
-			if !ok {
-				t.malformed.Add(1)
-				wire.RejectFrame()
-				t.logf("transport: endpoint %d: dropped malformed %d-byte frame", e.addr, len(raw))
-				continue
-			}
-			t.delivered.Add(1)
-			// The receiver owns its slice; carve it off the shared
-			// arena so the syscall buffers can be reused immediately.
-			arena = append(arena, payload...)
-			pkts = append(pkts, Packet{From: from, Data: arena[len(arena)-len(payload):]})
 		}
-		if len(pkts) > 0 && !e.closed.Load() {
-			e.brecv(pkts)
-		}
+		e.frames = frames
+		e.deliver(frames)
 	}
 }
 
-// recvPacket delivers one decoded frame unless the endpoint has closed.
-// An endpoint opened with OpenBatch but running the portable read loop
-// receives it as a singleton batch.
-func (e *udpEndpoint) recvPacket(from Addr, data []byte) {
-	if e.closed.Load() {
+// check decodes one received datagram. One that is over the size limit
+// (cut by the kernel, or filling the sentinel byte past MaxPacket) or
+// malformed is counted once, whatever it held, and dropped.
+func (e *udpEndpoint) check(raw []byte, overLimit bool) (rxFrame, bool) {
+	t := e.tr
+	if overLimit {
+		t.malformed.Add(1)
+		wire.RejectFrame()
+		t.logf("transport: endpoint %d: dropped over-limit datagram (>%d bytes)", e.addr, t.cfg.MaxPacket)
+		return rxFrame{}, false
+	}
+	from, body, segs, ok := decodeFrame(raw)
+	if !ok {
+		t.malformed.Add(1)
+		wire.RejectFrame()
+		t.logf("transport: endpoint %d: dropped malformed %d-byte datagram", e.addr, len(raw))
+		return rxFrame{}, false
+	}
+	t.delivered.Add(uint64(segs))
+	return rxFrame{from: from, body: body, segs: segs}, true
+}
+
+// deliver hands the payloads of checked datagrams to the batch receiver
+// as one batch, unless the endpoint has closed. The receiver owns the
+// batch, so the payloads are copied out of the receive buffers, which
+// are reused, into one arena: two allocations per batch, not two per
+// payload.
+func (e *udpEndpoint) deliver(frames []rxFrame) {
+	payloads, size := 0, 0
+	for _, f := range frames {
+		payloads += f.segs
+		size += len(f.body)
+	}
+	if payloads == 0 || e.closed.Load() {
 		return
 	}
-	if e.brecv != nil {
-		e.brecv([]Packet{{From: from, Data: data}})
-		return
+	pkts := make([]Packet, 0, payloads)
+	arena := make([]byte, 0, size)
+	for _, f := range frames {
+		start := len(arena)
+		arena = append(arena, f.body...)
+		for b := arena[start:]; len(b) > 0; {
+			var seg []byte
+			seg, b, _ = nextSegment(b)
+			pkts = append(pkts, Packet{From: f.from, Data: seg})
+		}
 	}
-	e.recv(from, data)
+	e.brecv(pkts)
 }
 
 // Close shuts the socket down and waits for the read loop to exit.
-// Datagrams still parked on the batch send queue are discarded, as loss.
+// Datagrams no Flush has sent yet are discarded, as loss.
 func (e *udpEndpoint) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if e.bio != nil {
-		e.bio.discard()
-	}
+	e.mu.Lock()
+	e.sendq = nil
+	e.mu.Unlock()
 	e.conn.Close()
 	e.wg.Wait()
 	t := e.tr
@@ -495,17 +679,37 @@ func (e *udpEndpoint) Close() {
 	t.mu.Unlock()
 }
 
-// decodeFrame parses one datagram; ok is false for frames that are
-// truncated, carry the wrong magic or version, or whose sender address
-// overflows.
-func decodeFrame(b []byte) (from Addr, payload []byte, ok bool) {
+// decodeFrame checks one datagram and returns its sender and its body:
+// segs segments that tile it exactly. ok is false for a datagram that is
+// truncated, carries the wrong magic or version, has a sender address
+// that overflows, holds no segment, or whose segments do not end where
+// it ends — a datagram is delivered whole or not at all.
+func decodeFrame(b []byte) (from Addr, body []byte, segs int, ok bool) {
 	r := wire.NewReader(b)
 	r.Expect(frameMagic, "transport magic")
 	r.Expect(frameVersion, "transport version")
 	f := r.Uvarint()
-	payload = r.Rest()
-	if r.Err() != nil || f >= 1<<31 {
-		return 0, nil, false
+	body = r.Rest()
+	if r.Err() != nil || f >= 1<<31 || len(body) == 0 {
+		return 0, nil, 0, false
 	}
-	return Addr(f), payload, true
+	for rest := body; len(rest) > 0; segs++ {
+		if _, rest, ok = nextSegment(rest); !ok {
+			return 0, nil, 0, false
+		}
+	}
+	return Addr(f), body, segs, true
+}
+
+// nextSegment splits the first segment off b, reporting false when its
+// length is unreadable or reaches past the end of b. The segment's
+// capacity ends where it does, so a receiver appending to one payload
+// cannot overwrite the next.
+func nextSegment(b []byte) (seg, rest []byte, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, false
+	}
+	end := k + int(n)
+	return b[k:end:end], b[end:], true
 }

@@ -97,19 +97,26 @@ type Recv struct {
 //
 // When the backend supports batching, the module engages it end to end:
 // outgoing Send requests are enqueued on the endpoint's BatchSender and
-// flushed once per executor batch (through Stack.RegisterFlusher), so
-// every frame produced in one executor pass leaves in as few sendmmsg
-// calls as possible; incoming traffic is opened through BatchOpener and
-// each received batch is re-injected as ONE executor event
-// (Stack.IndicateBatch) instead of one per datagram. Backends without
-// batching (simnet) take the original per-datagram path, bit for bit.
+// flushed once per executor pass, so every frame produced in one pass
+// leaves in as few datagrams and syscalls as possible; incoming traffic
+// is opened through BatchOpener and each received batch is re-injected
+// as ONE executor event (Stack.IndicateBatch) instead of one per
+// datagram. Backends without batching (simnet) take the original
+// per-datagram path, bit for bit.
+//
+// The flush is armed by the first frame of a pass (Stack.RegisterFlusher)
+// and disarms itself once it has run. Registered that late, it runs
+// after every flusher that feeds it — rp2p's acks, rbcast's frames — so
+// what they write leaves in the same pass instead of waiting for the
+// next event to wake the stack.
 type Module struct {
 	kernel.Base
 	tr      transport.Transport
 	ep      transport.Endpoint
 	bs      transport.BatchSender // non-nil when the endpoint batches sends
 	vs      transport.BodySender  // non-nil when it also takes a body by reference
-	unflush func()                // unregisters the per-batch Flush hook
+	flushFn func()                // m.flush, bound once
+	unflush func()                // non-nil while a flush is armed for this pass
 	openErr error
 }
 
@@ -147,11 +154,18 @@ func (m *Module) Start() {
 	if bs, ok := ep.(transport.BatchSender); ok {
 		m.bs = bs
 		m.vs, _ = ep.(transport.BodySender)
-		// Start runs on the executor, where RegisterFlusher is legal:
-		// from here on every drained event batch ends with one Flush,
-		// which is what turns N Send requests into one sendmmsg.
-		m.unflush = m.Stk.RegisterFlusher(bs.Flush)
+		m.flushFn = m.flush
 	}
+}
+
+// flush is the armed end-of-pass hook: it disarms itself and transmits
+// everything the pass enqueued. Executor-only.
+//
+//dpulint:executor
+func (m *Module) flush() {
+	m.unflush()
+	m.unflush = nil
+	m.bs.Flush()
 }
 
 // OpenErr reports whether Start failed to open the transport endpoint.
@@ -164,9 +178,10 @@ func (m *Module) OpenErr() error { return m.openErr }
 func (m *Module) Stop() {
 	m.Stk.Unsubscribe(kernel.PeerService, m)
 	if m.bs != nil {
-		m.bs.Flush()
-		m.unflush()
-		m.bs, m.vs, m.unflush = nil, nil, nil
+		if m.unflush != nil {
+			m.flush()
+		}
+		m.bs, m.vs = nil, nil
 	}
 	if m.ep != nil {
 		m.ep.Close()
@@ -231,7 +246,7 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 }
 
 // send hands one sealed frame (frame‖body) to the transport: onto the
-// batch queue when the endpoint batches (the registered flusher
+// batch queue when the endpoint batches (arming the flush that
 // transmits it at the end of this executor pass), immediately
 // otherwise. Every path copies frame before returning; body goes by
 // reference to an endpoint that takes one and is joined to frame here
@@ -242,6 +257,7 @@ func (m *Module) send(to transport.Addr, frame, body []byte) {
 	switch {
 	case len(body) == 0:
 	case m.vs != nil:
+		m.arm()
 		m.vs.EnqueueBody(to, frame, body)
 		return
 	default:
@@ -251,10 +267,21 @@ func (m *Module) send(to transport.Addr, frame, body []byte) {
 		return
 	}
 	if m.bs != nil {
+		m.arm()
 		m.bs.Enqueue(to, frame)
 		return
 	}
 	m.ep.Send(to, frame)
+}
+
+// arm registers the end-of-pass flush unless this pass already has.
+// Executor-only.
+//
+//dpulint:executor
+func (m *Module) arm() {
+	if m.unflush == nil {
+		m.unflush = m.Stk.RegisterFlusher(m.flushFn)
+	}
 }
 
 // receive runs on a transport goroutine (simnet timer or socket read
