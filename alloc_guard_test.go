@@ -17,6 +17,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 	"repro/internal/udp"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -127,6 +128,28 @@ func TestBatchEnqueueFlushAllocBudget(t *testing.T) {
 	t.Logf("allocations per flush: %.2f at 8 payloads, %.2f at 64", few, many)
 	if many > few+0.5 || many > 3 {
 		t.Errorf("a flush of 64 payloads allocates %.2f times, of 8 payloads %.2f: budget 3, and no growth with the payload count", many, few)
+	}
+}
+
+// TestTimerRearmAllocBudget asserts a kernel timer is re-armed in place:
+// once it exists, arming and stopping it allocates nothing, on the wall
+// clock's process heap and on a virtual clock. (rp2p re-arms one per
+// peer on every ack that moves the window; its own guard is
+// rp2p.TestAckRearmAllocatesNothing.)
+func TestTimerRearmAllocBudget(t *testing.T) {
+	for name, clock := range map[string]vclock.Clock{"wall": vclock.Wall, "virtual": vclock.NewVirtual()} {
+		t.Run(name, func(t *testing.T) {
+			st := kernel.NewStack(kernel.Config{Addr: 0, Peers: []kernel.Addr{0}, Clock: clock})
+			defer st.Close()
+			tm := st.NewTimer(func() {})
+			avg := testing.AllocsPerRun(10000, func() {
+				tm.Reset(time.Hour)
+				tm.Stop()
+			})
+			if avg != 0 {
+				t.Errorf("re-arm + stop allocates %.2f times, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -31,8 +31,8 @@ type tokenModule struct {
 	sendSeq  uint64
 	pending  []Deliver // local messages waiting for the token
 	hasToken bool
-	tokenSeq uint64 // next global number the token will assign
-	idleWait *kernel.Timer
+	tokenSeq uint64        // next global number the token will assign
+	idleWait *kernel.Timer // the idle hold, re-armed whenever the token is held idle
 
 	nextDel uint64
 	hold    map[uint64]Deliver
@@ -66,7 +66,7 @@ func TokenImpl(cfg TokenConfig) Impl {
 		New: func(st *kernel.Stack, epoch uint64) kernel.Module {
 			ring := append([]kernel.Addr(nil), st.Peers()...)
 			sort.Slice(ring, func(i, j int) bool { return ring[i] < ring[j] })
-			return &tokenModule{
+			m := &tokenModule{
 				Base:    kernel.NewBase(st, ProtocolToken),
 				epoch:   epoch,
 				channel: fmt.Sprintf("tk/%d", epoch),
@@ -74,7 +74,16 @@ func TokenImpl(cfg TokenConfig) Impl {
 				ring:    ring,
 				hold:    make(map[uint64]Deliver),
 			}
+			m.idleWait = st.NewTimer(m.passIdle)
+			return m
 		},
+	}
+}
+
+// passIdle passes on a token held idle for HoldIdle.
+func (m *tokenModule) passIdle() {
+	if m.hasToken {
+		m.flushAndPass()
 	}
 }
 
@@ -89,9 +98,7 @@ func (m *tokenModule) Start() {
 
 // Stop detaches and drops the token if held (crash-free model).
 func (m *tokenModule) Stop() {
-	if m.idleWait != nil {
-		m.idleWait.Stop()
-	}
+	m.idleWait.Stop()
 	m.Stk.Call(rp2p.Service, rp2p.Unlisten{Channel: m.channel})
 }
 
@@ -126,21 +133,13 @@ func (m *tokenModule) acquireToken(seq uint64) {
 	}
 	// Idle: hold briefly so an imminent broadcast can use the token,
 	// then pass it on.
-	m.idleWait = m.Stk.After(m.cfg.HoldIdle, func() {
-		m.idleWait = nil
-		if m.hasToken {
-			m.flushAndPass()
-		}
-	})
+	m.idleWait.Reset(m.cfg.HoldIdle)
 }
 
 // flushAndPass stamps and broadcasts pending messages, then forwards
 // the token.
 func (m *tokenModule) flushAndPass() {
-	if m.idleWait != nil {
-		m.idleWait.Stop()
-		m.idleWait = nil
-	}
+	m.idleWait.Stop()
 	for _, d := range m.pending {
 		g := m.tokenSeq
 		m.tokenSeq++

@@ -327,7 +327,8 @@ type Repl struct {
 	evicted bool
 
 	// Sender-side batching state (Config.BatchDelay > 0): payloads
-	// accumulate as length-prefixed records in batch until a flush.
+	// accumulate as length-prefixed records in batch until a flush. The
+	// flush timer is made with the first batch and re-armed for each.
 	batch      *wire.Writer
 	batchTimer *kernel.Timer
 }
@@ -369,7 +370,6 @@ func (m *Repl) Start() {
 func (m *Repl) Stop() {
 	if m.batchTimer != nil {
 		m.batchTimer.Stop()
-		m.batchTimer = nil
 	}
 	m.Stk.Unsubscribe(abcast.ServiceImpl, m)
 	if m.cur != nil {
@@ -489,15 +489,16 @@ func (m *Repl) rABcast(data []byte) {
 func (m *Repl) batchAppend(data []byte) {
 	if m.batch == nil {
 		m.batch = wire.NewWriter(m.cfg.BatchBytes + 256)
-		m.batchTimer = m.Stk.After(m.cfg.BatchDelay, m.onBatchTimer)
+		if m.batchTimer == nil {
+			m.batchTimer = m.Stk.NewTimer(m.flushBatch)
+		}
+		m.batchTimer.Reset(m.cfg.BatchDelay)
 	}
 	m.batch.BytesField(data)
 	if m.batch.Len() >= m.cfg.BatchBytes {
 		m.flushBatch()
 	}
 }
-
-func (m *Repl) onBatchTimer() { m.flushBatch() }
 
 // flushBatch closes the open batch: it becomes one undelivered message
 // (so a switch reissues it, once, through the new epoch) and goes out
@@ -519,10 +520,7 @@ func (m *Repl) closeBatch() (msgID, []byte, bool) {
 	if m.batch == nil {
 		return msgID{}, nil, false
 	}
-	if m.batchTimer != nil {
-		m.batchTimer.Stop()
-		m.batchTimer = nil
-	}
+	m.batchTimer.Stop()
 	blob := m.batch.Bytes()
 	m.batch = nil
 	m.mseq++

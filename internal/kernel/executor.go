@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// task is one queued executor event. The hot paths (Call, Indicate)
-// enqueue a small typed struct instead of allocating a fresh closure
-// per event; generic events (Do, timers) still carry a closure.
+// task is one queued executor event. The hot paths (Call, Indicate,
+// timer firings) enqueue a small typed struct instead of allocating a
+// fresh closure per event; Do still carries a closure.
 type task struct {
 	kind byte
 	svc  ServiceID
@@ -20,6 +20,7 @@ const (
 	kindCall
 	kindIndicate
 	kindIndicateBatch // arg is []Indication, delivered in order
+	kindTimer         // arg is the *Timer that fired
 )
 
 // executor is the serial event loop of one stack: an unbounded FIFO of

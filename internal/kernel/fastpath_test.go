@@ -176,8 +176,11 @@ func TestFlusherRunsAfterEachDrainedBatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	st.Do(func() { <-gate })
+	// Hold the executor inside a task of its own batch, so that the burst
+	// queues behind it as one batch.
+	gate, held := make(chan struct{}), make(chan struct{})
+	st.Do(func() { close(held); <-gate })
+	<-held
 	const burst = 10
 	for i := 0; i < burst; i++ {
 		st.Do(func() { log = append(log, "event") })

@@ -237,8 +237,8 @@ type Stack struct {
 	flushAt    int // index of the flusher runFlushers is running
 
 	timerMu sync.Mutex
-	timers  map[*Timer]struct{}
-	closed  bool // guarded by timerMu; blocks new timers after close
+	timers  []*Timer // armed timers (Timer.slot indexes it); guarded by timerMu
+	closed  bool     // guarded by timerMu; blocks new timers after close
 
 	crashed atomic.Bool
 }
@@ -273,7 +273,6 @@ func NewStack(cfg Config) *Stack {
 		modules:  make(map[ModuleID]Module),
 		protoSeq: make(map[string]int),
 		ensuring: make(map[ServiceID]bool),
-		timers:   make(map[*Timer]struct{}),
 	}
 	initial := append([]Addr(nil), cfg.Peers...)
 	sort.Slice(initial, func(i, j int) bool { return initial[i] < initial[j] })
@@ -395,6 +394,8 @@ func (st *Stack) runTask(t *task) {
 		for _, ind := range t.arg.([]Indication) {
 			st.indicate(t.svc, ind)
 		}
+	case kindTimer:
+		t.arg.(*Timer).run()
 	}
 }
 
@@ -501,95 +502,144 @@ func (st *Stack) Close() {
 
 func (st *Stack) cancelTimers() {
 	st.timerMu.Lock()
-	st.closed = true
-	timers := st.timers
-	st.timers = make(map[*Timer]struct{})
-	st.timerMu.Unlock()
-	for t := range timers {
-		t.mu.Lock()
-		t.stopped = true
-		if t.t != nil {
-			t.t.Stop()
-		}
-		t.mu.Unlock()
-	}
-}
-
-// Timer is a cancellable deferred event.
-type Timer struct {
-	st *Stack
-
-	mu      sync.Mutex
-	t       vclock.Timer
-	stopped bool
-}
-
-// Stop cancels the timer. Safe from any goroutine; a no-op if the timer
-// already fired or was stopped.
-func (t *Timer) Stop() {
-	t.mu.Lock()
-	t.stopped = true
-	if t.t != nil {
-		t.t.Stop()
-	}
-	t.mu.Unlock()
-	t.st.timerMu.Lock()
-	delete(t.st.timers, t)
-	t.st.timerMu.Unlock()
-}
-
-func (t *Timer) isStopped() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stopped
-}
-
-// arm sets the underlying timer unless the Timer or its stack stopped.
-func (t *Timer) arm(d time.Duration, onFire func()) bool {
-	st := t.st
-	st.timerMu.Lock()
 	defer st.timerMu.Unlock()
-	if st.closed {
-		return false
+	st.closed = true
+	for len(st.timers) > 0 {
+		st.timers[0].stopLocked()
 	}
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return false
-	}
-	t.t = st.clock.AfterFunc(d, func() {
-		st.timerMu.Lock()
-		delete(st.timers, t)
-		st.timerMu.Unlock()
-		if !t.isStopped() {
-			onFire()
-		}
-	})
-	t.mu.Unlock()
-	st.timers[t] = struct{}{}
-	return true
+	st.timers = nil
+}
+
+// Timer is a deferred event on the stack's executor. One Timer can be
+// armed any number of times with Reset: it keeps its clock entry, so
+// re-arming allocates nothing.
+//
+// A firing runs fn as one executor task, one at a time: an Every timer
+// that fires again before its task ran queues no second one. A Stop or
+// Reset that comes after the clock fired but before that task ran drops
+// the task, so fn never runs for an arm that was superseded.
+type Timer struct {
+	st    *Stack
+	fn    func()        // runs on the executor
+	every time.Duration // Every: each firing re-arms the timer this far ahead
+	ct    vclock.Timer  // the clock entry; nil until first armed
+
+	// Guarded by st.timerMu.
+	slot   int  // index in st.timers while armed, -1 otherwise
+	armed  bool // pending on the clock
+	queued bool // fired; its executor task has not run yet
+	stale  int  // firings already popped by the clock that a Stop or Reset overtook
+}
+
+// NewTimer returns an unarmed timer that runs fn on the executor each
+// time it fires. Arm it with Reset.
+func (st *Stack) NewTimer(fn func()) *Timer {
+	return &Timer{st: st, fn: fn, slot: -1}
 }
 
 // After schedules fn on the executor after d. The returned timer can be
-// stopped; it is valid (and inert) even when the stack already stopped.
+// stopped and re-armed; it is valid (and inert) even when the stack
+// already stopped.
 func (st *Stack) After(d time.Duration, fn func()) *Timer {
-	tm := &Timer{st: st}
-	tm.arm(d, func() { st.Do(fn) })
-	return tm
+	t := st.NewTimer(fn)
+	t.Reset(d)
+	return t
 }
 
 // Every schedules fn on the executor every d until the returned timer
 // is stopped or the stack stops.
 func (st *Stack) Every(d time.Duration, fn func()) *Timer {
-	tm := &Timer{st: st}
-	var fire func()
-	fire = func() {
-		if st.Do(fn) {
-			tm.arm(d, fire)
-		}
+	t := st.NewTimer(fn)
+	t.every = d
+	t.Reset(d)
+	return t
+}
+
+// Reset arms the timer to fire d from now, replacing a pending arm and
+// a firing whose task has not run yet. It takes a fresh registration
+// number on the clock, so it fires exactly where a new After would. Safe
+// from any goroutine; a no-op once the stack stopped.
+func (t *Timer) Reset(d time.Duration) {
+	st := t.st
+	st.timerMu.Lock()
+	defer st.timerMu.Unlock()
+	t.queued = false
+	if st.closed {
+		return
 	}
-	tm.arm(d, fire)
-	return tm
+	if t.ct == nil {
+		t.ct = st.clock.AfterFunc(d, t.fire)
+	} else if !t.ct.Reset(d) && t.armed {
+		t.stale++ // the clock had fired it; that firing is now stale
+	}
+	t.armed = true
+	if t.slot < 0 {
+		t.slot = len(st.timers)
+		st.timers = append(st.timers, t)
+	}
+}
+
+// Stop cancels the timer, and a firing whose task has not run yet. Safe
+// from any goroutine; a no-op if the timer is not armed.
+func (t *Timer) Stop() {
+	t.st.timerMu.Lock()
+	defer t.st.timerMu.Unlock()
+	t.queued = false
+	t.stopLocked()
+}
+
+func (t *Timer) stopLocked() {
+	if !t.armed {
+		return
+	}
+	if !t.ct.Stop() {
+		t.stale++
+	}
+	t.disarmLocked()
+}
+
+// disarmLocked takes the timer out of the stack's armed set.
+func (t *Timer) disarmLocked() {
+	ts := t.st.timers
+	last := ts[len(ts)-1]
+	ts[t.slot], last.slot = last, t.slot
+	ts[len(ts)-1] = nil
+	t.st.timers = ts[:len(ts)-1]
+	t.armed, t.slot = false, -1
+}
+
+// fire is the clock callback: it queues fn's task (one at a time) and
+// re-arms an Every timer.
+func (t *Timer) fire() {
+	st := t.st
+	st.timerMu.Lock()
+	if t.stale > 0 {
+		t.stale--
+		st.timerMu.Unlock()
+		return
+	}
+	if t.every > 0 {
+		t.ct.Reset(t.every)
+	} else {
+		t.disarmLocked()
+	}
+	queue := !t.queued
+	t.queued = true
+	st.timerMu.Unlock()
+	if queue && !st.exec.enqueue(task{kind: kindTimer, arg: t}) {
+		t.Stop() // the executor stopped: so does an Every chain
+	}
+}
+
+// run is the fired timer's task on the executor.
+func (t *Timer) run() {
+	t.st.timerMu.Lock()
+	current := t.queued
+	t.queued = false
+	t.st.timerMu.Unlock()
+	if current {
+		t.fn()
+	}
 }
 
 // svc returns (creating on demand) the service record. Executor-only.

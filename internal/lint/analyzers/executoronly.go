@@ -28,9 +28,9 @@ import (
 //     implement the kernel Module interface (the kernel invokes them
 //     from the drain loop);
 //   - function literals and method values passed to the Stack
-//     scheduling methods (Do, DoSync, After, Every, RegisterFlusher,
-//     Call, CallSync, Indicate, IndicateBatch), including values
-//     reached through composite literals such as
+//     scheduling methods (Do, DoSync, After, Every, NewTimer,
+//     RegisterFlusher, Call, CallSync, Indicate, IndicateBatch),
+//     including values reached through composite literals such as
 //     rp2p.Listen{Handler: m.onRecv};
 //   - function values passed to the kernel's newExecutor constructor:
 //     the executor invokes them only from its drain loop, whether that
@@ -57,8 +57,8 @@ const ExecutorDirective = "//dpulint:executor"
 // Indicate: handler values carried inside its indication slice are
 // dispatched from the same drain loop.
 var stackSchedulers = []string{
-	"Do", "DoSync", "After", "Every", "RegisterFlusher", "Call", "CallSync",
-	"Indicate", "IndicateBatch",
+	"Do", "DoSync", "After", "Every", "NewTimer", "RegisterFlusher", "Call",
+	"CallSync", "Indicate", "IndicateBatch",
 }
 
 // execFacts is the gob-serialized cross-package fact: the FullNames of

@@ -138,15 +138,19 @@ var (
 )
 
 // Engine is the adaptation loop: sample → evaluate → confirm → act (or
-// advise). One engine runs per node. The loop is a self-rearming timer
-// chain on Config.Clock rather than a dedicated goroutine, so under a
-// virtual clock the ticks become ordinary scheduled events and the whole
-// adaptation trajectory is deterministic.
+// advise). One engine runs per node, paced by a self-rearming timer on
+// Config.Clock. Under a virtual clock the tick runs inside the timer
+// callback, so the ticks are ordinary scheduled events and the whole
+// adaptation trajectory is deterministic. On wall time the callback only
+// wakes the engine's own goroutine, which runs the tick: Sample waits
+// for a stack and Act for a whole protocol switch, and the clock's pacer
+// fires every other wall-clock timer in the process — the ones the
+// switch itself waits for among them.
 type Engine struct {
 	cfg Config
 
-	// Decision state, touched only under runMu (tick callbacks, or
-	// tests driving step directly).
+	// Decision state, touched only under runMu (ticks, or tests driving
+	// step directly).
 	pendingTarget string
 	pendingCount  int
 	lastDecision  time.Time
@@ -159,6 +163,9 @@ type Engine struct {
 	runMu   sync.Mutex // serializes ticks against each other and Stop
 	timerMu sync.Mutex
 	timer   vclock.Timer
+	wake    chan struct{} // wall time: the timer's signal to the engine goroutine
+	quit    chan struct{} // wall time: closed by Stop
+	done    chan struct{} // wall time: closed when the engine goroutine exits
 	started bool
 	stopped bool
 }
@@ -186,11 +193,41 @@ func (e *Engine) Start() {
 		return
 	}
 	e.started = true
-	e.timer = e.cfg.Clock.AfterFunc(e.cfg.Interval, e.tick)
+	if vclock.IsVirtual(e.cfg.Clock) {
+		e.timer = e.cfg.Clock.AfterFunc(e.cfg.Interval, e.tick)
+		return
+	}
+	e.wake = make(chan struct{}, 1)
+	e.quit = make(chan struct{})
+	e.done = make(chan struct{})
+	go e.loop()
+	e.timer = e.cfg.Clock.AfterFunc(e.cfg.Interval, e.signal)
+}
+
+// signal is the wall-time timer callback: it wakes the engine goroutine
+// and returns at once.
+func (e *Engine) signal() {
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+}
+
+// loop is the engine goroutine on wall time: one tick per signal.
+func (e *Engine) loop() {
+	defer close(e.done)
+	for {
+		select {
+		case <-e.wake:
+			e.tick()
+		case <-e.quit:
+			return
+		}
+	}
 }
 
 // Stop halts the loop and waits for any in-flight tick to finish. Safe
-// to call more than once and before Start.
+// to call more than once and before Start; not from Act or OnAdvice.
 func (e *Engine) Stop() {
 	e.timerMu.Lock()
 	if e.stopped {
@@ -202,6 +239,10 @@ func (e *Engine) Stop() {
 		e.timer.Stop()
 	}
 	e.timerMu.Unlock()
+	if e.quit != nil {
+		close(e.quit)
+		<-e.done
+	}
 	// An already-running tick holds runMu; taking it drains the tick.
 	e.runMu.Lock()
 	e.runMu.Unlock() //nolint:staticcheck // empty section is the join
@@ -229,7 +270,7 @@ func (e *Engine) tick() {
 	e.runMu.Unlock()
 	e.timerMu.Lock()
 	if !e.stopped {
-		e.timer = e.cfg.Clock.AfterFunc(e.cfg.Interval, e.tick)
+		e.timer.Reset(e.cfg.Interval)
 	}
 	e.timerMu.Unlock()
 }

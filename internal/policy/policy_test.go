@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // lossy/clean signal helpers against the default LossSensitive
@@ -319,4 +321,31 @@ func TestEngineLifecycle(t *testing.T) {
 		Sample:   func() (Signals, bool) { return Signals{}, false },
 	})
 	unstarted.Stop() // must not hang without Start
+}
+
+// TestWallEngineActMayWaitForAWallTimer: on the wall clock, Act may
+// block on another wall-clock timer — as ChangeProtocolAll does on the
+// batch flush and the retransmission timers of the switch it waits
+// for. The tick runs on the engine's own goroutine, so the pacer that
+// fires every wall-clock timer keeps firing; a tick run inside the timer
+// callback would deadlock here.
+func TestWallEngineActMayWaitForAWallTimer(t *testing.T) {
+	acted := make(chan struct{})
+	var once sync.Once
+	e := New(Config{
+		Policy:   NewLossSensitive("ct", "seq"),
+		Interval: time.Millisecond,
+		Confirm:  1,
+		Sample:   func() (Signals, bool) { return lossySignal("seq"), true },
+		Act: func(target, reason string) error {
+			fired := make(chan struct{})
+			vclock.Wall.AfterFunc(time.Millisecond, func() { close(fired) })
+			<-fired
+			once.Do(func() { close(acted) })
+			return nil
+		},
+	})
+	e.Start()
+	<-acted
+	e.Stop()
 }

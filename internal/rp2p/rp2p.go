@@ -195,8 +195,11 @@ type peer struct {
 	rto     time.Duration // current timeout incl. backoff
 	srtt    time.Duration // smoothed RTT (0 until first sample)
 	rttvar  time.Duration
+	// The retransmission timer, made with the peer and re-armed in place;
+	// a firing whose task a stop or re-arm overtook is dropped by the
+	// kernel, so retransmit runs only for the arm in force.
 	rtimer  *kernel.Timer
-	rtGen   uint64 // invalidates retransmit events queued by dead timers
+	rtArmed bool // armed, or fired and retransmit not run yet
 
 	// Receiver side.
 	expected uint64 // next in-order sequence wanted (starts at 1)
@@ -284,9 +287,7 @@ func (m *Module) Stop() {
 	sort.Ints(addrs)
 	for _, a := range addrs {
 		p := m.peers[kernel.Addr(a)]
-		if p.rtimer != nil {
-			p.rtimer.Stop()
-		}
+		m.stopRetransmit(p)
 		freeUnacked(p)
 		for _, pkt := range p.sendQ {
 			pkt.w.Free()
@@ -311,11 +312,7 @@ func (m *Module) dropPeer(a kernel.Addr) {
 	if !ok {
 		return
 	}
-	if p.rtimer != nil {
-		p.rtimer.Stop()
-		p.rtimer = nil
-	}
-	p.rtGen++ // invalidate any queued retransmit event
+	m.stopRetransmit(p)
 	freeUnacked(p)
 	for _, pkt := range p.sendQ {
 		pkt.w.Free()
@@ -345,6 +342,7 @@ func (m *Module) peerFor(a kernel.Addr) *peer {
 	if !ok {
 		p = &peer{addr: a, nextSeq: 1, expected: 1,
 			unacked: make(map[uint64]*outPkt), oob: make(map[uint64]Recv), rto: m.cfg.RTO}
+		p.rtimer = m.Stk.NewTimer(func() { m.retransmit(p) })
 		m.peers[a] = p
 	}
 	return p
@@ -412,19 +410,22 @@ func (m *Module) transmit(p *peer, pkt *outPkt) {
 }
 
 func (m *Module) armRetransmit(p *peer) {
-	if p.rtimer != nil {
+	if p.rtArmed {
 		return
 	}
-	p.rtGen++
-	gen := p.rtGen
-	p.rtimer = m.Stk.After(p.rto, func() { m.retransmit(p, gen) })
+	p.rtArmed = true
+	p.rtimer.Reset(p.rto)
 }
 
-func (m *Module) retransmit(p *peer, gen uint64) {
-	if gen != p.rtGen {
-		return // a queued event from a timer that was since invalidated
+func (m *Module) stopRetransmit(p *peer) {
+	if p.rtArmed {
+		p.rtArmed = false
+		p.rtimer.Stop()
 	}
-	p.rtimer = nil
+}
+
+func (m *Module) retransmit(p *peer) {
+	p.rtArmed = false
 	if len(p.unacked) == 0 {
 		return
 	}
@@ -594,22 +595,14 @@ func (m *Module) onAck(from kernel.Addr, want uint64, echoTS uint64) {
 	}
 	switch {
 	case len(p.unacked) == 0:
-		if p.rtimer != nil {
-			p.rtimer.Stop()
-			p.rtimer = nil
-			p.rtGen++ // invalidate any already-queued retransmit event
-		}
+		m.stopRetransmit(p)
 	case progressed:
 		// Restart the clock with the current (possibly just reduced)
 		// timeout: a timer armed during backoff would otherwise keep
 		// pacing retransmissions at the backed-off interval even while
 		// acks flow.
-		if p.rtimer != nil {
-			p.rtimer.Stop()
-			p.rtimer = nil
-			p.rtGen++
-		}
-		m.armRetransmit(p)
+		p.rtArmed = true
+		p.rtimer.Reset(p.rto)
 	default:
 		m.armRetransmit(p)
 	}

@@ -38,26 +38,25 @@ func (v virtualRunClock) AfterFunc(d time.Duration, fn func()) { v.Virtual.After
 
 func (v virtualRunClock) ExpectGrace() time.Duration { return 0 }
 
-// wallRunClock drives real-transport runs. The dpulint clocktime
-// exemptions are deliberate: this type exists precisely to leave the
-// virtual-time discipline when the sockets underneath are real.
+// wallRunClock drives real-transport runs on vclock.Wall.
 type wallRunClock struct{ base time.Time }
 
-func newWallRunClock() *wallRunClock {
-	return &wallRunClock{base: time.Now()} //dpulint:ignore clocktime wall-clock driver for real-socket transports
-}
+func newWallRunClock() *wallRunClock { return &wallRunClock{base: vclock.Wall.Now()} }
 
+// AfterFunc runs fn on a goroutine of its own: an action may wait (a
+// workload tick on Broadcast's backpressure, a crash on the executor),
+// and Wall's callbacks must not block.
 func (w *wallRunClock) AfterFunc(d time.Duration, fn func()) {
-	time.AfterFunc(d, fn) //dpulint:ignore clocktime wall-clock driver for real-socket transports
+	vclock.Wall.AfterFunc(d, func() { go fn() })
 }
 
 func (w *wallRunClock) RunFor(d time.Duration) {
-	time.Sleep(d) //dpulint:ignore clocktime wall-clock driver for real-socket transports
+	done := make(chan struct{})
+	vclock.Wall.AfterFunc(d, func() { close(done) })
+	<-done
 }
 
-func (w *wallRunClock) Elapsed() time.Duration {
-	return time.Since(w.base) //dpulint:ignore clocktime wall-clock driver for real-socket transports
-}
+func (w *wallRunClock) Elapsed() time.Duration { return vclock.Wall.Now().Sub(w.base) }
 
 func (w *wallRunClock) Base() time.Time { return w.base }
 

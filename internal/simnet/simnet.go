@@ -63,10 +63,9 @@ type Config struct {
 	LoopbackLatency time.Duration
 	// Clock supplies delivery timers and the egress-queue timebase. Nil
 	// or vclock.Wall means wall time, kept by a vclock.Paced the network
-	// owns (a runtime timer per packet would round every sub-millisecond
-	// hop up to a millisecond); a vclock.Virtual runs the whole fabric
-	// under deterministic virtual time. Fixed at New; Update cannot
-	// change it.
+	// owns: the fabric's sleeper, not the process heap's (vclock.Paced
+	// says why); a vclock.Virtual runs the whole fabric under
+	// deterministic virtual time. Fixed at New; Update cannot change it.
 	Clock vclock.Clock
 }
 

@@ -66,6 +66,14 @@ type FaultConfig struct {
 	// under a vclock.Virtual the held-back datagrams release on virtual
 	// time, so seeded fault runs replay identically (and never stall
 	// waiting for wall timers the virtual clock cannot advance).
+	//
+	// Under a virtual clock a delayed datagram is sent from the timer
+	// callback. On wall time the callback hands it to a sender goroutine
+	// instead — a socket write can park on a full buffer, and the clock
+	// fires every other timer in the process from the same goroutine —
+	// which sends the handed datagrams one at a time in the order their
+	// timers fired: (deadline, arming) order, so a delay never reorders
+	// two datagrams it holds back by the same amount.
 	Clock vclock.Clock
 }
 
@@ -159,6 +167,9 @@ type FaultyTransport struct {
 	oneWay    map[edge]struct{}
 	burstLeft int // datagrams the current loss burst still swallows
 	closed    bool
+	outq      []func()       // wall time: delayed sends whose timers fired, oldest first
+	sending   bool           // wall time: a sender goroutine drains outq
+	sender    sync.WaitGroup // the sender goroutine, waited for by Close
 }
 
 // Open opens the inner endpoint and wraps its sender. An inner endpoint
@@ -208,7 +219,7 @@ func wrapFaulty(t *FaultyTransport, ep Endpoint) Endpoint {
 }
 
 // Close closes the inner transport and cancels delayed datagrams still
-// in flight.
+// in flight, once a datagram being sent from the delay queue is out.
 func (t *FaultyTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
@@ -217,6 +228,7 @@ func (t *FaultyTransport) Close() {
 	}
 	t.timers = make(map[vclock.Timer]struct{})
 	t.mu.Unlock()
+	t.sender.Wait()
 	t.inner.Close()
 }
 
@@ -393,17 +405,51 @@ func (t *FaultyTransport) after(delay time.Duration, send func()) {
 	if t.closed {
 		return
 	}
+	inline := vclock.IsVirtual(t.clock)
 	var tm vclock.Timer
 	tm = t.clock.AfterFunc(delay, func() {
 		t.mu.Lock()
 		delete(t.timers, tm)
-		closed := t.closed
-		t.mu.Unlock()
-		if !closed {
+		if t.closed {
+			t.mu.Unlock()
+			return
+		}
+		if inline {
+			t.mu.Unlock()
 			send()
+			return
+		}
+		t.outq = append(t.outq, send)
+		start := !t.sending
+		if start {
+			t.sending = true
+			t.sender.Add(1)
+		}
+		t.mu.Unlock()
+		if start {
+			go t.drain()
 		}
 	})
 	t.timers[tm] = struct{}{}
+}
+
+// drain is the wall-time sender goroutine: it sends the handed-off
+// datagrams in order and exits when none are left.
+func (t *FaultyTransport) drain() {
+	defer t.sender.Done()
+	for {
+		t.mu.Lock()
+		if len(t.outq) == 0 || t.closed {
+			t.outq, t.sending = nil, false
+			t.mu.Unlock()
+			return
+		}
+		send := t.outq[0]
+		t.outq[0] = nil
+		t.outq = t.outq[1:]
+		t.mu.Unlock()
+		send()
+	}
 }
 
 type faultyEndpoint struct {
@@ -484,12 +530,12 @@ func (e faultyBatchEndpoint) Enqueue(to Addr, data []byte) {
 		}
 		return
 	}
-	// A delayed datagram re-materializes on the fault clock's goroutine
-	// (a runtime timer's on wall time, the driver's under virtual time),
-	// outside any executor pass — no Flush will follow, and BatchSender's
+	// A delayed datagram re-materializes outside any executor pass (on
+	// the sender goroutine on wall time, on the goroutine stepping a
+	// virtual clock) — no Flush will follow, and BatchSender's
 	// single-caller contract forbids touching the queue from here. Send
-	// it directly: one unbatched syscall per delayed datagram is the
-	// cost of shaping it.
+	// it directly: one unbatched syscall per delayed datagram is the cost
+	// of shaping it.
 	e.t.after(delay, func() {
 		e.ep.Send(to, buf)
 		if dup {

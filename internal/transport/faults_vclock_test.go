@@ -104,3 +104,40 @@ func TestFaultyVirtualClockDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical transcripts")
 	}
 }
+
+// TestFaultyWallDelayIsHandedOff: on the wall clock a delayed datagram
+// is sent by the decorator's sender goroutine, not by the clock's pacer,
+// which fires every wall-clock timer in the process. A send that parks
+// (here: the first one, until released) leaves other timers firing, and
+// datagrams held back by one delay leave in the order they were sent.
+func TestFaultyWallDelayIsHandedOff(t *testing.T) {
+	const n = 100
+	gate := make(chan struct{})
+	got := make(chan string, n)
+	ft := Faulty(newMemFabric(), FaultConfig{Delay: time.Millisecond})
+	defer ft.Close()
+	if _, err := ft.Open(2, func(_ Addr, data []byte) {
+		if string(data) == "msg-000" {
+			<-gate
+		}
+		got <- string(data)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := ft.Open(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		ep.Send(2, []byte(fmt.Sprintf("msg-%03d", i)))
+	}
+	fired := make(chan struct{})
+	vclock.Wall.AfterFunc(2*time.Millisecond, func() { close(fired) })
+	<-fired // with the first send parked
+	close(gate)
+	for i := 0; i < n; i++ {
+		if want, d := fmt.Sprintf("msg-%03d", i), <-got; d != want {
+			t.Fatalf("delivery %d is %s, want %s", i, d, want)
+		}
+	}
+}

@@ -5,28 +5,67 @@ import "time"
 // Paced is a wall clock that keeps sub-millisecond deadlines. It owns a
 // schedule — the heap Virtual has — and fires it from one pacer
 // goroutine that sleeps to the head's deadline with a µs-resolution OS
-// sleep, delivering everything due in one pass, in (deadline,
+// timer, delivering everything due in one pass, in (deadline,
 // registration) order.
 //
 // It exists because the runtime cannot do this in a mostly idle
 // process: with every P parked the Go scheduler waits in the netpoller
 // with a millisecond timeout, so time.AfterFunc(170µs) fires after
-// about 1.1 ms. A fabric that schedules one delivery per packet (simnet)
-// then costs a millisecond per simulated hop whatever it is configured
-// to cost. Timers that are armed and stopped far more often than they
-// fire (retransmission, failure detection, batch flush) belong on Wall,
-// whose runtime timers live on per-P heaps and cost no wake-up.
+// about 1.1 ms. A batch window of 500 µs was 1.1 ms wide, and a fabric
+// that schedules one delivery per packet costs a millisecond per
+// simulated hop, whatever either is configured to cost.
+//
+// Two Paced clocks run in a process, the same schedule code under two
+// sleepers, picked by role and by nothing else:
+//
+//   - Wall, the process heap, holds every wall-clock timer of the stacks
+//     (Stack.After/Every: the batch flush, switch grace, rp2p's RTO, ct's
+//     pull, token's idle hold, fd heartbeats), transport.Faulty's delays,
+//     the TCP and join backoff (transport.WaitBackoff) and the policy
+//     tick. Its pacer sleeps on a Linux timerfd read through the Go
+//     netpoller, so a sleeping pacer holds no P, no locked thread and no
+//     pipe; arming an earlier deadline reprograms the timerfd under the
+//     heap lock instead of waking the pacer, and a later one changes
+//     nothing (a stopped head leaves a stale, earlier expiry behind: the
+//     pacer wakes once, finds nothing due and sleeps again). The sleep
+//     must not hold a P: select(2) enters the kernel holding it, and with
+//     GOMAXPROCS=1 nothing — the netpoller included — runs until sysmon
+//     retakes it, up to 10 ms later. With the stacks on that sleeper
+//     tcp-ct-large fell from 2370 to 1370 msgs/s (p99 5.3 → 22.4 ms) and
+//     udp-seq-small lost 10 %. A timerfd in the netpoller wakes as
+//     precisely as select(2) in an idle process: a 170-µs wait measured
+//     p50/p90 191/198 µs against 188/254 at GOMAXPROCS=1, 184/191
+//     against 184/188 at 2.
+//   - NewPaced makes the simulated fabric's own (simnet), whose pacer
+//     sleeps in select(2) on a locked thread with its timer slack
+//     lowered. Moving the fabric's deliveries onto the timerfd sleeper
+//     read sim-switch-storm latency_p50_ms 18 % higher (0.85 → 1.01–1.04
+//     ms, 6 of 6 pairs at two Ps), whether on its own pacer or on the
+//     process heap; with the fabric on select(2) and only the stacks'
+//     timers moved, the storm was level.
+//
+// Off Linux both use a runtime timer, which keeps the deadlines the
+// runtime keeps.
 //
 // Callbacks run inline on the pacer goroutine, one at a time, and must
-// return quickly; they may call AfterFunc and Stop on the same clock.
-// Now, AfterFunc and Stop are safe from any goroutine.
+// return quickly: on Wall one blocked callback freezes every timer in
+// the process, including the ones it may be waiting for. They may call
+// AfterFunc, Stop and Reset on the same clock. The callers of Wall, by
+// what their callbacks do: kernel timers enqueue one executor task;
+// WaitBackoff and the join backoff in dpu close a channel; the policy
+// engine signals its own goroutine, which samples and acts (Act blocks
+// for a whole protocol switch); transport.Faulty hands a delayed
+// datagram to a sender goroutine, because a socket write can park on a
+// full buffer; the scenario runner starts a goroutine per action. Now,
+// AfterFunc, Stop and Reset are safe from any goroutine.
 type Paced struct {
 	schedule
-	base  time.Time
-	state pacerState    // guarded by schedule.mu
-	wake  chan struct{} // resumes a parked pacer; buffered for the one pending signal
-	done  chan struct{} // closed when the pacer goroutine has exited
-	sl    sleeper       // the pacer's interruptible sleep; nil until it starts
+	base     time.Time
+	newSleep func() sleeper // the role's sleeper, made when the pacer starts
+	state    pacerState     // guarded by schedule.mu
+	sleepAt  int64          // pacerSleeping: the deadline the sleep ends at, -1 for none; guarded by schedule.mu
+	done     chan struct{}  // closed when the pacer goroutine has exited
+	sl       sleeper        // nil until the pacer starts
 }
 
 // pacerState is what the pacer goroutine is doing, so that AfterFunc
@@ -36,34 +75,36 @@ type pacerState int
 const (
 	pacerNone     pacerState = iota // not started yet
 	pacerRunning                    // firing callbacks; reads the heap again before it sleeps
-	pacerSleeping                   // in sl.sleep, to the deadline that was the head
-	pacerParked                     // heap empty, blocked on wake
+	pacerSleeping                   // in sl.sleep, until sleepAt or forever
 	pacerClosed
 )
 
-// sleeper is the pacer's interruptible sleep. sleep and release are
-// called by the pacer goroutine only; interrupt by anyone, at most once
-// per sleep (schedule.mu and pacerState see to that).
+// sleeper is the pacer's sleep. program, sleep and close are called by
+// the pacer goroutine only, program with schedule.mu held; advance by
+// anyone with schedule.mu held.
 type sleeper interface {
-	// sleep blocks for d or until interrupt, whichever is first.
-	sleep(d time.Duration)
-	// interrupt ends the sleep in progress or, failing that, the next.
-	interrupt()
-	// release gives back what sleep holds between calls (an OS thread);
-	// the pacer calls it before it parks.
-	release()
-	// close frees the sleeper; no sleep is in progress.
+	// program sets when the next sleep ends: wait from now, or never
+	// (until an advance) when wait is negative.
+	program(wait time.Duration)
+	// sleep blocks until the programmed time, or an earlier one set by
+	// advance; it may return early.
+	sleep()
+	// advance moves the end of the sleep in progress, or about to start,
+	// to wait from now, which is earlier than what it was told. It
+	// reports false when it could only end the sleep: the pacer reads the
+	// heap then and must not be told again until it sleeps again.
+	advance(wait time.Duration) bool
+	// close frees the sleeper; it is called by the pacer as it exits.
 	close()
 }
 
-// NewPaced creates a paced wall clock. It holds no goroutine, thread or
+// NewPaced creates the paced clock of a simulated fabric (its sleeper
+// is the fabric's, see Paced). It holds no goroutine, thread or
 // descriptor until the first AfterFunc; Close releases them.
-func NewPaced() *Paced {
-	return &Paced{
-		base: time.Now(),
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
+func NewPaced() *Paced { return newPaced(newFabricSleeper) }
+
+func newPaced(newSleep func() sleeper) *Paced {
+	return &Paced{base: time.Now(), newSleep: newSleep, done: make(chan struct{})}
 }
 
 // Now returns the current wall-clock instant.
@@ -71,29 +112,39 @@ func (p *Paced) Now() time.Time { return time.Now() }
 
 // AfterFunc schedules fn to run on the pacer goroutine d from now.
 func (p *Paced) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
+	ev := &vevent{c: p, fn: fn, index: -1}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.armLocked(ev, d)
+	return ev
+}
+
+// armLocked queues ev and tells the pacer when it must wake earlier
+// than it planned to.
+func (p *Paced) armLocked(ev *vevent, d time.Duration) {
 	if p.state == pacerClosed {
-		return &vevent{s: &p.schedule, stopped: true, index: -1}
+		ev.stopped = true // never fires; Stop reports false
+		return
 	}
-	ev := p.armLocked(int64(time.Since(p.base)+d), fn)
-	if ev.index != 0 {
-		return ev // not the earliest deadline: the pacer's plan stands
-	}
+	now := int64(time.Since(p.base))
+	wait := max(d, 0)
+	at := now + int64(wait)
+	p.pushLocked(ev, at)
 	switch p.state {
 	case pacerNone:
-		p.sl = newSleeper()
+		p.sl = p.newSleep()
+		p.state = pacerRunning
 		go p.run()
 	case pacerSleeping:
-		p.sl.interrupt()
-	case pacerParked:
-		p.wake <- struct{}{}
+		if p.sleepAt >= 0 && at >= p.sleepAt {
+			return // the pacer wakes in time for it
+		}
+		if p.sl.advance(wait) {
+			p.sleepAt = at
+		} else {
+			p.state = pacerRunning // told once; it reads the heap again before it sleeps
+		}
 	}
-	p.state = pacerRunning // told once; it reads the heap again before it sleeps
-	return ev
 }
 
 // Close drops every pending callback and returns once the pacer
@@ -109,11 +160,8 @@ func (p *Paced) Close() {
 		ev.index = -1
 	}
 	p.events = nil
-	switch prev {
-	case pacerSleeping:
-		p.sl.interrupt()
-	case pacerParked:
-		p.wake <- struct{}{}
+	if prev == pacerSleeping {
+		p.sl.advance(0)
 	}
 	p.mu.Unlock()
 	if prev != pacerNone && prev != pacerClosed {
@@ -125,7 +173,6 @@ func (p *Paced) Close() {
 func (p *Paced) run() {
 	defer close(p.done)
 	defer p.sl.close()
-	defer p.sl.release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.state != pacerClosed {
@@ -137,33 +184,39 @@ func (p *Paced) run() {
 			p.mu.Lock()
 			continue
 		}
-		if p.events.Len() == 0 {
-			// Block on a Go primitive, not in the kernel: an idle clock
-			// pins no thread.
-			p.state = pacerParked
-			p.mu.Unlock()
-			p.sl.release()
-			<-p.wake
-		} else {
-			wait := time.Duration(p.events[0].at - now)
-			p.state = pacerSleeping
-			p.mu.Unlock()
-			p.sl.sleep(wait)
+		p.state = pacerSleeping
+		p.sleepAt = -1
+		wait := time.Duration(-1)
+		if p.events.Len() > 0 {
+			p.sleepAt = p.events[0].at
+			wait = time.Duration(p.sleepAt - now)
 		}
+		p.sl.program(wait)
+		p.mu.Unlock()
+		p.sl.sleep()
 		p.mu.Lock()
 	}
 }
 
 // timerSleeper is the portable sleeper: a runtime timer and a channel.
 // It keeps millisecond deadlines at best in an idle process; platforms
-// with something better provide newSleeper themselves and fall back to
-// this one.
-type timerSleeper struct{ wake chan struct{} }
+// with something better provide their sleepers themselves and fall back
+// to this one.
+type timerSleeper struct {
+	wake chan struct{}
+	wait time.Duration // as programmed; the pacer's, written under schedule.mu
+}
 
-func newTimerSleeper() sleeper { return timerSleeper{wake: make(chan struct{}, 1)} }
+func newTimerSleeper() sleeper { return &timerSleeper{wake: make(chan struct{}, 1)} }
 
-func (s timerSleeper) sleep(d time.Duration) {
-	t := time.NewTimer(d)
+func (s *timerSleeper) program(wait time.Duration) { s.wait = wait }
+
+func (s *timerSleeper) sleep() {
+	if s.wait < 0 {
+		<-s.wake
+		return
+	}
+	t := time.NewTimer(s.wait)
 	select {
 	case <-t.C:
 	case <-s.wake:
@@ -171,15 +224,15 @@ func (s timerSleeper) sleep(d time.Duration) {
 	}
 }
 
-// interrupt leaves at most one token: a sleep that timed out as it was
-// interrupted leaves its token for the next one, which then returns
-// early and reads the heap again.
-func (s timerSleeper) interrupt() {
+// advance leaves at most one token: a sleep that timed out as it was
+// advanced leaves its token for the next one, which then returns early
+// and reads the heap again.
+func (s *timerSleeper) advance(time.Duration) bool {
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
+	return false
 }
 
-func (s timerSleeper) release() {}
-func (s timerSleeper) close()   {}
+func (s *timerSleeper) close() {}

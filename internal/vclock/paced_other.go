@@ -2,7 +2,10 @@
 
 package vclock
 
-// newSleeper: no µs-resolution interruptible sleep from the standard
-// library alone on this platform; deadlines are kept as well as the
-// runtime's timers keep them.
-func newSleeper() sleeper { return newTimerSleeper() }
+// No µs-resolution sleep from the standard library alone on this
+// platform: both roles keep deadlines as well as the runtime's timers
+// keep them.
+
+func newFabricSleeper() sleeper { return newTimerSleeper() }
+
+func newHeapSleeper() sleeper { return newTimerSleeper() }

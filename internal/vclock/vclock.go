@@ -1,12 +1,12 @@
 // Package vclock abstracts time for the stack so whole clusters can run
-// under discrete-event virtual time. Production code uses the Wall
-// clock, which delegates to the runtime; simulations use Virtual, a
+// under discrete-event virtual time. Simulations use Virtual, a
 // deterministic event scheduler that advances time only when every
-// registered event source (kernel executors) is quiescent. Paced is
-// the third: wall time again, but with Virtual's deadline heap fired by
-// one goroutine that keeps sub-millisecond deadlines, for a simulated
-// fabric that runs in real time (see Paced). The three are the stack's
-// only adapter to the runtime clock.
+// registered event source (kernel executors) is quiescent. Wall time is
+// kept by Paced: Virtual's deadline heap fired by one goroutine that
+// keeps sub-millisecond deadlines. Production code uses Wall, the one
+// Paced that holds every wall-clock timer in the process; a simulated
+// fabric that runs in real time owns another (see Paced). They are the
+// stack's only adapter to the runtime clock.
 //
 // # Determinism
 //
@@ -39,9 +39,16 @@ import (
 
 // Timer is a cancellable pending callback, the clock-agnostic subset of
 // *time.Timer. Stop reports whether it prevented the callback from
-// firing.
+// firing. Reset arms the timer again to run its callback d from now,
+// whether it is pending, fired or stopped: the callback keeps its heap
+// entry, so re-arming allocates nothing, and takes a fresh registration
+// number, so it fires exactly where a new AfterFunc would. Reset reports
+// whether the timer was pending; when it was not, a firing of the
+// previous arm may still be about to run its callback, as with
+// time.Timer.
 type Timer interface {
 	Stop() bool
+	Reset(d time.Duration) bool
 }
 
 // Clock supplies the two time operations the stack uses: reading the
@@ -51,20 +58,10 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Wall is the real-time clock backed by the runtime.
-var Wall Clock = wallClock{}
-
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-func (wallClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return wallTimer{time.AfterFunc(d, fn)}
-}
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) Stop() bool { return w.t.Stop() }
+// Wall is the real-time clock: one Paced that every wall-clock timer in
+// the process shares, fired from one pacer goroutine. Its callbacks must
+// not block (see Paced).
+var Wall Clock = newPaced(newHeapSleeper)
 
 // Source is an event consumer whose activity the virtual clock must
 // observe to detect quiescence. QueueState returns a monotonic count of
@@ -115,15 +112,23 @@ func NewVirtual() *Virtual {
 // event's virtual offset into the run.
 func (v *Virtual) Base() time.Time { return v.base }
 
-// vevent is one armed callback, and the Timer handed out for it.
+// vevent is one callback, armed or not, and the Timer handed out for
+// it.
 type vevent struct {
-	s       *schedule
+	c       owner
 	at      int64
 	seq     uint64
 	fn      func()
 	stopped bool
 	fired   bool
-	index   int
+	index   int // position in the heap; -1 when not in it
+}
+
+// owner is the clock a vevent was made by: Virtual or Paced.
+type owner interface {
+	sched() *schedule
+	// armLocked (re-)arms ev to fire d from now; schedule.mu is held.
+	armLocked(ev *vevent, d time.Duration)
 }
 
 type eventHeap []*vevent
@@ -163,12 +168,19 @@ type schedule struct {
 	seq    uint64
 }
 
-// armLocked registers fn at deadline at; s.mu must be held.
-func (s *schedule) armLocked(at int64, fn func()) *vevent {
+func (s *schedule) sched() *schedule { return s }
+
+// pushLocked (re-)queues ev at deadline at under a fresh registration
+// number, in place when it is still queued; s.mu must be held.
+func (s *schedule) pushLocked(ev *vevent, at int64) {
 	s.seq++
-	ev := &vevent{s: s, at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.events, ev)
-	return ev
+	ev.at, ev.seq = at, s.seq
+	ev.stopped, ev.fired = false, false
+	if ev.index >= 0 {
+		heap.Fix(&s.events, ev.index)
+	} else {
+		heap.Push(&s.events, ev)
+	}
 }
 
 // popDueLocked removes the earliest event with deadline <= limit (a
@@ -192,17 +204,27 @@ func (s *schedule) popDueLocked(limit int64) *vevent {
 }
 
 func (ev *vevent) Stop() bool {
-	ev.s.mu.Lock()
-	defer ev.s.mu.Unlock()
+	s := ev.c.sched()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if ev.stopped || ev.fired {
 		return false
 	}
 	ev.stopped = true
 	if ev.index >= 0 {
-		heap.Remove(&ev.s.events, ev.index)
+		heap.Remove(&s.events, ev.index)
 		ev.index = -1
 	}
 	return true
+}
+
+func (ev *vevent) Reset(d time.Duration) bool {
+	s := ev.c.sched()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pending := ev.index >= 0
+	ev.c.armLocked(ev, d)
+	return pending
 }
 
 // PendingEvents returns the number of scheduled, unfired, unstopped
@@ -236,12 +258,15 @@ func (v *Virtual) Elapsed() time.Duration {
 // AfterFunc schedules fn to run after d of virtual time. The callback
 // runs inline on the driver goroutine during Step or RunFor.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
+	ev := &vevent{c: v, fn: fn, index: -1}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.armLocked(v.now+int64(d), fn)
+	v.armLocked(ev, d)
+	return ev
+}
+
+func (v *Virtual) armLocked(ev *vevent, d time.Duration) {
+	v.pushLocked(ev, v.now+int64(max(d, 0)))
 }
 
 // Register adds an event source to the quiescence poll set. Sources are

@@ -49,6 +49,29 @@ func TestVirtualStop(t *testing.T) {
 	}
 }
 
+// TestVirtualResetIsAFreshRegistration: re-arming in place fires where
+// a new AfterFunc would — after every timer registered before it at the
+// same deadline — and keeps one heap entry.
+func TestVirtualResetIsAFreshRegistration(t *testing.T) {
+	v := NewVirtual()
+	var got []int
+	a := v.AfterFunc(10*time.Millisecond, func() { got = append(got, 1) })
+	v.AfterFunc(10*time.Millisecond, func() { got = append(got, 2) })
+	a.Reset(10 * time.Millisecond)
+	if n := v.PendingEvents(); n != 2 {
+		t.Fatalf("%d events pending, want 2", n)
+	}
+	v.RunFor(10 * time.Millisecond)
+	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("fired %v, want [2 1]", got)
+	}
+	a.Reset(5 * time.Millisecond) // after it fired
+	v.RunFor(5 * time.Millisecond)
+	if len(got) != 3 || got[2] != 1 {
+		t.Fatalf("fired %v, want the re-armed timer again", got)
+	}
+}
+
 func TestVirtualRunForAdvancesExactly(t *testing.T) {
 	v := NewVirtual()
 	var fired atomic.Int32
