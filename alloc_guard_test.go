@@ -254,3 +254,12 @@ func TestLargeBroadcastByteBudget(t *testing.T) {
 		t.Errorf("transport stats %+v (after warm-up: %+v): the measured interval was not clean", st, clean)
 	}
 }
+
+// countingModule is a provider that only counts the requests it is
+// handed: the dispatch budgets measure the kernel, not a module.
+type countingModule struct {
+	kernel.Base
+	count *atomic.Int64
+}
+
+func (m *countingModule) HandleRequest(kernel.ServiceID, kernel.Request) { m.count.Add(1) }

@@ -25,6 +25,19 @@
 // (exactly-once, all messages present) and prints a digest of the
 // sequence; identical digests across processes certify the uniform
 // total order.
+//
+// With -scenario it instead runs declarative scenarios (see
+// docs/SCENARIOS.md): a cluster is driven through a scripted
+// environment/membership timeline under virtual time with the
+// invariant checkers on, and the per-phase and end-state expectations
+// written in the scenario file are verified. -seed and -transport
+// override a scenario's committed values only when given explicitly:
+//
+//	dpu-sim -scenario loss-ramp                       # corpus entry by name
+//	dpu-sim -scenario all                             # whole scenarios/ corpus
+//	dpu-sim -scenario file:my.dpu.yaml                # any scenario file on disk
+//	dpu-sim -scenario large-50 -seed 9                # override the committed seed
+//	dpu-sim -scenario crash-restart -transport tcp    # replay over loopback TCP
 package main
 
 import (
@@ -52,11 +65,36 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation / fault-injection seed")
 	listen := flag.String("listen", "", "this process's socket address (enables multi-process mode)")
 	peers := flag.String("peers", "", "comma-separated address book of the whole group, in stack order (multi-process mode)")
-	transportKind := flag.String("transport", "udp", "multi-process socket backend: udp (datagrams) or tcp (streams; carries payloads past the datagram ceiling)")
+	transportKind := flag.String("transport", "udp", "multi-process socket backend: udp (datagrams) or tcp (streams; carries payloads past the datagram ceiling); with -scenario, replaces the scenario's fabric: sim, udp or tcp")
 	joinsrv := flag.String("joinsrv", "", "TCP address to serve join handshakes on (multi-process mode; lets fresh processes -join)")
 	join := flag.String("join", "", "join a running cluster via this member's -joinsrv TCP address (requires -listen for this process's UDP socket)")
 	quiet := flag.Duration("quiet", 2*time.Second, "silence that ends delivery collection")
+	scenarios := flag.String("scenario", "", "scenario(s) to run instead: a corpus name, file:<path>, or all (comma-separated; see docs/SCENARIOS.md)")
 	flag.Parse()
+
+	if *scenarios != "" {
+		scs, err := resolveScenarios(*scenarios)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		// The corpus files commit their own seed and fabric; the flags
+		// override them only when set on the command line (-transport's
+		// udp default is for multi-process mode).
+		var seedOverride *int64
+		transportOverride := ""
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "seed":
+				seedOverride = seed
+			case "transport":
+				transportOverride = *transportKind
+			}
+		})
+		if err := runScenarios(scs, seedOverride, transportOverride); err != nil {
+			fatalf("%v", err)
+		}
+		return
+	}
 
 	chain := []string{}
 	for _, s := range strings.Split(*switches, ",") {

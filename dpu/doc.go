@@ -53,6 +53,6 @@
 // ChangeProtocolAll. Every decision is observable through Node.Advise
 // and Subscribe(Advice); the Advisory option reports decisions without
 // acting on them. Runtime network mutators (SetLoss, SetDelay,
-// SetJitter) and cmd/dpu-bench's -scenario timelines exercise the
+// SetJitter) and cmd/dpu-sim's -scenario timelines exercise the
 // loop; docs/ADAPTIVE.md covers signals, policies and tuning.
 package dpu

@@ -37,7 +37,7 @@ const (
 )
 
 // Membership counters, exported through the process-wide metrics
-// registry (and dpu-bench -json).
+// registry.
 var (
 	viewsInstalledCounter = metrics.NewCounter("membership.views_installed")
 	evictionsCounter      = metrics.NewCounter("membership.members_evicted")

@@ -20,7 +20,9 @@ const (
 	KindGM Kind = 1
 	// KindConsRepl is the consensus-replacement extension.
 	KindConsRepl Kind = 2
-	// KindBench is benchmark/workload probe traffic.
+	// KindBench is reserved: it marked the probe traffic of a figure
+	// harness that has since been removed; the value stays reserved so
+	// old captures decode unambiguously.
 	KindBench Kind = 3
 	// KindAppPaced is reserved: it marked window-paced application data
 	// while an unpaced broadcast path existed beside Node.Broadcast. All

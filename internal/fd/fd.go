@@ -22,7 +22,7 @@ import (
 )
 
 // suspectCounter counts Suspect indications across all fd modules of
-// the process; exported through the metrics registry (dpu-bench -json).
+// the process; exported through the metrics registry.
 var suspectCounter = metrics.NewCounter("fd.suspect_events")
 
 // Service is the failure-detection service.

@@ -36,11 +36,8 @@ var clockScoped = []string{
 	"internal/policy",
 	"internal/consensus",
 	"internal/gm",
-	"internal/maestro",
-	"internal/graceful",
 	"internal/scenario",
 	"internal/transport",
-	"internal/workload",
 	"dpu",
 }
 

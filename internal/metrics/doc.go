@@ -1,30 +1,18 @@
 // Package metrics is the stack's lightweight observability layer: a
-// process-wide registry of named counters and gauges, plus the latency
-// recorder behind the paper's Section 6 measurements.
-//
-// # Counters and gauges
+// process-wide registry of named counters and gauges.
 //
 // Modules expose high-frequency events (drops, retransmissions,
 // decisions, deliveries) as registered Counters instead of per-event
 // log lines, and instantaneous measurements (smoothed round-trip
 // times, consensus latency) as Gauges. Both are cheap — one atomic
 // word — and safe for concurrent use from every stack in the process.
-// Snapshots (Counters, Gauges) feed cmd/dpu-bench's -json report and
-// the adaptation engine in internal/policy, which derives windowed
-// rates from counter deltas between samples. The full name registry is
-// documented in docs/OPERATIONS.md.
+// Snapshots (Counters, Gauges) feed the benchmark harness's per-layer
+// report (benchmark/) and the adaptation engine in internal/policy,
+// which derives windowed rates from counter deltas between samples.
+// The full name registry is documented in docs/OPERATIONS.md.
 //
 // The registry is process-wide by design: a multi-process deployment
 // has one registry per OS process (per node), while an in-process
 // simulation aggregates all its stacks into one registry — the right
 // granularity for a controller deciding a group-wide protocol switch.
-//
-// # Latency recorder
-//
-// The Recorder implements the measurement machinery of the paper's
-// Section 6: the *average latency* of atomic broadcast. For a message
-// m sent at t0, t_i(m) is the time between sending m and delivering m
-// on stack i; the average latency of m is the mean of t_i(m) over all
-// stacks. The recorder aggregates per-message averages and bins them
-// by send time to draw Figure 5-style timelines.
 package metrics

@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a named, monotonically increasing counter. Modules use
@@ -104,186 +102,4 @@ func Gauges() map[string]int64 {
 		return true
 	})
 	return out
-}
-
-// MsgID identifies one workload message.
-type MsgID uint64
-
-type msgStat struct {
-	sentAt time.Time
-	sum    time.Duration
-	count  int
-}
-
-// Recorder aggregates latencies; safe for concurrent use.
-type Recorder struct {
-	mu   sync.Mutex
-	n    int // deliveries expected per message (group size)
-	msgs map[MsgID]*msgStat
-}
-
-// NewRecorder returns a recorder for a group of n stacks.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{n: n, msgs: make(map[MsgID]*msgStat)}
-}
-
-// Sent records the send instant of a message.
-func (r *Recorder) Sent(id MsgID, at time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.msgs[id]; !dup {
-		r.msgs[id] = &msgStat{sentAt: at}
-	}
-}
-
-// Delivered records a delivery of the message on some stack at the
-// given instant. Deliveries recorded before Sent (impossible in a
-// causally correct system) are ignored.
-func (r *Recorder) Delivered(id MsgID, at time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.msgs[id]
-	if !ok {
-		return
-	}
-	st.sum += at.Sub(st.sentAt)
-	st.count++
-}
-
-// MsgResult is the aggregated latency of one message.
-type MsgResult struct {
-	ID         MsgID
-	SentAt     time.Time
-	Avg        time.Duration // mean of t_i(m) over recorded deliveries
-	Deliveries int
-}
-
-// Results returns per-message averages for every message with at least
-// one recorded delivery, sorted by send time.
-func (r *Recorder) Results() []MsgResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]MsgResult, 0, len(r.msgs))
-	for id, st := range r.msgs {
-		if st.count == 0 {
-			continue
-		}
-		out = append(out, MsgResult{
-			ID:         id,
-			SentAt:     st.sentAt,
-			Avg:        st.sum / time.Duration(st.count),
-			Deliveries: st.count,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SentAt.Before(out[j].SentAt) })
-	return out
-}
-
-// Complete reports how many messages have all n deliveries recorded and
-// how many were sent in total.
-func (r *Recorder) Complete() (complete, sent int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, st := range r.msgs {
-		if st.count >= r.n {
-			complete++
-		}
-	}
-	return complete, len(r.msgs)
-}
-
-// ExpectPer lowers the per-message completeness target (e.g. after
-// crashing stacks).
-func (r *Recorder) ExpectPer(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n = n
-}
-
-// Bin is one time bucket of a latency timeline.
-type Bin struct {
-	// Offset of the bucket start relative to the timeline origin.
-	Offset time.Duration
-	Count  int
-	Avg    time.Duration
-	P95    time.Duration
-	Max    time.Duration
-}
-
-// Timeline buckets per-message averages by send time.
-func Timeline(results []MsgResult, origin time.Time, width time.Duration) []Bin {
-	if width <= 0 || len(results) == 0 {
-		return nil
-	}
-	byBucket := make(map[int][]time.Duration)
-	maxIdx := 0
-	for _, res := range results {
-		idx := int(res.SentAt.Sub(origin) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		byBucket[idx] = append(byBucket[idx], res.Avg)
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	bins := make([]Bin, 0, maxIdx+1)
-	for idx := 0; idx <= maxIdx; idx++ {
-		lats := byBucket[idx]
-		b := Bin{Offset: time.Duration(idx) * width, Count: len(lats)}
-		if len(lats) > 0 {
-			b.Avg = Mean(lats)
-			b.P95 = Percentile(lats, 0.95)
-			b.Max = Percentile(lats, 1.0)
-		}
-		bins = append(bins, b)
-	}
-	return bins
-}
-
-// Mean returns the arithmetic mean.
-func Mean(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) by nearest-rank on a
-// sorted copy.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// WindowMean averages messages sent within [from, to).
-func WindowMean(results []MsgResult, from, to time.Time) (time.Duration, int) {
-	var lats []time.Duration
-	for _, r := range results {
-		if !r.SentAt.Before(from) && r.SentAt.Before(to) {
-			lats = append(lats, r.Avg)
-		}
-	}
-	return Mean(lats), len(lats)
 }

@@ -3,187 +3,7 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"testing/quick"
-	"time"
 )
-
-func TestRecorderAveragesOverStacks(t *testing.T) {
-	r := NewRecorder(3)
-	t0 := time.Now()
-	r.Sent(1, t0)
-	r.Delivered(1, t0.Add(10*time.Millisecond))
-	r.Delivered(1, t0.Add(20*time.Millisecond))
-	r.Delivered(1, t0.Add(30*time.Millisecond))
-	res := r.Results()
-	if len(res) != 1 {
-		t.Fatalf("results = %d", len(res))
-	}
-	if res[0].Avg != 20*time.Millisecond {
-		t.Errorf("Avg = %v, want 20ms", res[0].Avg)
-	}
-	if res[0].Deliveries != 3 {
-		t.Errorf("Deliveries = %d", res[0].Deliveries)
-	}
-	complete, sent := r.Complete()
-	if complete != 1 || sent != 1 {
-		t.Errorf("Complete = %d/%d", complete, sent)
-	}
-}
-
-func TestRecorderIgnoresUnknownAndDuplicateSends(t *testing.T) {
-	r := NewRecorder(2)
-	t0 := time.Now()
-	r.Delivered(99, t0) // never sent: ignored
-	r.Sent(1, t0)
-	r.Sent(1, t0.Add(time.Hour)) // duplicate send keeps the original
-	r.Delivered(1, t0.Add(5*time.Millisecond))
-	res := r.Results()
-	if len(res) != 1 || res[0].Avg != 5*time.Millisecond {
-		t.Errorf("results = %+v", res)
-	}
-}
-
-func TestRecorderIncompleteMessagesExcludedFromComplete(t *testing.T) {
-	r := NewRecorder(3)
-	t0 := time.Now()
-	r.Sent(1, t0)
-	r.Delivered(1, t0.Add(time.Millisecond))
-	complete, sent := r.Complete()
-	if complete != 0 || sent != 1 {
-		t.Errorf("Complete = %d/%d, want 0/1", complete, sent)
-	}
-	r.ExpectPer(1)
-	complete, _ = r.Complete()
-	if complete != 1 {
-		t.Errorf("after ExpectPer(1): complete = %d", complete)
-	}
-}
-
-func TestResultsSortedBySendTime(t *testing.T) {
-	r := NewRecorder(1)
-	t0 := time.Now()
-	r.Sent(2, t0.Add(10*time.Millisecond))
-	r.Sent(1, t0)
-	r.Delivered(1, t0.Add(time.Millisecond))
-	r.Delivered(2, t0.Add(11*time.Millisecond))
-	res := r.Results()
-	if len(res) != 2 || res[0].ID != 1 || res[1].ID != 2 {
-		t.Errorf("results = %+v", res)
-	}
-}
-
-func TestTimelineBinning(t *testing.T) {
-	t0 := time.Now()
-	results := []MsgResult{
-		{SentAt: t0.Add(10 * time.Millisecond), Avg: 2 * time.Millisecond},
-		{SentAt: t0.Add(20 * time.Millisecond), Avg: 4 * time.Millisecond},
-		{SentAt: t0.Add(120 * time.Millisecond), Avg: 10 * time.Millisecond},
-	}
-	bins := Timeline(results, t0, 100*time.Millisecond)
-	if len(bins) != 2 {
-		t.Fatalf("bins = %d, want 2", len(bins))
-	}
-	if bins[0].Count != 2 || bins[0].Avg != 3*time.Millisecond {
-		t.Errorf("bin 0 = %+v", bins[0])
-	}
-	if bins[1].Count != 1 || bins[1].Avg != 10*time.Millisecond {
-		t.Errorf("bin 1 = %+v", bins[1])
-	}
-	if bins[1].Offset != 100*time.Millisecond {
-		t.Errorf("bin 1 offset = %v", bins[1].Offset)
-	}
-}
-
-func TestTimelineEmptyAndZeroWidth(t *testing.T) {
-	if got := Timeline(nil, time.Now(), time.Second); got != nil {
-		t.Errorf("Timeline(nil) = %v", got)
-	}
-	if got := Timeline([]MsgResult{{}}, time.Now(), 0); got != nil {
-		t.Errorf("Timeline(width=0) = %v", got)
-	}
-}
-
-func TestMeanAndPercentile(t *testing.T) {
-	ds := []time.Duration{4, 1, 3, 2, 5}
-	if Mean(ds) != 3 {
-		t.Errorf("Mean = %v", Mean(ds))
-	}
-	if Percentile(ds, 0) != 1 {
-		t.Errorf("P0 = %v", Percentile(ds, 0))
-	}
-	if Percentile(ds, 1) != 5 {
-		t.Errorf("P100 = %v", Percentile(ds, 1))
-	}
-	if p := Percentile(ds, 0.5); p != 3 {
-		t.Errorf("P50 = %v, want 3", p)
-	}
-	if Mean(nil) != 0 || Percentile(nil, 0.5) != 0 {
-		t.Error("empty inputs must yield 0")
-	}
-}
-
-func TestWindowMean(t *testing.T) {
-	t0 := time.Now()
-	results := []MsgResult{
-		{SentAt: t0, Avg: 10},
-		{SentAt: t0.Add(time.Second), Avg: 20},
-		{SentAt: t0.Add(2 * time.Second), Avg: 90},
-	}
-	mean, n := WindowMean(results, t0, t0.Add(1500*time.Millisecond))
-	if n != 2 || mean != 15 {
-		t.Errorf("WindowMean = %v over %d", mean, n)
-	}
-	_, n = WindowMean(results, t0.Add(time.Hour), t0.Add(2*time.Hour))
-	if n != 0 {
-		t.Errorf("out-of-range window matched %d", n)
-	}
-}
-
-func TestQuickPercentileWithinBounds(t *testing.T) {
-	f := func(raw []int16, pRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ds := make([]time.Duration, len(raw))
-		var minD, maxD time.Duration = 1 << 62, -(1 << 62)
-		for i, v := range raw {
-			ds[i] = time.Duration(v)
-			if ds[i] < minD {
-				minD = ds[i]
-			}
-			if ds[i] > maxD {
-				maxD = ds[i]
-			}
-		}
-		p := float64(pRaw) / 255.0
-		got := Percentile(ds, p)
-		return got >= minD && got <= maxD
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickMeanWithinBounds(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ds := make([]time.Duration, len(raw))
-		var maxD time.Duration
-		for i, v := range raw {
-			ds[i] = time.Duration(v)
-			if ds[i] > maxD {
-				maxD = ds[i]
-			}
-		}
-		m := Mean(ds)
-		return m >= 0 && m <= maxD
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestCountersRegisterOnceAndAccumulate(t *testing.T) {
 	a := NewCounter("test.metrics.counter_a")

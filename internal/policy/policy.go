@@ -126,8 +126,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine counters, exposed through the process-wide metrics registry
-// (and therefore in dpu-bench's -json counter section).
+// Engine counters, exposed through the process-wide metrics registry.
 var (
 	ctrSamples    = metrics.NewCounter("policy.samples")
 	ctrAdvice     = metrics.NewCounter("policy.advice")

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -69,17 +70,54 @@ func TestCorpusParses(t *testing.T) {
 	}
 }
 
-// TestCorpus executes every corpus scenario at its committed seed.
-// Large-tagged entries are skipped under -race (they run in the plain
-// pass and in TestLarge50).
+// goldenDigests reads scenarios/digests.txt: the delivery digest each
+// corpus entry produces at its committed seed.
+func goldenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("scenarios/digests.txt:%d: want \"<name> <digest>\", got %q", i+1, line)
+		}
+		golden[f[0]] = f[1]
+	}
+	return golden
+}
+
+// TestCorpus executes every corpus scenario at its committed seed and
+// checks its delivery digest against scenarios/digests.txt. Large-tagged
+// entries are skipped under -race (they run in the plain pass and in
+// TestLarge50).
 func TestCorpus(t *testing.T) {
 	corpus, err := Corpus()
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden := goldenDigests(t)
+	inCorpus := map[string]bool{}
+	for _, sc := range corpus {
+		inCorpus[sc.Name] = true
+	}
+	for name := range golden {
+		if !inCorpus[name] {
+			t.Errorf("scenarios/digests.txt names %s, which is not in the corpus", name)
+		}
+	}
 	for _, sc := range corpus {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
+			want, ok := golden[sc.Name]
+			if !ok {
+				t.Fatalf("%s has no golden digest in scenarios/digests.txt", sc.Name)
+			}
 			if raceEnabled && sc.HasTag("large") {
 				t.Skipf("%s is large-tagged: skipped under -race", sc.Name)
 			}
@@ -93,13 +131,16 @@ func TestCorpus(t *testing.T) {
 			t.Logf("%s: %d deliveries, %d switches, %d views, digest %016x, %s virtual in %s wall",
 				sc.Name, res.Counts.Deliveries, res.Counts.Switches, res.Counts.Views,
 				res.Digest, res.VirtualTime, res.WallTime.Round(time.Millisecond))
+			if got := fmt.Sprintf("%016x", res.Digest); got != want {
+				t.Errorf("%s: digest %s, golden %s (scenarios/digests.txt)", sc.Name, got, want)
+			}
 		})
 	}
 }
 
 // TestParity pins the ported timelines to the protocol sequences the
-// original Go scenario code in cmd/dpu-bench converged to: the DSL
-// port must demonstrate the same adaptation story, phase by phase.
+// original wall-clock Go timelines converged to: the DSL port must
+// demonstrate the same adaptation story, phase by phase.
 func TestParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity runs three full adaptive scenarios")

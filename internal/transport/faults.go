@@ -30,7 +30,7 @@ var (
 //
 // All rates are runtime-mutable (SetLoss, SetDup, SetDelay, SetJitter,
 // SetCorrupt, SetReorder, SetBurst), so a scenario can reshape a live
-// link — the environment timelines of cmd/dpu-bench -scenario run on
+// link — the environment timelines of cmd/dpu-sim -scenario run on
 // exactly this.
 type FaultConfig struct {
 	// Seed makes packet fates reproducible.
