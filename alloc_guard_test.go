@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abcast"
+	"repro/internal/consensus"
+	"repro/internal/fd"
 	"repro/internal/kernel"
 	"repro/internal/rbcast"
 	"repro/internal/rp2p"
@@ -170,17 +173,18 @@ func TestPooledWriterAllocBudget(t *testing.T) {
 }
 
 // TestLargeBroadcastByteBudget bounds what the host allocates to move
-// one 128-KiB reliable broadcast through three stacks over TCP loopback,
-// in bytes. The payload crosses four links (two first sends, two
-// relays), so four reassembly buffers — half a megabyte — are what the
-// receive side has to allocate; the send side refers to the
-// broadcaster's buffer, and on relay to the received one, all the way to
-// writev. When every layer copied into a buffer of its own (a record, a
-// frame per destination, a packet per destination, the stream queue, and
-// the same again for each relay) this read 3.0–3.2 MB; it reads 0.50
-// now. Bytes, not time: the budget leaves room for a reassembly buffer
-// that has to grow when a header gains a byte, and for less than two
-// further copies of the payload anywhere in the three stacks.
+// one 128-KiB abcast/ct broadcast through three stacks over TCP
+// loopback, in bytes. The payload crosses two links, once from its
+// origin to each peer, so two reassembly buffers — a quarter of a
+// megabyte — are what the receive side has to allocate; the send side
+// refers to the broadcaster's buffer all the way to writev, and
+// consensus orders ids, not payloads. When every layer copied into a
+// buffer of its own and rbcast relayed every payload this read
+// 3.0–3.2 MB; with the relays and no copies it read 0.50, and it reads
+// 0.28 now. Bytes, not
+// time: the budget leaves room for a reassembly buffer that has to grow
+// when a header gains a byte, and for about three further copies of the
+// payload anywhere in the three stacks.
 func TestLargeBroadcastByteBudget(t *testing.T) {
 	const (
 		n        = 3
@@ -202,6 +206,8 @@ func TestLargeBroadcastByteBudget(t *testing.T) {
 	reg.MustRegister(udp.Factory(tr))
 	reg.MustRegister(rp2p.Factory(rp2p.Config{}))
 	reg.MustRegister(rbcast.Factory(rbcast.Config{}))
+	reg.MustRegister(fd.Factory(fd.Config{}))
+	reg.MustRegister(consensus.Factory())
 	peers := make([]kernel.Addr, n)
 	for i := range peers {
 		peers[i] = kernel.Addr(i)
@@ -213,23 +219,32 @@ func TestLargeBroadcastByteBudget(t *testing.T) {
 		defer st.Close()
 		stacks[i] = st
 		if err := st.DoSync(func() {
-			if _, e := st.CreateProtocol(rbcast.Protocol); e != nil {
-				t.Errorf("stack %d: %v", i, e)
+			im := abcast.CTImpl()
+			for _, svc := range im.Requires {
+				if e := st.EnsureService(svc); e != nil {
+					t.Errorf("stack %d: %v", i, e)
+				}
 			}
+			mod := im.New(st, 0)
+			st.AddModule(mod)
+			st.Bind(abcast.ServiceImpl, mod)
+			sink := &deliverySink{Base: kernel.NewBase(st, "sink"), fn: func(d abcast.Deliver) {
+				if len(d.Data) == size {
+					delivered <- struct{}{}
+				}
+			}}
+			st.AddModule(sink)
+			st.Subscribe(abcast.ServiceImpl, sink)
+			mod.Start()
 		}); err != nil {
 			t.Fatal(err)
 		}
-		st.Call(rbcast.Service, rbcast.Listen{Channel: "big", Handler: func(d rbcast.Deliver) {
-			if len(d.Data) == size {
-				delivered <- struct{}{}
-			}
-		}})
 	}
 	payload := make([]byte, size) // immutable, so one buffer serves every broadcast
 	round := func(count int) {
 		for sent, got := 0, 0; got < n*count; {
 			for ; sent < count && n*sent < got+n*inFlight; sent++ {
-				stacks[sent%n].Call(rbcast.Service, rbcast.Broadcast{Channel: "big", Data: payload})
+				stacks[sent%n].Call(abcast.ServiceImpl, abcast.Broadcast{Data: payload})
 			}
 			select {
 			case <-delivered:
@@ -263,3 +278,15 @@ type countingModule struct {
 }
 
 func (m *countingModule) HandleRequest(kernel.ServiceID, kernel.Request) { m.count.Add(1) }
+
+// deliverySink hands every atomic-broadcast delivery to fn.
+type deliverySink struct {
+	kernel.Base
+	fn func(abcast.Deliver)
+}
+
+func (s *deliverySink) HandleIndication(_ kernel.ServiceID, ind kernel.Indication) {
+	if d, ok := ind.(abcast.Deliver); ok {
+		s.fn(d)
+	}
+}

@@ -268,8 +268,8 @@ func TestPartitionHealsAndTrafficResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.node[1].Broadcast(bg, []byte("through-partition"))
-	// 0 and 1 and 2 can still all reach each other via majority paths
-	// (rbcast relays through 1), so this must deliver everywhere.
+	// 1 still reaches both sides of the cut and rbcast relays consensus
+	// decisions through it, so this must deliver everywhere.
 	for i := 0; i < 3; i++ {
 		c.drain(t, i, 1)
 	}

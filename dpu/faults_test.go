@@ -110,7 +110,7 @@ func TestOneWayPartitionAndHeal(t *testing.T) {
 	}
 	// Traffic flows around and through the cut (0→2, 2→1 remain); the
 	// group keeps agreeing because rp2p acks from 1→0 still arrive and
-	// rbcast relays cover the missing direction.
+	// rbcast relays consensus decisions across the missing direction.
 	if err := nodes[2].Broadcast(ctx, []byte("during-cut")); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,10 @@ const (
 	ProtocolToken = "abcast/token"
 )
 
-// Broadcast requests an atomic broadcast of Data to the whole group.
+// Broadcast requests an atomic broadcast of Data to the whole group. An
+// implementation may keep Data and hand it on by reference (abcast/ct
+// sends a payload over 48 KiB as rp2p.Send.Body), so the caller must not
+// mutate it afterwards, nor take it from a pool.
 type Broadcast struct {
 	Data []byte
 }

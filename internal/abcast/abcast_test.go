@@ -56,12 +56,12 @@ func (s *sink) snapshot() []delivery {
 
 // substrate assembles n stacks with everything below atomic broadcast
 // registered, and no atomic-broadcast module yet.
-func substrate(t *testing.T, n int, netCfg simnet.Config, rbCfg rbcast.Config) *stacktest.Cluster {
+func substrate(t *testing.T, n int, netCfg simnet.Config, rpCfg rp2p.Config) *stacktest.Cluster {
 	t.Helper()
 	c := stacktest.New(t, n, netCfg, nil)
 	c.Reg.MustRegister(udp.Factory(c.Tr))
-	c.Reg.MustRegister(rp2p.Factory(rp2p.Config{RTO: 5 * time.Millisecond}))
-	c.Reg.MustRegister(rbcast.Factory(rbCfg))
+	c.Reg.MustRegister(rp2p.Factory(rpCfg))
+	c.Reg.MustRegister(rbcast.Factory(rbcast.Config{}))
 	c.Reg.MustRegister(fd.Factory(fd.Config{Interval: 5 * time.Millisecond, Timeout: 60 * time.Millisecond}))
 	c.Reg.MustRegister(consensus.Factory())
 	return c
@@ -97,7 +97,7 @@ func attach(t *testing.T, c *stacktest.Cluster, i int, im abcast.Impl, epoch uin
 // implementation bound to ServiceImpl at epoch 0.
 func build(t *testing.T, n int, netCfg simnet.Config, implName string) (*stacktest.Cluster, []*sink) {
 	t.Helper()
-	c := substrate(t, n, netCfg, rbcast.Config{})
+	c := substrate(t, n, netCfg, rp2p.Config{RTO: 5 * time.Millisecond})
 	im, ok := abcast.StandardRegistry().Lookup(implName)
 	if !ok {
 		t.Fatalf("unknown implementation %q", implName)

@@ -7,25 +7,30 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
-	"repro/internal/rbcast"
 	"repro/internal/rp2p"
 	"repro/internal/wire"
 )
 
-// ctModule is the Chandra–Toueg atomic broadcast: messages are
-// disseminated with reliable broadcast; a sequence of consensus
+// ctModule is the Chandra–Toueg atomic broadcast: its origin sends every
+// message to every peer once, over rp2p; a sequence of consensus
 // instances agrees, one batch at a time, on the delivery order of the
 // not-yet-delivered messages.
 //
 // Consensus orders identifiers, not payloads (indirect consensus, Ekwall
 // & Schiper, DSN 2006): a proposal is a list of (origin, seq) ids and a
-// payload crosses each link once, in the dissemination. Through the
-// readiness predicate held a stack proposes, adopts and acks only a list
-// whose payloads it holds, so a decided list is held by a majority, hence
-// by a correct stack, whose reliable broadcast brings it to all. Delivery
-// follows the decided order and suspends at an id whose payload has not
-// arrived; a payload stays missing only if this stack's rbcast buffer
-// dropped it before the epoch's module existed, and is then pulled.
+// payload crosses each link once, from its origin. Through the readiness
+// predicate held a stack proposes, adopts and acks only a list whose
+// payloads it holds, so a decided list is held by a majority, hence by a
+// correct stack. A correct origin reaches every correct stack over rp2p's
+// reliable FIFO channels. An origin that crashed mid-send leaves some
+// stacks without the payload: delivery suspends at its decided id, or
+// held rejects a proposal naming it, and after pullAfter the stack pulls
+// the payload from its peers. The pull is the only relay, and it costs
+// something only after a crash — or after this stack's rp2p buffer
+// dropped a payload that arrived before the epoch's module existed. (A
+// stack with nothing to propose sends consensus no estimate: when the
+// crashed origin reached too few stacks for a quorum of proposers, its
+// last payloads wait for the next broadcast of a correct stack.)
 //
 // This is the implementation measured in the paper's experiments (the
 // ABcast module of Figure 4, on top of CT consensus): uniform, and
@@ -41,10 +46,12 @@ import (
 type ctModule struct {
 	kernel.Base
 	epoch   uint64
-	channel string           // rbcast dissemination and rp2p repair channel, epoch-scoped
+	channel string           // rp2p channel of payloads and pulls, epoch-scoped
 	consSvc kernel.ServiceID // which consensus service orders batches
 
 	sendSeq    uint64
+	frame      *wire.Writer // payloads broadcast in this executor pass, not sent yet
+	unregister func()
 	pending    map[msgID][]byte // received but not delivered
 	delivered  map[msgID]bool
 	k          uint64             // next consensus instance to process in this epoch's group
@@ -90,7 +97,24 @@ const maxBatch = 256
 // far beyond the lag of a dissemination merely slower than the decision.
 const pullAfter = 200 * time.Millisecond
 
-const pullReq, pullResp byte = 0, 1 // repair-channel message kinds
+// maxFrameBytes caps a payload frame. A link carries a frame whole
+// before its receiver can use any of it, so a burst leaves as several
+// frames, and the receivers take in — and start ordering — the first
+// while the later ones are still on the wire: on the simulated 100-Mbit
+// LAN a 48-KiB frame costs 3.9 ms, a 16-KiB one 1.3. A payload larger
+// than the cap travels in a frame of its own.
+const maxFrameBytes = 16 << 10
+
+// maxCopyBytes bounds the payloads copied into a frame: a larger one
+// leaves at once, alone, by reference (rp2p.Send.Body). It keeps every
+// frame under the UDP datagram ceiling (transport.MaxDatagram).
+const maxCopyBytes = 48 << 10
+
+// Message kinds on the epoch's rp2p channel: a pull request (an id
+// list), its response ((origin, seq, found, payload) per id), and a
+// payload frame ((origin, seq, payload) per message this stack broadcast
+// in one executor pass).
+const pullReq, pullResp, payloadFrame byte = 0, 1, 2
 
 // decBufDrops counts decisions evicted from the bounded decBuf;
 // payloadWaits deliveries suspended at an id whose payload had not
@@ -126,7 +150,7 @@ func CTImpl() Impl {
 func CTImplOn(name string, consSvc kernel.ServiceID) Impl {
 	return Impl{
 		Name:     name,
-		Requires: []kernel.ServiceID{rp2p.Service, rbcast.Service, consSvc},
+		Requires: []kernel.ServiceID{rp2p.Service, consSvc},
 		New: func(st *kernel.Stack, epoch uint64) kernel.Module {
 			return &ctModule{
 				Base:       kernel.NewBase(st, name),
@@ -146,48 +170,85 @@ func CTImplOn(name string, consSvc kernel.ServiceID) Impl {
 	}
 }
 
-// Start attaches to the epoch-scoped channels and consensus group. The
-// consensus Listen replays decisions of this group that were made before
-// this module existed (a module created mid-update catches up).
+// Start attaches to the epoch-scoped channel and consensus group, and
+// registers the flusher that sends each executor pass's payload frame.
+// The consensus Listen replays decisions of this group that were made
+// before this module existed (a module created mid-update catches up).
 func (m *ctModule) Start() {
-	m.Stk.Call(rbcast.Service, rbcast.Listen{Channel: m.channel, Handler: m.onMsg})
-	m.Stk.Call(rp2p.Service, rp2p.Listen{Channel: m.channel, Handler: m.onPull})
+	m.Stk.Call(rp2p.Service, rp2p.Listen{Channel: m.channel, Handler: m.onRecv})
 	m.Stk.Call(m.consSvc, consensus.Listen{Group: m.epoch, Handler: m.onDecide, Ready: m.held})
+	m.unregister = m.Stk.RegisterFlusher(m.flush)
 }
 
-// Stop detaches from the substrate and garbage-collects this epoch's
-// decision cache (the module is the sole user of its consensus group).
+// Stop sends what this pass still holds, detaches from the substrate and
+// garbage-collects this epoch's decision cache (the module is the sole
+// user of its consensus group).
 func (m *ctModule) Stop() {
 	if m.pullTimer != nil {
 		m.pullTimer.Stop()
 	}
-	m.Stk.Call(rbcast.Service, rbcast.Unlisten{Channel: m.channel})
+	m.flush()
+	if m.unregister != nil {
+		m.unregister()
+	}
 	m.Stk.Call(rp2p.Service, rp2p.Unlisten{Channel: m.channel})
 	m.Stk.Call(m.consSvc, consensus.Forget{Group: m.epoch})
 }
 
-// HandleRequest processes Broadcast.
+// HandleRequest processes Broadcast: the payload joins this pass's frame,
+// or leaves at once if it is too large to copy, and this stack's own
+// copy is received here and now.
 func (m *ctModule) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 	b, ok := req.(Broadcast)
 	if !ok {
 		return
 	}
 	m.sendSeq++
-	w := wire.NewWriter(len(b.Data) + 16)
-	w.Uvarint(uint64(m.Stk.Addr())).Uvarint(m.sendSeq).Raw(b.Data)
-	m.Stk.Call(rbcast.Service, rbcast.Broadcast{Channel: m.channel, Data: w.Bytes()})
+	id := msgID{origin: m.Stk.Addr(), seq: m.sendSeq}
+	if len(b.Data) > maxCopyBytes {
+		m.sendAlone(id, b.Data)
+		return
+	}
+	if m.frame != nil && m.frame.Len()+len(b.Data)+24 > maxFrameBytes {
+		m.flush()
+	}
+	if m.frame == nil {
+		// Fresh, never pooled: the pending payloads of this stack alias it.
+		m.frame = wire.NewWriter(len(b.Data) + 64)
+		m.frame.Byte(payloadFrame)
+	}
+	m.frame.Uvarint(uint64(id.origin)).Uvarint(id.seq).BytesField(b.Data)
+	f := m.frame.Bytes()
+	m.receive(id, f[len(f)-len(b.Data):len(f):len(f)])
 }
 
-func (m *ctModule) onMsg(d rbcast.Deliver) {
-	r := wire.NewReader(d.Data)
-	id := msgID{origin: kernel.Addr(r.Uvarint()), seq: r.Uvarint()}
-	data := r.Rest()
-	if r.Err() == nil {
-		m.receive(id, data)
+// sendAlone sends a payload too large to copy to every peer now,
+// after what this pass framed before it: the record header as
+// rp2p.Send.Data, the payload itself by reference as rp2p.Send.Body.
+func (m *ctModule) sendAlone(id msgID, data []byte) {
+	m.flush()
+	head := wire.NewWriter(24)
+	head.Byte(payloadFrame).Uvarint(uint64(id.origin)).Uvarint(id.seq).Uvarint(uint64(len(data)))
+	for _, p := range m.Stk.Others() {
+		m.Stk.CallSync(rp2p.Service, rp2p.Send{To: p, Channel: m.channel, Data: head.Bytes(), Body: data})
+	}
+	m.receive(id, data)
+}
+
+// flush runs as a stack flusher after every executor pass: the pass's
+// payload frame goes to every peer as one rp2p message.
+func (m *ctModule) flush() {
+	if m.frame == nil {
+		return
+	}
+	data := m.frame.Bytes()
+	m.frame = nil
+	for _, p := range m.Stk.Others() {
+		m.Stk.CallSync(rp2p.Service, rp2p.Send{To: p, Channel: m.channel, Data: data})
 	}
 }
 
-// receive takes in one payload, from the dissemination or from a pull.
+// receive takes in one payload, from its origin or from a pull.
 func (m *ctModule) receive(id msgID, data []byte) {
 	if m.delivered[id] {
 		return
@@ -411,8 +472,9 @@ func (m *ctModule) closeDecision() {
 }
 
 // pull fires pullAfter after drain or held found a payload missing. What
-// still is, is lost, not late (rbcast.buffer_drops before the epoch's
-// module existed): ask every peer, again while delivery stays suspended.
+// still is, is lost, not late — its origin crashed before sending it
+// here, or rp2p.buffer_drops before the epoch's module existed: ask every
+// peer, again while delivery stays suspended.
 func (m *ctModule) pull() {
 	m.pullTimer = nil
 	var want []msgID
@@ -444,13 +506,23 @@ func (m *ctModule) pull() {
 	}
 }
 
-// onPull serves a peer's pull from pending and the retained payloads, and
-// takes in the answers to this stack's own: every requested id, with or
-// without its payload. Once every peer answered without the one delivery
-// is suspended at, no stack retains it and this one halts as if crashed.
-func (m *ctModule) onPull(rv rp2p.Recv) {
+// onRecv takes in a peer's payload frame, serves a peer's pull from
+// pending and the retained payloads, and takes in the answers to this
+// stack's own: every requested id, with or without its payload. Once
+// every peer answered without the one delivery is suspended at, no stack
+// retains it and this one halts as if crashed.
+func (m *ctModule) onRecv(rv rp2p.Recv) {
 	r := wire.NewReader(rv.Data)
 	switch r.Byte() {
+	case payloadFrame:
+		for r.Remaining() > 0 {
+			id := msgID{origin: kernel.Addr(r.Uvarint()), seq: r.Uvarint()}
+			data := r.BytesField()
+			if r.Err() != nil {
+				return
+			}
+			m.receive(id, data)
+		}
 	case pullReq:
 		w := wire.NewWriter(64)
 		w.Byte(pullResp)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/kernel"
-	"repro/internal/rbcast"
 	"repro/internal/wire"
 )
 
@@ -148,11 +147,6 @@ func TestCTDecisionBeforePayloadSuspendsThenResumesInOrder(t *testing.T) {
 	log := &deliveryLog{Base: kernel.NewBase(st, "log")}
 	var m *ctModule
 	ids := []msgID{{origin: 1, seq: 1}, {origin: 1, seq: 2}, {origin: 2, seq: 1}, {origin: 2, seq: 2}}
-	record := func(id msgID, data string) rbcast.Deliver {
-		w := wire.NewWriter(32)
-		w.Uvarint(uint64(id.origin)).Uvarint(id.seq).Raw([]byte(data))
-		return rbcast.Deliver{Origin: id.origin, Data: w.Bytes()}
-	}
 	step := func(fn func()) []string {
 		t.Helper()
 		if err := st.DoSync(fn); err != nil {
@@ -169,9 +163,9 @@ func TestCTDecisionBeforePayloadSuspendsThenResumesInOrder(t *testing.T) {
 		st.AddModule(log)
 		st.Subscribe(ServiceImpl, log)
 		m = CTImpl().New(st, 0).(*ctModule)
-		m.onMsg(record(ids[0], "a"))
-		m.onMsg(record(ids[2], "c"))
-		m.onMsg(record(ids[3], "d"))
+		m.receive(ids[0], []byte("a"))
+		m.receive(ids[2], []byte("c"))
+		m.receive(ids[3], []byte("d"))
 		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 1}, Value: encodeIDs(ids[3:])})
 		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 0}, Value: encodeIDs(ids[:3])})
 	})
@@ -183,7 +177,7 @@ func TestCTDecisionBeforePayloadSuspendsThenResumesInOrder(t *testing.T) {
 	}
 	got = step(func() {
 		m.onDecide(consensus.Decide{ID: consensus.InstanceID{Seq: 0}, Value: encodeIDs(ids[:3])}) // a replay changes nothing
-		m.onMsg(record(ids[1], "b"))
+		m.receive(ids[1], []byte("b"))
 	})
 	if fmt.Sprint(got) != "[a b c d]" || m.k != 2 || m.open {
 		t.Fatalf("after b's payload: delivered %v, k=%d, open=%v; want [a b c d] and both decisions closed", got, m.k, m.open)

@@ -212,7 +212,7 @@ func (c Config) withDefaults() Config {
 	if c.BatchDelay > 0 && c.BatchBytes <= 0 {
 		c.BatchBytes = 32 << 10
 	}
-	// Cap the batch so that, with the rbcast record and rp2p/udp/
+	// Cap the batch so that, with the abcast payload frame and rp2p/udp/
 	// transport headers on top, one batch always fits a real UDP
 	// datagram (transport.MaxDatagram) — an oversized record would be
 	// silently unsendable over real sockets.

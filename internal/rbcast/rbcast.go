@@ -21,14 +21,6 @@
 // datagram per peer instead of one per message per peer, and a relayed
 // record is copied straight from the incoming frame without
 // re-encoding.
-//
-// A record whose data exceeds maxFrameBytes would fill a frame by
-// itself, so it is not copied into one: it goes to RP2P at once as a
-// frame of one record, the encoded record header as rp2p.Send.Data and
-// the data itself — the broadcaster's slice, or on relay the received
-// one — by reference as rp2p.Send.Body. The bytes on the wire are the
-// same as if the record had been coalesced, and records to one
-// destination still leave in the order they were enqueued.
 package rbcast
 
 import (
@@ -70,12 +62,9 @@ var (
 )
 
 // Broadcast requests a reliable broadcast to the whole group,
-// including the sender. Data is handed through to the local channel
-// handler (which may retain it) and either copied into outgoing frames
-// or, above maxFrameBytes, sent by reference (rp2p.Send.Body: kept until
-// every peer has acknowledged it and read by the transport's writers
-// meanwhile). Either way the caller must never mutate it afterwards,
-// and must not pool it.
+// including the sender. Data is copied into the outgoing frames and
+// handed through to the local channel handler, which may retain it, so
+// the caller must never mutate it afterwards, and must not pool it.
 type Broadcast struct {
 	Channel string
 	Data    []byte
@@ -170,7 +159,6 @@ type Module struct {
 	unclaimed  map[string][]Deliver
 	drops      uint64
 	dropLogged map[string]bool
-	refMin     int // data longer than this travels by reference (maxFrameBytes)
 
 	// Outgoing frame accumulation, one pooled writer per destination,
 	// flushed at the end of every executor pass.
@@ -194,7 +182,6 @@ func Factory(cfg Config) kernel.Factory {
 				handlers:   make(map[string]func(Deliver)),
 				unclaimed:  make(map[string][]Deliver),
 				dropLogged: make(map[string]bool),
-				refMin:     maxFrameBytes,
 				outq:       make(map[kernel.Addr]*wire.Writer),
 			}
 		},
@@ -266,16 +253,7 @@ func (m *Module) broadcast(b Broadcast) {
 // coalescing never builds a datagram larger than one the biggest single
 // record would need on its own (an oversized record still travels
 // alone, exactly as it would without coalescing).
-//
-// Data longer than refMin is that oversized record and is not copied at
-// all (sendByRef) — unless RP2P is unbound: the request would park
-// holding head, which is the caller's scratch, so that cold case takes
-// the copying path, whose frame a parked call may keep.
 func (m *Module) enqueueRecord(p kernel.Addr, head, data []byte) {
-	if len(data) > m.refMin && m.Stk.Provider(rp2p.Service) != nil {
-		m.sendByRef(p, head, data)
-		return
-	}
 	n := len(head) + len(data)
 	f := m.outq[p]
 	if f == nil {
@@ -293,18 +271,6 @@ func (m *Module) enqueueRecord(p kernel.Addr, head, data []byte) {
 		}
 	}
 	f.Raw(head).Raw(data)
-}
-
-// sendByRef sends one record to p as a frame of its own, now: whatever
-// is pending for p first, to keep the order, then head as the RP2P
-// message and data as its by-reference body. RP2P is bound, so it copies
-// head and the pending frame while the requests are handled.
-func (m *Module) sendByRef(p kernel.Addr, head, data []byte) {
-	if f := m.outq[p]; f != nil && f.Len() > 0 {
-		m.sendFrame(p, f)
-		f.Reset()
-	}
-	m.Stk.CallSync(rp2p.Service, rp2p.Send{To: p, Channel: rp2pChannel, Data: head, Body: data})
 }
 
 // sendFrame hands one frame to RP2P. It reports whether the caller

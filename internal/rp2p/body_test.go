@@ -9,6 +9,7 @@ import (
 	"repro/internal/rp2p"
 	"repro/internal/simnet"
 	"repro/internal/stacktest"
+	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 	"repro/internal/udp"
 	"repro/internal/vclock"
@@ -88,6 +89,43 @@ func TestBodyRetransmittedByReference(t *testing.T) {
 	}
 	if !bytes.Equal(tx[0][:tsOff], tx[1][:tsOff]) || !bytes.Equal(tx[0][tsOff+8:], tx[1][tsOff+8:]) {
 		t.Fatal("the retransmission differs from the first transmission outside the timestamp")
+	}
+}
+
+// TestBodyCorruptedInFlight puts a link that corrupts every datagram
+// under a 128-KiB body: the receiver's frame checksum rejects every
+// transmission and retransmission, nothing is delivered, and the
+// sender's body — which rp2p keeps handing to the fault injector — is
+// never the copy that gets flipped.
+func TestBodyCorruptedInFlight(t *testing.T) {
+	vc := vclock.NewVirtual()
+	c := stacktest.New(t, 2, simnet.Config{Clock: vc, BaseLatency: time.Millisecond}, nil)
+	faulty := transport.Faulty(c.Tr, transport.FaultConfig{Seed: 5, CorruptRate: 1, Clock: vc})
+	c.Reg.MustRegister(udp.Factory(faulty))
+	c.Reg.MustRegister(rp2p.Factory(rp2p.Config{RTO: 20 * time.Millisecond}))
+	c.CreateAll(rp2p.Protocol)
+	log := &recvLog{}
+	listen(c, 1, "ch", log)
+	delta := stacktest.CounterDelta()
+	body := patterned(128 << 10)
+	pristine := bytes.Clone(body)
+	c.Stacks[0].Call(rp2p.Service, rp2p.Send{To: 1, Channel: "ch", Data: []byte("head:"), Body: body})
+	vc.RunFor(300 * time.Millisecond) // the first transmission and several retransmissions
+	c.Stacks[0].Close()               // no more sends; let what is in flight land
+	vc.RunFor(10 * time.Millisecond)
+
+	corrupted := faulty.Stats().Corrupted
+	if corrupted < 3 || delta("rp2p.retransmits") < 2 {
+		t.Fatalf("%d datagrams corrupted, %d retransmissions: the fault never bit", corrupted, delta("rp2p.retransmits"))
+	}
+	if got := delta("wire.frames_rejected"); got != corrupted {
+		t.Errorf("%d frames rejected by the receiver, %d corrupted in flight", got, corrupted)
+	}
+	if log.count() != 0 {
+		t.Errorf("%d corrupted deliveries", log.count())
+	}
+	if !bytes.Equal(body, pristine) {
+		t.Fatal("the sender's body was corrupted: the fault injector flipped bytes it did not own")
 	}
 }
 

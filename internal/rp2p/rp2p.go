@@ -4,6 +4,14 @@
 // cumulative acknowledgements, retransmission with exponential backoff
 // and a sliding send window.
 //
+// An ack echoes the transmit stamp of the last data packet the peer
+// received. When the first packet the peer still lacks was last sent
+// before that stamp, a later packet overtook it, and it is resent at
+// once instead of one retransmission timeout later: the time-based loss
+// rule of RACK (RFC 8985), one packet per ack, with the timer as the
+// backstop. A packet merely reordered in flight costs one duplicate,
+// which the receiver discards.
+//
 // Deliveries are demultiplexed by named channels. A channel with no
 // registered handler buffers its messages until a handler registers:
 // this realises the paper's rule that "if Pj is not currently in stack
@@ -39,6 +47,10 @@ var (
 	retransCounter = metrics.NewCounter("rp2p.retransmits")
 	ackRTTGauge    = metrics.NewGauge("rp2p.ack_rtt_us")
 )
+
+// dropCounter counts deliveries discarded because an unclaimed channel's
+// buffer was full (see Config.BufferLimit).
+var dropCounter = metrics.NewCounter("rp2p.buffer_drops")
 
 // Service is the reliable point-to-point service.
 const Service kernel.ServiceID = "net/rp2p"
@@ -179,10 +191,11 @@ const (
 // stays the sender's slice, and only the writer's bytes are re-stamped
 // on retransmission.
 type outPkt struct {
-	seq   uint64
-	w     *wire.Writer // encoded packet; timestamp field starts at tsOff
-	tsOff int
-	body  []byte // Send.Body, by reference until acked
+	seq    uint64
+	w      *wire.Writer // encoded packet; timestamp field starts at tsOff
+	tsOff  int
+	body   []byte // Send.Body, by reference until acked
+	sentAt uint64 // timestamp of the last transmission
 }
 
 type peer struct {
@@ -403,7 +416,8 @@ func (m *Module) send(s Send) {
 func (m *Module) transmit(p *peer, pkt *outPkt) {
 	sentCounter.Add(1)
 	encoded := pkt.w.Bytes()
-	binary.BigEndian.PutUint64(encoded[pkt.tsOff:], uint64(m.Stk.Now().UnixNano()))
+	pkt.sentAt = uint64(m.Stk.Now().UnixNano())
+	binary.BigEndian.PutUint64(encoded[pkt.tsOff:], pkt.sentAt)
 	// Synchronous dispatch into the UDP module: no queue round-trip, and
 	// the headroom byte lets the frame go out without a copy.
 	m.Stk.CallSync(udp.Service, udp.Send{To: p.addr, Chan: udp.ChanRP2P, Data: encoded, Body: pkt.body, Headroom: true})
@@ -440,12 +454,16 @@ func (m *Module) retransmit(p *peer) {
 		seqs = seqs[:m.cfg.RetransmitBurst]
 	}
 	for _, s := range seqs {
-		m.transmit(p, p.unacked[s])
-		m.stats.Retransmits++
-		retransCounter.Add(1)
+		m.resend(p, p.unacked[s])
 	}
 	p.rto = min(p.rto*2, m.cfg.MaxRTO)
 	m.armRetransmit(p)
+}
+
+func (m *Module) resend(p *peer, pkt *outPkt) {
+	m.transmit(p, pkt)
+	m.stats.Retransmits++
+	retransCounter.Add(1)
 }
 
 // HandleIndication processes UDP receptions tagged for RP2P and
@@ -585,6 +603,14 @@ func (m *Module) onAck(from kernel.Addr, want uint64, echoTS uint64) {
 			p.rto = m.cfg.RTO
 		}
 	}
+	// The overtaken-packet rule: the peer received a transmission made
+	// after the last one of the first packet it still lacks, so that
+	// packet is lost, not late. Resend it now instead of one RTO later;
+	// its fresh stamp keeps the acks still under way from resending it
+	// again.
+	if pkt, ok := p.unacked[want]; ok && pkt.sentAt < echoTS {
+		m.resend(p, pkt)
+	}
 	// Top the window up from the backlog.
 	for len(p.sendQ) > 0 && len(p.unacked) < m.cfg.Window {
 		pkt := p.sendQ[0]
@@ -617,6 +643,7 @@ func (m *Module) deliver(rv Recv) {
 	buf := m.unclaimed[rv.Channel]
 	if len(buf) >= m.cfg.BufferLimit {
 		m.stats.BufferDrops++
+		dropCounter.Add(1)
 		m.Stk.Logf("rp2p: channel %q buffer full, dropping", rv.Channel)
 		return
 	}
