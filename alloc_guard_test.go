@@ -85,9 +85,9 @@ func TestPoolDispatchAllocBudget(t *testing.T) {
 
 // TestBatchEnqueueFlushAllocBudget asserts the batched send path costs
 // the same per Flush however many payloads it carries: Enqueue copies a
-// payload into the datagram its peer's flush sends, whose buffer and
-// queue slot the endpoint reuses, and Flush builds the sendmmsg headers
-// into arrays wired up once at open. 64 small payloads to one peer are
+// payload's head and body into the datagram its peer's flush sends,
+// whose buffer and queue slot the endpoint reuses, and Flush builds the
+// sendmmsg headers into arrays wired up once at open. 64 small payloads to one peer are
 // one datagram and one syscall. The receiving end is a bare socket
 // nobody reads, so that only the sender's allocations are counted.
 func TestBatchEnqueueFlushAllocBudget(t *testing.T) {
@@ -105,20 +105,16 @@ func TestBatchEnqueueFlushAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	ep, err := tr.Open(0, func(transport.Addr, []byte) {})
+	ep, err := tr.OpenBatch(0, func([]transport.Packet) {})
 	if err != nil {
 		t.Fatal(err)
-	}
-	bs, ok := ep.(transport.BatchSender)
-	if !ok {
-		t.Fatalf("%T is not a BatchSender", ep)
 	}
 	payload := make([]byte, 128)
 	flush := func(payloads int) {
 		for i := 0; i < payloads; i++ {
-			bs.Enqueue(1, payload)
+			ep.Enqueue(1, payload[:16], payload[16:])
 		}
-		bs.Flush()
+		ep.Flush()
 	}
 	flush(64) // warm up: the queue slot and its buffer exist from here on
 	before := tr.Stats()

@@ -22,7 +22,7 @@ import (
 //     checked locally;
 //   - pooled body: the writer's bytes are handed over as a Body (the
 //     Body field of rp2p.Send or udp.Send, the body argument of
-//     transport.BodySender.EnqueueBody). A Body is never copied: it is
+//     transport.Endpoint.Enqueue). A Body is never copied: it is
 //     kept by reference until an ack or a socket write that happens
 //     long after the call, and read from other goroutines meanwhile,
 //     so the pool would recycle the buffer under its readers. Data
@@ -151,7 +151,8 @@ func (c *poolChecker) walkScope(root ast.Node, fn func(ast.Node)) {
 
 // checkBodies reports bytes of a tracked writer that are handed over as
 // a by-reference body: the value of a Body field in a composite literal
-// or an assignment, or the last argument of an EnqueueBody call. The
+// or an assignment, or the third argument of a three-argument Enqueue
+// call (transport.Endpoint's, whose head is copied and body kept). The
 // bytes are recognised as w.Bytes() (through a method chain or a slice
 // expression) or as a local assigned from that.
 func (c *poolChecker) checkBodies() {
@@ -231,8 +232,8 @@ func (c *poolChecker) checkBodies() {
 				check(n.Value)
 			}
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "EnqueueBody" && len(n.Args) > 0 {
-				check(n.Args[len(n.Args)-1])
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Enqueue" && len(n.Args) == 3 {
+				check(n.Args[2])
 			}
 		}
 	})

@@ -73,9 +73,11 @@ func suppressedTransfer(h *holder) {
 // is copied during it.
 type send struct{ Data, Body []byte }
 
-type bodySender interface {
-	EnqueueBody(to int, head, body []byte)
+// endpoint's Enqueue keeps its body by reference; queue's copies.
+type endpoint interface {
+	Enqueue(to int, head, body []byte)
 }
+type queue interface{ Enqueue(to int, data []byte) }
 
 func bodyFromPool(out func(send)) {
 	w := wire.GetWriter(8)
@@ -93,18 +95,19 @@ func bodyFromPoolThroughLocal(out func(send)) {
 	w.Free()
 }
 
-func bodyFromPoolEnqueued(ep bodySender) {
+func bodyFromPoolEnqueued(ep endpoint) {
 	w := wire.GetWriter(8)
 	w.Byte(1)
-	ep.EnqueueBody(1, nil, w.Bytes()) // want `poolfree: .*passed as a Body`
+	ep.Enqueue(1, nil, w.Bytes()) // want `poolfree: .*passed as a Body`
 	w.Free()
 }
 
-func okHeadFromPool(ep bodySender, out func(send), body []byte) {
+func okHeadFromPool(ep endpoint, q queue, out func(send), body []byte) {
 	w := wire.GetWriter(8)
 	w.Byte(1)
 	out(send{Data: w.Bytes(), Body: body})
-	ep.EnqueueBody(1, w.Bytes(), body)
+	ep.Enqueue(1, w.Bytes(), body)
+	q.Enqueue(1, w.Bytes())
 	w.Free()
 }
 

@@ -58,9 +58,8 @@ func TestConformanceUDP(t *testing.T) {
 func TestConformanceUDPFallback(t *testing.T) {
 	transporttest.Conformance{
 		New: func(t testing.TB, addrs []transport.Addr) transport.Transport {
-			tr, err := transport.NewUDP(transport.UDPConfig{
-				Book:            bookOf(t, addrs, transporttest.ReserveAddrs),
-				DisableBatching: true,
+			tr, err := transport.NewPortableUDP(transport.UDPConfig{
+				Book: bookOf(t, addrs, transporttest.ReserveAddrs),
 			})
 			if err != nil {
 				t.Fatalf("NewUDP: %v", err)

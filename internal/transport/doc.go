@@ -10,14 +10,17 @@
 // bottom and repairs above (RP2P adds reliability and FIFO order, the
 // protocols above add agreement).
 //
-// Two backends are provided:
+// Every backend implements the whole Endpoint contract (Send; Enqueue
+// and Flush for a batch; delivery in batches), so no caller probes for
+// capabilities. Three backends are provided:
 //
-//   - Sim wraps internal/simnet, preserving the deterministic,
-//     fault-parameterised in-memory fabric used by the test suites and
-//     benchmark figures.
+//   - Sim wraps internal/simnet, the deterministic in-memory fabric of
+//     the test suites and the scenario corpus.
 //   - NewUDP binds real net.UDPConn sockets with a static address book
 //     mapping Addr to host:port, for multi-process and multi-host
 //     deployments (see cmd/dpu-sim's -listen/-peers mode).
+//   - NewTCP keeps one stream per peer, for payloads past the datagram
+//     ceiling.
 //
 // Two optional interfaces extend a backend:
 //

@@ -172,50 +172,16 @@ type FaultyTransport struct {
 	sender    sync.WaitGroup // the sender goroutine, waited for by Close
 }
 
-// Open opens the inner endpoint and wraps its sender. An inner endpoint
-// that batches sends (BatchSender) stays batched through the decorator:
-// the wrapper applies one fate per Enqueue, before the inner endpoint
-// packs the survivors into datagrams, and forwards Flush, so fault
-// injection composes with packing and syscall amortization.
-func (t *FaultyTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
-	ep, err := t.inner.Open(addr, recv)
+// OpenBatch opens the inner endpoint and wraps its sends: one fate per
+// Send or Enqueue, before the inner endpoint packs the survivors into
+// datagrams, so fault injection composes with packing and syscall
+// amortization.
+func (t *FaultyTransport) OpenBatch(addr Addr, recv RecvFunc) (Endpoint, error) {
+	ep, err := t.inner.OpenBatch(addr, recv)
 	if err != nil {
 		return nil, err
 	}
-	return wrapFaulty(t, ep), nil
-}
-
-// OpenBatch opens the inner endpoint in batch-receive mode, shimming
-// per-packet delivery into singleton batches over fabrics without a
-// batched receive path (simnet). The shim changes nothing observable:
-// each datagram still arrives as its own callback, in the same order,
-// so seeded scenario runs stay digest-identical. It implements the
-// optional BatchOpener extension — the decorator always offers it, as
-// it always offers Router.
-func (t *FaultyTransport) OpenBatch(addr Addr, recv BatchRecvFunc) (Endpoint, error) {
-	var ep Endpoint
-	var err error
-	if bo, ok := t.inner.(BatchOpener); ok {
-		ep, err = bo.OpenBatch(addr, recv)
-	} else {
-		ep, err = t.inner.Open(addr, func(from Addr, data []byte) {
-			recv([]Packet{{From: from, Data: data}})
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return wrapFaulty(t, ep), nil
-}
-
-// wrapFaulty picks the decorator shape that preserves the inner
-// endpoint's batching capability.
-func wrapFaulty(t *FaultyTransport, ep Endpoint) Endpoint {
-	fe := faultyEndpoint{t: t, ep: ep}
-	if bs, ok := ep.(BatchSender); ok {
-		return faultyBatchEndpoint{faultyEndpoint: fe, bs: bs}
-	}
-	return fe
+	return faultyEndpoint{t: t, ep: ep}, nil
 }
 
 // Close closes the inner transport and cancels delayed datagrams still
@@ -452,96 +418,67 @@ func (t *FaultyTransport) drain() {
 	}
 }
 
+// faultyEndpoint decorates an endpoint: every Send and every Enqueue
+// rolls one fate (the fate sequence is indifferent to which path
+// carried the payload). Survivors of an Enqueue stay on the inner queue
+// — packed with whatever else the flush sends their peer, each still
+// sealed by its own checksum — and Flush passes through.
 type faultyEndpoint struct {
 	t  *FaultyTransport
 	ep Endpoint
 }
 
 func (e faultyEndpoint) Addr() Addr { return e.ep.Addr() }
+func (e faultyEndpoint) Flush()     { e.ep.Flush() }
+func (e faultyEndpoint) Close()     { e.ep.Close() }
 
-func (e faultyEndpoint) Send(to Addr, data []byte) {
+func (e faultyEndpoint) Send(to Addr, data []byte) { e.transmit(to, data, nil, false) }
+
+func (e faultyEndpoint) Enqueue(to Addr, head, body []byte) { e.transmit(to, head, body, true) }
+
+// transmit rolls the fate of the datagram head‖body and hands what
+// survives to the inner endpoint: onto its queue when queued, by its
+// Send otherwise.
+func (e faultyEndpoint) transmit(to Addr, head, body []byte, queued bool) {
 	from := e.ep.Addr()
-	drop, dup, delay, flips := e.t.fate(to == from, from, to, len(data))
+	drop, dup, delay, flips := e.t.fate(to == from, from, to, len(head)+len(body))
 	if drop {
 		return
 	}
-	if delay <= 0 && len(flips) == 0 {
-		e.ep.Send(to, data)
-		if dup {
-			e.ep.Send(to, data)
+	if delay > 0 || len(flips) > 0 {
+		// The caller may reuse head once this returns; a held-back or
+		// mutated datagram carries its own copy.
+		buf := append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+		for _, f := range flips {
+			buf[f.pos] ^= f.xor
 		}
-		return
-	}
-	// The transport contract lets the caller reuse data once Send
-	// returns; a held-back or mutated datagram must carry its own copy.
-	buf := append([]byte(nil), data...)
-	for _, f := range flips {
-		buf[f.pos] ^= f.xor
-	}
-	if delay <= 0 {
-		e.ep.Send(to, buf)
-		if dup {
-			e.ep.Send(to, buf)
+		if delay > 0 {
+			// A delayed datagram re-materializes outside any executor pass
+			// (on the sender goroutine on wall time, on the goroutine
+			// stepping a virtual clock): no Flush will follow, and only the
+			// executor may touch the queue. It leaves through Send, one
+			// unbatched transmission per delayed datagram.
+			e.t.after(delay, func() { e.pass(to, buf, nil, false, dup) })
+			return
 		}
-		return
+		head, body = buf, nil
 	}
-	e.t.after(delay, func() {
-		e.ep.Send(to, buf)
-		if dup {
-			e.ep.Send(to, buf)
-		}
-	})
+	e.pass(to, head, body, queued, dup)
 }
 
-func (e faultyEndpoint) Close() { e.ep.Close() }
-
-// faultyBatchEndpoint decorates a batching endpoint: every Enqueue
-// rolls the same fate as Send would (the fate sequence is indifferent
-// to which path carried the payload), survivors stay on the inner batch
-// queue — packed with whatever else the flush sends their peer, each
-// still sealed by its own checksum — and Flush passes through.
-type faultyBatchEndpoint struct {
-	faultyEndpoint
-	bs BatchSender
+// pass hands a datagram to the inner endpoint, twice when duplicated.
+// Only a queued datagram can have a body: Send has none, and a copied
+// one is joined.
+func (e faultyEndpoint) pass(to Addr, head, body []byte, queued, dup bool) {
+	if queued {
+		e.ep.Enqueue(to, head, body)
+		if dup {
+			e.ep.Enqueue(to, head, body)
+		}
+		return
+	}
+	e.ep.Send(to, head)
+	if dup {
+		e.ep.Send(to, head)
+	}
 }
-
-func (e faultyBatchEndpoint) Enqueue(to Addr, data []byte) {
-	from := e.ep.Addr()
-	drop, dup, delay, flips := e.t.fate(to == from, from, to, len(data))
-	if drop {
-		return
-	}
-	if delay <= 0 && len(flips) == 0 {
-		e.bs.Enqueue(to, data)
-		if dup {
-			e.bs.Enqueue(to, data)
-		}
-		return
-	}
-	// Held-back or mutated datagrams carry their own copy, as in Send.
-	buf := append([]byte(nil), data...)
-	for _, f := range flips {
-		buf[f.pos] ^= f.xor
-	}
-	if delay <= 0 {
-		e.bs.Enqueue(to, buf)
-		if dup {
-			e.bs.Enqueue(to, buf)
-		}
-		return
-	}
-	// A delayed datagram re-materializes outside any executor pass (on
-	// the sender goroutine on wall time, on the goroutine stepping a
-	// virtual clock) — no Flush will follow, and BatchSender's
-	// single-caller contract forbids touching the queue from here. Send
-	// it directly: one unbatched syscall per delayed datagram is the cost
-	// of shaping it.
-	e.t.after(delay, func() {
-		e.ep.Send(to, buf)
-		if dup {
-			e.ep.Send(to, buf)
-		}
-	})
-}
-
-func (e faultyBatchEndpoint) Flush() { e.bs.Flush() }

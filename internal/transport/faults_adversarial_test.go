@@ -18,12 +18,12 @@ func TestFaultyCorrupt(t *testing.T) {
 		ft := Faulty(newMemFabric(), FaultConfig{Seed: seed, CorruptRate: 1, Clock: vclock.NewVirtual()})
 		defer ft.Close()
 		var got []string
-		if _, err := ft.Open(2, func(_ Addr, data []byte) {
+		if _, err := openEach(ft, 2, func(_ Addr, data []byte) {
 			got = append(got, string(data))
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ep, err := ft.Open(1, nil)
+		ep, err := openEach(ft, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestFaultyCorruptLoopbackExempt(t *testing.T) {
 	ft := Faulty(newMemFabric(), FaultConfig{Seed: 1, CorruptRate: 1, Clock: vclock.NewVirtual()})
 	defer ft.Close()
 	var got []byte
-	ep, err := ft.Open(1, func(_ Addr, data []byte) { got = data })
+	ep, err := openEach(ft, 1, func(_ Addr, data []byte) { got = data })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestFaultyReorder(t *testing.T) {
 	})
 	defer ft.Close()
 	var got []string
-	if _, err := ft.Open(2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
+	if _, err := openEach(ft, 2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ft.Open(1, nil)
+	ep, err := openEach(ft, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestFaultyBurst(t *testing.T) {
 	ft := Faulty(newMemFabric(), FaultConfig{Seed: 5, BurstRate: 1, BurstLen: 4, Clock: vclock.NewVirtual()})
 	defer ft.Close()
 	var got []string
-	if _, err := ft.Open(2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
+	if _, err := openEach(ft, 2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ft.Open(1, nil)
+	ep, err := openEach(ft, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestFaultyOneWay(t *testing.T) {
 	ft := Faulty(newMemFabric(), FaultConfig{Seed: 9, Clock: vclock.NewVirtual()})
 	defer ft.Close()
 	var at1, at2 []string
-	ep1, err := ft.Open(1, func(_ Addr, data []byte) { at1 = append(at1, string(data)) })
+	ep1, err := openEach(ft, 1, func(_ Addr, data []byte) { at1 = append(at1, string(data)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep2, err := ft.Open(2, func(_ Addr, data []byte) { at2 = append(at2, string(data)) })
+	ep2, err := openEach(ft, 2, func(_ Addr, data []byte) { at2 = append(at2, string(data)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +174,10 @@ func TestFaultyZeroRatesNeutral(t *testing.T) {
 	ft := Faulty(newMemFabric(), FaultConfig{Seed: 123, Clock: vclock.NewVirtual()})
 	defer ft.Close()
 	var got []string
-	if _, err := ft.Open(2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
+	if _, err := openEach(ft, 2, func(_ Addr, data []byte) { got = append(got, string(data)) }); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ft.Open(1, nil)
+	ep, err := openEach(ft, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

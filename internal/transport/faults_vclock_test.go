@@ -10,15 +10,16 @@ import (
 )
 
 // memFabric is a minimal synchronous in-memory fabric: a send invokes
-// the destination's RecvFunc on the calling goroutine. With the Faulty
-// decorator's timers on a virtual clock, every delivery then happens
-// either inside Send (undelayed) or inside Virtual.RunFor (delayed),
-// so a single-goroutine test observes a total delivery order.
+// the destination's RecvFunc on the calling goroutine, with a batch of
+// one. With the Faulty decorator's timers on a virtual clock, every
+// delivery then happens either inside Send or Enqueue (undelayed) or
+// inside Virtual.RunFor (delayed), so a single-goroutine test observes
+// a total delivery order.
 type memFabric struct{ eps map[Addr]RecvFunc }
 
 func newMemFabric() *memFabric { return &memFabric{eps: make(map[Addr]RecvFunc)} }
 
-func (f *memFabric) Open(a Addr, recv RecvFunc) (Endpoint, error) {
+func (f *memFabric) OpenBatch(a Addr, recv RecvFunc) (Endpoint, error) {
 	f.eps[a] = recv
 	return memEndpoint{f: f, a: a}, nil
 }
@@ -32,12 +33,15 @@ type memEndpoint struct {
 
 func (e memEndpoint) Addr() Addr { return e.a }
 
-func (e memEndpoint) Send(to Addr, data []byte) {
+func (e memEndpoint) Send(to Addr, data []byte) { e.Enqueue(to, data, nil) }
+
+func (e memEndpoint) Enqueue(to Addr, head, body []byte) {
 	if recv := e.f.eps[to]; recv != nil {
-		recv(e.a, append([]byte(nil), data...))
+		recv([]Packet{{From: e.a, Data: append(append([]byte(nil), head...), body...)}})
 	}
 }
 
+func (e memEndpoint) Flush() {}
 func (e memEndpoint) Close() {}
 
 // faultyVirtualDigest runs one seeded fault schedule under a virtual
@@ -55,12 +59,12 @@ func faultyVirtualDigest(t *testing.T, seed int64) (string, FaultStats) {
 		Clock:    vc,
 	})
 	var got []string
-	if _, err := ft.Open(2, func(from Addr, data []byte) {
+	if _, err := openEach(ft, 2, func(from Addr, data []byte) {
 		got = append(got, fmt.Sprintf("%s@%v", data, vc.Elapsed()))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ft.Open(1, nil)
+	ep, err := openEach(ft, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestFaultyWallDelayIsHandedOff(t *testing.T) {
 	got := make(chan string, n)
 	ft := Faulty(newMemFabric(), FaultConfig{Delay: time.Millisecond})
 	defer ft.Close()
-	if _, err := ft.Open(2, func(_ Addr, data []byte) {
+	if _, err := openEach(ft, 2, func(_ Addr, data []byte) {
 		if string(data) == "msg-000" {
 			<-gate
 		}
@@ -124,7 +128,7 @@ func TestFaultyWallDelayIsHandedOff(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := ft.Open(1, nil)
+	ep, err := openEach(ft, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,8 @@ func (q *sendQueue) copyIn(b []byte) {
 	q.bytes += len(b)
 }
 
-// ref appends b itself to the stream; see BodySender for what that asks
-// of the caller.
+// ref appends b itself to the stream; see Endpoint.Enqueue for what
+// that asks of the caller.
 func (q *sendQueue) ref(b []byte) {
 	if len(b) == 0 {
 		return

@@ -75,9 +75,8 @@ type TCPStats struct {
 }
 
 // TCPTransport sends length-prefixed stream frames over real net.Conn
-// connections using a mutable address book. It satisfies Transport,
-// BatchOpener and (via its endpoints) BodySender and Router, so the
-// stack above runs unmodified over streams.
+// connections using a mutable address book. It satisfies Transport and
+// Router, so the stack above runs unmodified over streams.
 //
 // Connections are managed per (endpoint, peer) pair: the first send to
 // a peer dials lazily, a single accept loop per endpoint admits inbound
@@ -104,7 +103,7 @@ type TCPTransport struct {
 }
 
 // NewTCP validates the address book and returns a stream transport. No
-// listeners are bound until Open.
+// listeners are bound until OpenBatch.
 func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 	if len(cfg.Book) == 0 {
 		return nil, fmt.Errorf("transport: empty address book")
@@ -149,25 +148,13 @@ func (t *TCPTransport) logf(format string, args ...any) {
 	}
 }
 
-// Open binds the TCP listener for addr's book entry and starts its
-// accept loop. The returned endpoint implements BodySender: Enqueue and
-// EnqueueBody park frames per peer and Flush writes each peer's batch
-// with one vectored write.
-func (t *TCPTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
-	return t.open(addr, recv, nil)
-}
-
-// OpenBatch binds the listener like Open but delivers incoming messages
-// in batches: the messages completed between two socket reads arrive in
-// one callback. It implements the optional BatchOpener extension.
-func (t *TCPTransport) OpenBatch(addr Addr, recv BatchRecvFunc) (Endpoint, error) {
+// OpenBatch binds the TCP listener for addr's book entry and starts its
+// accept loop. The messages completed between two socket reads arrive
+// in one batch; Flush writes each peer's queue with one vectored write.
+func (t *TCPTransport) OpenBatch(addr Addr, recv RecvFunc) (Endpoint, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("transport: OpenBatch with nil receiver")
 	}
-	return t.open(addr, nil, recv)
-}
-
-func (t *TCPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endpoint, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -188,7 +175,7 @@ func (t *TCPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endp
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ep := &tcpEndpoint{
-		tr: t, addr: addr, listener: l, recv: recv, brecv: brecv,
+		tr: t, addr: addr, listener: l, recv: recv,
 		ctx: ctx, cancel: cancel,
 		links: make(map[Addr]*tcpLink),
 		pend:  make(map[net.Conn]struct{}),
@@ -286,8 +273,7 @@ type tcpEndpoint struct {
 	tr       *TCPTransport
 	addr     Addr
 	listener net.Listener
-	recv     RecvFunc      // set when opened with Open
-	brecv    BatchRecvFunc // set when opened with OpenBatch
+	recv     RecvFunc
 	ctx      context.Context
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
@@ -300,9 +286,9 @@ type tcpEndpoint struct {
 	pendMu sync.Mutex
 	pend   map[net.Conn]struct{}
 
-	// dirty is the executor-confined BatchSender state: links touched by
-	// Enqueue since the last Flush, in first-touch order. Only the
-	// single Enqueue/Flush caller reads or writes it.
+	// dirty is the executor-confined Enqueue/Flush state: links touched
+	// by Enqueue since the last Flush, in first-touch order. Send, safe
+	// from any goroutine, kicks its link itself instead.
 	dirty []*tcpLink
 
 	closed atomic.Bool
@@ -322,16 +308,10 @@ func (e *tcpEndpoint) Send(to Addr, data []byte) {
 	}
 }
 
-// Enqueue frames data onto the peer link's queue for the next Flush.
-// Enqueue, EnqueueBody and Flush must be called from one goroutine at a
-// time (the stack executor); Send may be used concurrently from other
-// goroutines.
-func (e *tcpEndpoint) Enqueue(to Addr, data []byte) { e.EnqueueBody(to, data, nil) }
-
-// EnqueueBody frames head‖body as one message onto the peer link's
-// queue for the next Flush: head is copied, body stays where it is until
-// the link's writer has written it (see BodySender).
-func (e *tcpEndpoint) EnqueueBody(to Addr, head, body []byte) {
+// Enqueue frames head‖body as one message onto the peer link's queue
+// for the next Flush: head is copied, body stays where it is until the
+// link's writer has written it (see Endpoint).
+func (e *tcpEndpoint) Enqueue(to Addr, head, body []byte) {
 	l := e.park(to, head, body)
 	if l == nil {
 		return
@@ -515,20 +495,12 @@ func (e *tcpEndpoint) admit(conn net.Conn) {
 }
 
 // recvMsgs delivers one decoder batch unless the endpoint has closed.
-// An endpoint opened with OpenBatch receives the batch as it is: the
-// decoder gave the slice up.
 func (e *tcpEndpoint) recvMsgs(pkts []Packet) {
 	if e.closed.Load() {
 		return
 	}
 	e.tr.delivered.Add(uint64(len(pkts)))
-	if e.brecv != nil {
-		e.brecv(pkts)
-		return
-	}
-	for _, p := range pkts {
-		e.recv(p.From, p.Data)
-	}
+	e.recv(pkts)
 }
 
 // decode runs a stream decoder for messages from peer over src until

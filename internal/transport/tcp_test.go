@@ -44,11 +44,11 @@ func TestTCPRoundTrip(t *testing.T) {
 	defer tr.Close()
 	recv0, ch0 := collector(8)
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, recv0)
+	ep0, err := openEach(tr, 0, recv0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := tr.Open(1, recv1)
+	ep1, err := openEach(tr, 1, recv1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestTCPLargePayload(t *testing.T) {
 	tr := newTestTCP(t, reserveStreamBook(t, 2))
 	defer tr.Close()
 	got := make(chan []byte, 1)
-	if _, err := tr.Open(0, func(from Addr, data []byte) { got <- data }); err != nil {
+	if _, err := openEach(tr, 0, func(from Addr, data []byte) { got <- data }); err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := tr.Open(1, func(Addr, []byte) {})
+	ep1, err := openEach(tr, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestTCPReconnect(t *testing.T) {
 	tr := newTestTCP(t, book)
 	defer tr.Close()
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := tr.Open(1, recv1)
+	ep1, err := openEach(tr, 1, recv1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTCPReconnect(t *testing.T) {
 
 	ep1.Close()
 	recv1b, ch1b := collector(8)
-	if _, err := tr.Open(1, recv1b); err != nil {
+	if _, err := openEach(tr, 1, recv1b); err != nil {
 		t.Fatalf("reopen 1: %v", err)
 	}
 	// The sender's old connection is dead; keep sending until the
@@ -160,11 +160,11 @@ func TestTCPSimultaneousDial(t *testing.T) {
 	defer tr.Close()
 	recv0, ch0 := collector(64)
 	recv1, ch1 := collector(64)
-	ep0, err := tr.Open(0, recv0)
+	ep0, err := openEach(tr, 0, recv0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := tr.Open(1, recv1)
+	ep1, err := openEach(tr, 1, recv1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTCPSendErrors(t *testing.T) {
 	}
 	defer tr.Close()
 	recv, ch := collector(1)
-	ep, err := tr.Open(0, recv)
+	ep, err := openEach(tr, 0, recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestTCPRemoveRouteDropsLink(t *testing.T) {
 	tr := newTestTCP(t, reserveStreamBook(t, 2))
 	defer tr.Close()
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
 	ep0.Send(1, []byte("pre"))
@@ -245,7 +245,7 @@ func TestTCPRejectsStrays(t *testing.T) {
 	tr := newTestTCP(t, book)
 	defer tr.Close()
 	recv0, ch0 := collector(8)
-	if _, err := tr.Open(0, recv0); err != nil {
+	if _, err := openEach(tr, 0, recv0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,7 +280,7 @@ func TestTCPRejectsStrays(t *testing.T) {
 	expectQuiet(t, ch0, 50*time.Millisecond)
 
 	// A well-formed peer still gets through.
-	ep1, err := tr.Open(1, func(Addr, []byte) {})
+	ep1, err := openEach(tr, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,31 +291,27 @@ func TestTCPRejectsStrays(t *testing.T) {
 	}
 }
 
-// TestTCPBatchCoalesces checks the BatchSender path: one Flush delivers
+// TestTCPBatchCoalesces checks the Enqueue/Flush path: one Flush delivers
 // everything enqueued, in order, to each peer.
 func TestTCPBatchCoalesces(t *testing.T) {
 	tr := newTestTCP(t, reserveStreamBook(t, 2))
 	defer tr.Close()
 	recv1, ch1 := collector(64)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
-	bs, ok := ep0.(BatchSender)
-	if !ok {
-		t.Fatal("TCP endpoint does not implement BatchSender")
-	}
 	for i := 0; i < 16; i++ {
-		bs.Enqueue(1, []byte{byte('a' + i)})
+		ep0.Enqueue(1, []byte{byte('a' + i)}, nil)
 	}
-	bs.Flush()
+	ep0.Flush()
 	for i := 0; i < 16; i++ {
 		expectPacket(t, ch1, packet{0, string(rune('a' + i))})
 	}
-	bs.Flush() // empty flush is a no-op
+	ep0.Flush() // empty flush is a no-op
 	expectQuiet(t, ch1, 20*time.Millisecond)
 }
 
@@ -345,16 +341,12 @@ func TestTCPBodyByReference(t *testing.T) {
 	tr := newTestTCP(t, reserveStreamBook(t, 2))
 	defer tr.Close()
 	got := make(chan []byte, 64)
-	if _, err := tr.Open(1, func(_ Addr, data []byte) { got <- data }); err != nil {
+	if _, err := openEach(tr, 1, func(_ Addr, data []byte) { got <- data }); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	vs, ok := ep0.(BodySender)
-	if !ok {
-		t.Fatal("TCP endpoint does not implement BodySender")
 	}
 	body := make([]byte, 128<<10)
 	for i := range body {
@@ -364,13 +356,13 @@ func TestTCPBodyByReference(t *testing.T) {
 	var want [][]byte
 	for round := 0; round < 4; round++ {
 		head := []byte{'h', byte(round)}
-		vs.Enqueue(1, []byte{'<', byte(round)})
-		vs.EnqueueBody(1, head, body)
+		ep0.Enqueue(1, []byte{'<', byte(round)}, nil)
+		ep0.Enqueue(1, head, body)
 		head[0] = 'X' // the head was copied; the caller may reuse it
-		vs.Enqueue(1, []byte{'>', byte(round)})
+		ep0.Enqueue(1, []byte{'>', byte(round)}, nil)
 		want = append(want, []byte{'<', byte(round)}, append([]byte{'h', byte(round)}, body...), []byte{'>', byte(round)})
 		if round%2 == 1 {
-			vs.Flush() // two rounds per writev, then two more
+			ep0.Flush() // two rounds per writev, then two more
 		}
 	}
 	for i, w := range want {
@@ -401,15 +393,14 @@ func TestTCPQueueLimitCountsReferencedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := ep0.(BodySender)
 	body := make([]byte, 64<<10)
 	// No Flush, so no writer wakes and the queue only grows.
 	for i := 0; i < 5; i++ {
-		vs.EnqueueBody(1, []byte("head"), body) // 4 bytes copied, 64 KiB referenced
+		ep0.Enqueue(1, []byte("head"), body) // 4 bytes copied, 64 KiB referenced
 	}
 	// The bound is tested before a message is queued, as it always was:
 	// the second message finds 64 KiB parked and passes, the third finds
@@ -455,7 +446,7 @@ func TestTCPNoPrefixDelivered(t *testing.T) {
 	}
 	defer tr.Close()
 	recv0, ch0 := collector(8)
-	if _, err := tr.Open(0, recv0); err != nil {
+	if _, err := openEach(tr, 0, recv0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,7 +480,7 @@ func TestTCPNoPrefixDelivered(t *testing.T) {
 		t.Fatalf("after a peer died mid-body: stats %+v", st)
 	}
 
-	ep1, err := tr.Open(1, func(Addr, []byte) {})
+	ep1, err := openEach(tr, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,20 @@ type packet struct {
 	data string
 }
 
+// openEach opens addr on tr with a per-packet receiver; nil discards
+// what arrives.
+func openEach(tr Transport, addr Addr, recv func(Addr, []byte)) (Endpoint, error) {
+	return tr.OpenBatch(addr, func(pkts []Packet) {
+		for _, p := range pkts {
+			if recv != nil {
+				recv(p.From, p.Data)
+			}
+		}
+	})
+}
+
 // collector funnels deliveries into a channel.
-func collector(buf int) (RecvFunc, chan packet) {
+func collector(buf int) (func(Addr, []byte), chan packet) {
 	ch := make(chan packet, buf)
 	return func(from Addr, data []byte) {
 		ch <- packet{from, string(data)}
@@ -87,6 +99,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	defer tr.Close()
 	recv0, ch0 := collector(8)
 	recv1, ch1 := collector(8)
+	// Open, the per-payload adapter over OpenBatch.
 	ep0, err := tr.Open(0, recv0)
 	if err != nil {
 		t.Fatal(err)
@@ -125,17 +138,17 @@ func TestUDPOpenErrors(t *testing.T) {
 	}
 	defer tr.Close()
 	recv, _ := collector(1)
-	if _, err := tr.Open(0, recv); err != nil {
+	if _, err := openEach(tr, 0, recv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(0, recv); err == nil {
+	if _, err := openEach(tr, 0, recv); err == nil {
 		t.Fatal("double open succeeded")
 	}
-	if _, err := tr.Open(7, recv); err == nil {
+	if _, err := openEach(tr, 7, recv); err == nil {
 		t.Fatal("open of unlisted address succeeded")
 	}
 	tr.Close()
-	if _, err := tr.Open(0, recv); err != ErrClosed {
+	if _, err := openEach(tr, 0, recv); err != ErrClosed {
 		t.Fatalf("open after close: %v", err)
 	}
 }
@@ -147,7 +160,7 @@ func TestUDPSendErrors(t *testing.T) {
 	}
 	defer tr.Close()
 	recv, ch := collector(1)
-	ep, err := tr.Open(0, recv)
+	ep, err := openEach(tr, 0, recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +184,7 @@ func TestUDPFrameCorruption(t *testing.T) {
 	}
 	defer tr.Close()
 	recv, ch := collector(8)
-	if _, err := tr.Open(0, recv); err != nil {
+	if _, err := openEach(tr, 0, recv); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,10 +256,10 @@ func TestUDPOverLimitDatagram(t *testing.T) {
 	}
 	defer big.Close()
 	recv0, ch0 := collector(4)
-	if _, err := small.Open(0, recv0); err != nil {
+	if _, err := openEach(small, 0, recv0); err != nil {
 		t.Fatal(err)
 	}
-	epBig, err := big.Open(1, func(Addr, []byte) {})
+	epBig, err := openEach(big, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +367,7 @@ func FuzzDatagramFrame(f *testing.F) {
 			}
 		}
 		for _, p := range payloads {
-			e.Enqueue(9, p)
+			e.Enqueue(9, p[:len(p)/2], p[len(p)/2:])
 		}
 		var got [][]byte
 		for _, d := range e.sendq {
@@ -388,11 +401,11 @@ func TestSimAdapterRoundTrip(t *testing.T) {
 	defer tr.Close()
 	recv0, ch0 := collector(8)
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, recv0)
+	ep0, err := openEach(tr, 0, recv0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep1, err := tr.Open(1, recv1)
+	ep1, err := openEach(tr, 1, recv1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +427,7 @@ func TestSimAdapterRoundTrip(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	ep1.Close()
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}
 }
@@ -431,11 +444,11 @@ func TestFaultyLoss(t *testing.T) {
 	defer tr.Close()
 	recv0, ch0 := collector(64)
 	recv1, ch1 := collector(64)
-	ep0, err := tr.Open(0, recv0)
+	ep0, err := openEach(tr, 0, recv0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -458,11 +471,11 @@ func TestFaultyDup(t *testing.T) {
 	tr := Faulty(inner, FaultConfig{Seed: 7, DupRate: 1})
 	defer tr.Close()
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
 	ep0.Send(1, []byte("x"))
@@ -483,11 +496,11 @@ func TestFaultySeededLoss(t *testing.T) {
 		tr := Faulty(inner, FaultConfig{Seed: 99, LossRate: 0.5})
 		defer tr.Close()
 		recv1, ch1 := collector(64)
-		ep0, err := tr.Open(0, func(Addr, []byte) {})
+		ep0, err := openEach(tr, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Open(1, recv1); err != nil {
+		if _, err := openEach(tr, 1, recv1); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 16; i++ {
@@ -527,7 +540,7 @@ func TestUDPRuntimeRoutes(t *testing.T) {
 	defer tr.Close()
 
 	recv := make(chan string, 16)
-	ep0, err := tr.Open(0, func(from Addr, data []byte) {
+	ep0, err := openEach(tr, 0, func(from Addr, data []byte) {
 		recv <- fmt.Sprintf("%d:%s", from, data)
 	})
 	if err != nil {
@@ -543,7 +556,7 @@ func TestUDPRuntimeRoutes(t *testing.T) {
 	if err := tr.AddRoute(2, addrs[2]); err != nil {
 		t.Fatal(err)
 	}
-	ep2, err := tr.Open(2, func(Addr, []byte) {})
+	ep2, err := openEach(tr, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,11 +626,11 @@ func TestFaultyRuntimeMutable(t *testing.T) {
 	tr := Faulty(inner, FaultConfig{Seed: 5, LossRate: 1})
 	defer tr.Close()
 	recv1, ch1 := collector(64)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -641,11 +654,11 @@ func TestFaultyDelayAndJitter(t *testing.T) {
 	tr := Faulty(inner, FaultConfig{Seed: 11, Delay: 30 * time.Millisecond, Jitter: 5 * time.Millisecond})
 	defer tr.Close()
 	recv1, ch1 := collector(8)
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
 	buf := []byte("delayed")
@@ -684,11 +697,11 @@ func TestFaultyConcurrentSendDeterminism(t *testing.T) {
 		inner := Sim(simnet.New(simnet.Config{Seed: 1}))
 		tr := Faulty(inner, FaultConfig{Seed: 21, LossRate: 0.3, DupRate: 0.1})
 		defer tr.Close()
-		ep0, err := tr.Open(0, func(Addr, []byte) {})
+		ep0, err := openEach(tr, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Open(1, func(Addr, []byte) {}); err != nil {
+		if _, err := openEach(tr, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -713,11 +726,11 @@ func TestFaultyConcurrentSendDeterminism(t *testing.T) {
 		inner := Sim(simnet.New(simnet.Config{Seed: 1}))
 		tr := Faulty(inner, FaultConfig{Seed: 21, LossRate: 0.3, DupRate: 0.1})
 		defer tr.Close()
-		ep0, err := tr.Open(0, func(Addr, []byte) {})
+		ep0, err := openEach(tr, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Open(1, func(Addr, []byte) {}); err != nil {
+		if _, err := openEach(tr, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {

@@ -1,9 +1,9 @@
 // Package transporttest provides shared helpers for tests that run
 // transport backends on the loopback interface, and a backend-agnostic
 // conformance suite that pins the Transport contract (best-effort
-// delivery, payload limits, close-during-send safety, the optional
-// BatchSender/Router extensions and Faulty wrapping) across Sim, UDP
-// and TCP.
+// delivery, payload limits, Enqueue/Flush batches and their bodies,
+// close-during-send safety, the optional Router extension and Faulty
+// wrapping) across Sim, UDP and TCP.
 //
 // Because this package imports internal/transport, the transport
 // package's own IN-PACKAGE tests must not import it (that would be an
@@ -105,6 +105,7 @@ func (c Conformance) Run(t *testing.T) {
 	t.Run("Ordering", c.ordering)
 	t.Run("PayloadLimits", c.payloadLimits)
 	t.Run("Batch", c.batch)
+	t.Run("Body", c.body)
 	t.Run("CloseDuringSend", c.closeDuringSend)
 	t.Run("Router", c.router)
 	t.Run("FaultyWrap", c.faultyWrap)
@@ -116,10 +117,28 @@ type sink struct {
 	msgs []transport.Packet
 }
 
-func (s *sink) recv(from transport.Addr, data []byte) {
+func (s *sink) recv(pkts []transport.Packet) {
 	s.mu.Lock()
-	s.msgs = append(s.msgs, transport.Packet{From: from, Data: data})
+	s.msgs = append(s.msgs, pkts...)
 	s.mu.Unlock()
+}
+
+// discard is the receiver of endpoints that only send.
+func discard([]transport.Packet) {}
+
+// pair opens endpoint 1, which only sends, and endpoint 2, whose
+// deliveries the returned sink collects.
+func pair(t *testing.T, tr transport.Transport) (transport.Endpoint, *sink) {
+	t.Helper()
+	ep1, err := tr.OpenBatch(1, discard)
+	if err != nil {
+		t.Fatalf("open 1: %v", err)
+	}
+	s := new(sink)
+	if _, err := tr.OpenBatch(2, s.recv); err != nil {
+		t.Fatalf("open 2: %v", err)
+	}
+	return ep1, s
 }
 
 func (s *sink) count() int {
@@ -183,11 +202,11 @@ func (c Conformance) loopback(t *testing.T) {
 	tr := c.New(t, []transport.Addr{1, 2})
 	defer tr.Close()
 	var s1, s2 sink
-	ep1, err := tr.Open(1, s1.recv)
+	ep1, err := tr.OpenBatch(1, s1.recv)
 	if err != nil {
 		t.Fatalf("open 1: %v", err)
 	}
-	ep2, err := tr.Open(2, s2.recv)
+	ep2, err := tr.OpenBatch(2, s2.recv)
 	if err != nil {
 		t.Fatalf("open 2: %v", err)
 	}
@@ -202,25 +221,18 @@ func (c Conformance) loopback(t *testing.T) {
 		}
 	}
 	// Opening an already-open address must fail rather than hijack it.
-	if _, err := tr.Open(1, s1.recv); err == nil {
-		t.Fatalf("second Open(1) succeeded; want error")
+	if _, err := tr.OpenBatch(1, s1.recv); err == nil {
+		t.Fatalf("second OpenBatch(1) succeeded; want error")
 	}
 }
 
 func (c Conformance) ordering(t *testing.T) {
 	tr := c.New(t, []transport.Addr{1, 2})
 	defer tr.Close()
-	var s sink
-	ep1, err := tr.Open(1, func(transport.Addr, []byte) {})
-	if err != nil {
-		t.Fatalf("open 1: %v", err)
-	}
-	if _, err := tr.Open(2, s.recv); err != nil {
-		t.Fatalf("open 2: %v", err)
-	}
+	ep1, s := pair(t, tr)
 	// Establish the path first so unreliable backends do not shed the
 	// burst's head while (e.g.) ARP or connection setup completes.
-	c.deliver(t, ep1, 2, &s, []byte("warmup"), "warmup")
+	c.deliver(t, ep1, 2, s, []byte("warmup"), "warmup")
 	const n = 100
 	for i := 0; i < n; i++ {
 		ep1.Send(2, []byte(fmt.Sprintf("seq-%04d", i)))
@@ -265,23 +277,16 @@ func (c Conformance) payloadLimits(t *testing.T) {
 	}
 	tr := c.New(t, []transport.Addr{1, 2})
 	defer tr.Close()
-	var s sink
-	ep1, err := tr.Open(1, func(transport.Addr, []byte) {})
-	if err != nil {
-		t.Fatalf("open 1: %v", err)
-	}
-	if _, err := tr.Open(2, s.recv); err != nil {
-		t.Fatalf("open 2: %v", err)
-	}
+	ep1, s := pair(t, tr)
 	if c.DropPayload > 0 {
 		// Oversize first: it must vanish without wedging the endpoint.
 		ep1.Send(2, payloadPattern(c.DropPayload))
 	}
 	if c.DeliverPayload > 0 {
 		big := payloadPattern(c.DeliverPayload)
-		c.deliver(t, ep1, 2, &s, big, fmt.Sprintf("%d-byte payload", len(big)))
+		c.deliver(t, ep1, 2, s, big, fmt.Sprintf("%d-byte payload", len(big)))
 	}
-	c.deliver(t, ep1, 2, &s, []byte("after-oversize"), "small payload after oversize")
+	c.deliver(t, ep1, 2, s, []byte("after-oversize"), "small payload after oversize")
 	if c.DropPayload > 0 {
 		for _, p := range s.snapshot() {
 			if len(p.Data) == c.DropPayload {
@@ -291,87 +296,109 @@ func (c Conformance) payloadLimits(t *testing.T) {
 	}
 }
 
-func (c Conformance) batch(t *testing.T) {
-	tr := c.New(t, []transport.Addr{1, 2})
+// enqueueAll opens a pair on tr and enqueues every message — a head and
+// a body — and flushes until all of them arrived as head‖body: once on
+// a reliable backend, resending what is missing on the others. Each head
+// is scribbled over right after its Enqueue, which copies it; each body
+// must be read where it is and is checked untouched at the end. A last,
+// empty Flush is a no-op.
+func (c Conformance) enqueueAll(t *testing.T, tr transport.Transport, msgs [][2][]byte) {
 	defer tr.Close()
-	var s sink
-	ep1, err := tr.Open(1, func(transport.Addr, []byte) {})
-	if err != nil {
-		t.Fatalf("open 1: %v", err)
+	ep1, s := pair(t, tr)
+	c.deliver(t, ep1, 2, s, []byte("warmup"), "warmup")
+	var pristine [][]byte
+	for _, m := range msgs {
+		pristine = append(pristine, bytes.Clone(m[1]))
 	}
-	if _, err := tr.Open(2, s.recv); err != nil {
-		t.Fatalf("open 2: %v", err)
-	}
-	bs, ok := ep1.(transport.BatchSender)
-	if !ok {
-		t.Skip("backend endpoints do not implement BatchSender")
-	}
-	c.deliver(t, ep1, 2, &s, []byte("warmup"), "warmup")
-	// A batch that ends in Flush is equivalent to the same plain Sends.
-	const n = 20
-	sent := make(map[string]bool, n)
-	flush := func() {
-		bs.Flush()
-		if !c.Reliable {
-			return
+	missing := func() (out [][2][]byte) {
+		got := make(map[string]bool)
+		for _, p := range s.snapshot() {
+			got[string(p.Data)] = true
 		}
-		ok := waitFor(arrival, func() bool {
-			got := 0
-			for _, p := range s.snapshot() {
-				if sent[string(p.Data)] {
-					got++
-				}
+		for _, m := range msgs {
+			if !got[string(m[0])+string(m[1])] {
+				out = append(out, m)
 			}
-			return got >= len(sent)
-		})
-		if !ok {
-			t.Fatalf("flushed batch not fully delivered on a reliable backend (%d sent)", len(sent))
 		}
+		return out
 	}
-	for i := 0; i < n; i++ {
-		msg := fmt.Sprintf("batch-%04d", i)
-		sent[msg] = true
-		bs.Enqueue(2, []byte(msg))
+	send := func(ms [][2][]byte) {
+		for _, m := range ms {
+			head := bytes.Clone(m[0])
+			ep1.Enqueue(2, head, m[1])
+			clear(head)
+		}
+		ep1.Flush()
 	}
-	flush()
-	// An empty flush is a no-op, not an error.
-	bs.Flush()
-	// Unreliable backends: retry whole batches until everything landed.
+	done := func() bool { return len(missing()) == 0 }
+	send(msgs)
 	if !c.Reliable {
-		deadline := time.Now().Add(arrival)
-		for time.Now().Before(deadline) {
-			missing := make(map[string]bool, len(sent))
-			for m := range sent {
-				missing[m] = true
-			}
-			for _, p := range s.snapshot() {
-				delete(missing, string(p.Data))
-			}
-			if len(missing) == 0 {
-				return
-			}
-			for m := range missing {
-				bs.Enqueue(2, []byte(m))
-			}
-			bs.Flush()
-			time.Sleep(20 * time.Millisecond)
+		for deadline := time.Now().Add(arrival); !waitFor(50*time.Millisecond, done) && time.Now().Before(deadline); {
+			send(missing())
 		}
-		t.Fatalf("enqueued batch never fully delivered (with resends)")
+	}
+	if !waitFor(arrival, done) {
+		t.Fatalf("%d of %d messages never delivered", len(missing()), len(msgs))
+	}
+	for i, m := range msgs {
+		if !bytes.Equal(m[1], pristine[i]) {
+			t.Fatalf("the body of message %d changed", i)
+		}
+	}
+	ep1.Flush()
+}
+
+// batch checks that a batch ending in Flush is equivalent to the same
+// plain Sends.
+func (c Conformance) batch(t *testing.T) {
+	msgs := make([][2][]byte, 20)
+	for i := range msgs {
+		msgs[i][0] = []byte(fmt.Sprintf("batch-%04d", i))
+	}
+	c.enqueueAll(t, c.New(t, []transport.Addr{1, 2}), msgs)
+}
+
+// body checks Enqueue's two halves: what arrives is exactly head‖body —
+// for empty bodies, small ones packed together and one as large as the
+// backend carries — bare, through a zero-rate Faulty (which passes the
+// body on by reference) and through a delaying one (which joins head
+// and body and sends the copy from its timer, on another goroutine).
+func (c Conformance) body(t *testing.T) {
+	var msgs [][2][]byte
+	for i := 0; i < 10; i++ {
+		msgs = append(msgs, [2][]byte{[]byte(fmt.Sprintf("head-%02d|", i)), payloadPattern(100 * i)})
+	}
+	if c.DeliverPayload > 0 {
+		head := []byte("head-big|")
+		msgs = append(msgs, [2][]byte{head, payloadPattern(c.DeliverPayload - len(head))})
+	}
+	for name, cfg := range map[string]*transport.FaultConfig{
+		"bare":           nil,
+		"faulty":         {Seed: 5},
+		"faulty-delayed": {Seed: 5, Delay: time.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := c.New(t, []transport.Addr{1, 2})
+			if cfg != nil {
+				tr = transport.Faulty(tr, *cfg)
+			}
+			c.enqueueAll(t, tr, msgs)
+		})
 	}
 }
 
 func (c Conformance) closeDuringSend(t *testing.T) {
 	tr := c.New(t, []transport.Addr{1, 2})
-	var s sink
-	ep1, err := tr.Open(1, func(transport.Addr, []byte) {})
+	s := new(sink)
+	ep1, err := tr.OpenBatch(1, discard)
 	if err != nil {
 		t.Fatalf("open 1: %v", err)
 	}
-	ep2, err := tr.Open(2, s.recv)
+	ep2, err := tr.OpenBatch(2, s.recv)
 	if err != nil {
 		t.Fatalf("open 2: %v", err)
 	}
-	c.deliver(t, ep1, 2, &s, []byte("pre-close"), "pre-close")
+	c.deliver(t, ep1, 2, s, []byte("pre-close"), "pre-close")
 	// Hammer sends from several goroutines while both the receiving
 	// endpoint and then the whole transport close underneath them: no
 	// panic, no deadlock; post-close sends are silently dropped.
@@ -407,9 +434,9 @@ func (c Conformance) closeDuringSend(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// The endpoint slot must be reusable after an endpoint-level Close
-	// on a still-open transport; after transport Close, Open must fail.
-	if _, err := tr.Open(2, s.recv); err == nil {
-		t.Fatalf("Open succeeded on a closed transport")
+	// on a still-open transport; after transport Close, OpenBatch must fail.
+	if _, err := tr.OpenBatch(2, s.recv); err == nil {
+		t.Fatalf("OpenBatch succeeded on a closed transport")
 	}
 	ep1.Send(2, []byte("post-close")) // must not panic
 }
@@ -425,7 +452,7 @@ func (c Conformance) router(t *testing.T) {
 		t.Fatalf("backend reserves addresses but does not implement Router")
 	}
 	var s1, s3 sink
-	ep1, err := tr.Open(1, s1.recv)
+	ep1, err := tr.OpenBatch(1, s1.recv)
 	if err != nil {
 		t.Fatalf("open 1: %v", err)
 	}
@@ -436,7 +463,7 @@ func (c Conformance) router(t *testing.T) {
 	if err := rt.AddRoute(3, extra); err != nil {
 		t.Fatalf("AddRoute(3, %q): %v", extra, err)
 	}
-	ep3, err := tr.Open(3, s3.recv)
+	ep3, err := tr.OpenBatch(3, s3.recv)
 	if err != nil {
 		t.Fatalf("open 3 after AddRoute: %v", err)
 	}
@@ -458,16 +485,9 @@ func (c Conformance) faultyWrap(t *testing.T) {
 	inner := c.New(t, []transport.Addr{1, 2})
 	tr := transport.Faulty(inner, transport.FaultConfig{Seed: 42})
 	defer tr.Close()
-	var s sink
-	ep1, err := tr.Open(1, func(transport.Addr, []byte) {})
-	if err != nil {
-		t.Fatalf("open 1: %v", err)
-	}
-	if _, err := tr.Open(2, s.recv); err != nil {
-		t.Fatalf("open 2: %v", err)
-	}
+	ep1, s := pair(t, tr)
 	// Zero-rate wrap: behavior unchanged.
-	c.deliver(t, ep1, 2, &s, []byte("through faulty"), "1->2 through zero-rate Faulty")
+	c.deliver(t, ep1, 2, s, []byte("through faulty"), "1->2 through zero-rate Faulty")
 	// Total loss: nothing new arrives.
 	tr.SetLoss(1.0)
 	before := s.count()
@@ -479,5 +499,5 @@ func (c Conformance) faultyWrap(t *testing.T) {
 	}
 	// Heal: traffic flows again (resend loop rides out queued fates).
 	tr.SetLoss(0)
-	c.deliver(t, ep1, 2, &s, []byte("healed"), "1->2 after loss healed")
+	c.deliver(t, ep1, 2, s, []byte("healed"), "1->2 after loss healed")
 }

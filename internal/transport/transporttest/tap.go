@@ -1,7 +1,6 @@
 package transporttest
 
 import (
-	"bytes"
 	"sync"
 
 	"repro/internal/transport"
@@ -14,11 +13,10 @@ type Datagram struct {
 }
 
 // Tap wraps a transport for tests that assert on the wire image: it
-// records a copy of every datagram an endpoint is asked to send, in
-// order, and swallows the ones Drop picks (after recording them). It
-// implements Transport alone — no batching, no by-reference bodies — so
-// the udp module above it joins head and body itself and sends
-// datagram by datagram: what the tap records is what the fabric carries.
+// records a copy of every datagram an endpoint is asked to send — a
+// Send's data or an Enqueue's head‖body — in order, and swallows the
+// ones Drop picks (after recording them). What the tap records is what
+// the fabric carries.
 type Tap struct {
 	transport.Transport
 	// Drop, when set, is asked about every datagram; true swallows it.
@@ -28,9 +26,9 @@ type Tap struct {
 	sent []Datagram
 }
 
-// Open opens the inner endpoint and taps its sends.
-func (t *Tap) Open(addr transport.Addr, recv transport.RecvFunc) (transport.Endpoint, error) {
-	ep, err := t.Transport.Open(addr, recv)
+// OpenBatch opens the inner endpoint and taps its sends.
+func (t *Tap) OpenBatch(addr transport.Addr, recv transport.RecvFunc) (transport.Endpoint, error) {
+	ep, err := t.Transport.OpenBatch(addr, recv)
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +47,23 @@ type tapEndpoint struct {
 	tap *Tap
 }
 
-func (e tapEndpoint) Send(to transport.Addr, data []byte) {
-	d := Datagram{From: e.Addr(), To: to, Data: bytes.Clone(data)}
+// pass records head‖body and reports whether it may leave.
+func (e tapEndpoint) pass(to transport.Addr, head, body []byte) bool {
+	d := Datagram{From: e.Addr(), To: to, Data: append(append([]byte(nil), head...), body...)}
 	e.tap.mu.Lock()
 	e.tap.sent = append(e.tap.sent, d)
 	e.tap.mu.Unlock()
-	if e.tap.Drop != nil && e.tap.Drop(d) {
-		return
+	return e.tap.Drop == nil || !e.tap.Drop(d)
+}
+
+func (e tapEndpoint) Send(to transport.Addr, data []byte) {
+	if e.pass(to, data, nil) {
+		e.Endpoint.Send(to, data)
 	}
-	e.Endpoint.Send(to, data)
+}
+
+func (e tapEndpoint) Enqueue(to transport.Addr, head, body []byte) {
+	if e.pass(to, head, body) {
+		e.Endpoint.Enqueue(to, head, body)
+	}
 }

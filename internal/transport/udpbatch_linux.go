@@ -32,7 +32,7 @@ const (
 	// ceil(n/sendBatch) syscalls.
 	sendBatch = 32
 	// recvBatch bounds one recvmmsg, and thereby the size of the packet
-	// batches handed to BatchRecvFunc (and the executor task that
+	// batches handed to RecvFunc (and the executor task that
 	// carries them).
 	recvBatch = 32
 )

@@ -4,8 +4,8 @@ package transport
 
 // Portable stub for platforms without sendmmsg/recvmmsg: endpoints
 // write each packed datagram with WriteToUDP and read with ReadFromUDP
-// (OpenBatch delivers one batch per datagram), so callers never branch
-// on the platform.
+// (each read delivers one datagram's payloads as a batch), so callers
+// never branch on the platform.
 
 import (
 	"errors"

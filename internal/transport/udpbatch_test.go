@@ -1,14 +1,15 @@
 package transport
 
-// Conformance suite for BatchSender/BatchOpener backends, run over
-// every shape the real-socket transport can take: the batched syscall
-// backend, the portable fallback (DisableBatching), and the Faulty
-// decorator over either. transporttest deliberately cannot import this
-// package, so the suite lives here, next to the implementations.
+// Conformance suite for Enqueue/Flush on the real-socket transport, run
+// over every shape it can take: the batched syscall backend, the
+// portable fallback (NewPortableUDP), and the Faulty decorator.
+// transporttest deliberately cannot import this package, so the suite
+// lives here, next to the implementations.
 
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,8 +19,8 @@ import (
 )
 
 // batchVariant builds one transport shape to run the conformance suite
-// against. open returns the transport whose endpoints must implement
-// BatchSender, plus the raw *UDPTransport for stats.
+// against: the transport whose endpoints are driven, plus the raw
+// *UDPTransport for stats.
 type batchVariant struct {
 	name string
 	mk   func(t *testing.T, cfg UDPConfig) (Transport, *UDPTransport)
@@ -35,8 +36,7 @@ func batchVariants() []batchVariant {
 			return u, u
 		}},
 		{"fallback", func(t *testing.T, cfg UDPConfig) (Transport, *UDPTransport) {
-			cfg.DisableBatching = true
-			u, err := NewUDP(cfg)
+			u, err := NewPortableUDP(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,13 +56,13 @@ func batchVariants() []batchVariant {
 
 // unwrap returns the socket endpoint under a Faulty decorator.
 func unwrap(ep Endpoint) *udpEndpoint {
-	if f, ok := ep.(faultyBatchEndpoint); ok {
+	if f, ok := ep.(faultyEndpoint); ok {
 		ep = f.ep
 	}
 	return ep.(*udpEndpoint)
 }
 
-// TestBatchSenderConformance checks the BatchSender contract on every
+// TestBatchSenderConformance checks the Enqueue/Flush contract on every
 // transport shape: Enqueue+Flush is observationally a sequence of
 // Sends — per-destination FIFO order, payload-counting delivery, loss
 // on oversized or unroutable payloads — regardless of how many
@@ -74,29 +74,25 @@ func TestBatchSenderConformance(t *testing.T) {
 			defer tr.Close()
 			recv1, ch1 := collector(256)
 			recv2, ch2 := collector(256)
-			if _, err := tr.Open(1, recv1); err != nil {
+			if _, err := openEach(tr, 1, recv1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.Open(2, recv2); err != nil {
+			if _, err := openEach(tr, 2, recv2); err != nil {
 				t.Fatal(err)
 			}
-			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			ep0, err := openEach(tr, 0, nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			bs, ok := ep0.(BatchSender)
-			if !ok {
-				t.Fatalf("%T does not implement BatchSender", ep0)
 			}
 			// Interleave two destinations across several flush cycles —
 			// more than one sendmmsg worth in the last cycle.
 			const perCycle, cycles = 40, 3
 			for c := 0; c < cycles; c++ {
 				for i := 0; i < perCycle; i++ {
-					bs.Enqueue(1, []byte(fmt.Sprintf("to1-%d-%d", c, i)))
-					bs.Enqueue(2, []byte(fmt.Sprintf("to2-%d-%d", c, i)))
+					ep0.Enqueue(1, []byte(fmt.Sprintf("to1-%d-%d", c, i)), nil)
+					ep0.Enqueue(2, []byte(fmt.Sprintf("to2-%d-%d", c, i)), nil)
 				}
-				bs.Flush()
+				ep0.Flush()
 			}
 			for c := 0; c < cycles; c++ {
 				for i := 0; i < perCycle; i++ {
@@ -120,14 +116,13 @@ func TestBatchSenderConformance(t *testing.T) {
 			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 2), MaxPacket: 2048})
 			defer tr.Close()
 			recv1, ch1 := collector(16)
-			if _, err := tr.Open(1, recv1); err != nil {
+			if _, err := openEach(tr, 1, recv1); err != nil {
 				t.Fatal(err)
 			}
-			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			ep0, err := openEach(tr, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := ep0.(BatchSender)
 			// The cap is MaxPacket; a datagram of four 500-byte payloads
 			// (3 + 4×502 bytes) fits under it, five do not.
 			if c := unwrap(ep0).cap; c != 2048 {
@@ -137,9 +132,9 @@ func TestBatchSenderConformance(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				p := fmt.Sprintf("%03d%s", i, make([]byte, 497))
 				want = append(want, p)
-				bs.Enqueue(1, []byte(p))
+				ep0.Enqueue(1, []byte(p), nil)
 			}
-			bs.Flush()
+			ep0.Flush()
 			for _, p := range want {
 				expectPacket(t, ch1, packet{0, p})
 			}
@@ -152,20 +147,19 @@ func TestBatchSenderConformance(t *testing.T) {
 			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 2)})
 			defer tr.Close()
 			recv1, ch1 := collector(16)
-			if _, err := tr.Open(1, recv1); err != nil {
+			if _, err := openEach(tr, 1, recv1); err != nil {
 				t.Fatal(err)
 			}
-			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			ep0, err := openEach(tr, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := ep0.(BatchSender)
 			unwrap(ep0).cap = 1000 // as if bound on a link of MTU 1028
 			big := string(make([]byte, 1000))
 			for _, p := range []string{"a", big, "b"} {
-				bs.Enqueue(1, []byte(p))
+				ep0.Enqueue(1, []byte(p), nil)
 			}
-			bs.Flush()
+			ep0.Flush()
 			for _, p := range []string{"a", big, "b"} {
 				expectPacket(t, ch1, packet{0, p})
 			}
@@ -178,19 +172,18 @@ func TestBatchSenderConformance(t *testing.T) {
 			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 2), MaxPacket: 2048})
 			defer tr.Close()
 			recv1, ch1 := collector(16)
-			if _, err := tr.Open(1, recv1); err != nil {
+			if _, err := openEach(tr, 1, recv1); err != nil {
 				t.Fatal(err)
 			}
-			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			ep0, err := openEach(tr, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := ep0.(BatchSender)
-			bs.Enqueue(1, []byte("ok-1"))
-			bs.Enqueue(1, make([]byte, 4096)) // over MaxPacket: rejected, loss
-			bs.Enqueue(9, []byte("nowhere"))  // not in book: rejected, loss
-			bs.Enqueue(1, []byte("ok-2"))
-			bs.Flush()
+			ep0.Enqueue(1, []byte("ok-1"), nil)
+			ep0.Enqueue(1, make([]byte, 4096), nil) // over MaxPacket: rejected, loss
+			ep0.Enqueue(9, []byte("nowhere"), nil)  // not in book: rejected, loss
+			ep0.Enqueue(1, []byte("ok-2"), nil)
+			ep0.Flush()
 			expectPacket(t, ch1, packet{0, "ok-1"})
 			expectPacket(t, ch1, packet{0, "ok-2"})
 			expectQuiet(t, ch1, 50*time.Millisecond)
@@ -203,16 +196,77 @@ func TestBatchSenderConformance(t *testing.T) {
 		t.Run(v.name+"/empty-flush", func(t *testing.T) {
 			tr, u := v.mk(t, UDPConfig{Book: reserveBook(t, 1)})
 			defer tr.Close()
-			ep0, err := tr.Open(0, func(Addr, []byte) {})
+			ep0, err := openEach(tr, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := ep0.(BatchSender)
 			for i := 0; i < 10; i++ {
-				bs.Flush()
+				ep0.Flush()
 			}
 			if st := u.Stats(); st.Sent != 0 || st.SendErrs != 0 {
 				t.Fatalf("empty flushes must be no-ops, got %+v", st)
+			}
+		})
+	}
+}
+
+// TestUDPSendRacesEnqueueFlush sends from a second goroutine while the
+// owner of the queue runs Enqueue and Flush — what Faulty's delayed
+// datagrams do to the stack executor — on every shape of the backend
+// and behind a delaying decorator. The race detector is the main check;
+// beyond it, every payload arrives exactly once, whole, from its sender.
+func TestUDPSendRacesEnqueueFlush(t *testing.T) {
+	variants := append(batchVariants(), batchVariant{"faulty-delayed", func(t *testing.T, cfg UDPConfig) (Transport, *UDPTransport) {
+		u, err := NewUDP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Faulty(u, FaultConfig{Seed: 1, Delay: time.Millisecond}), u
+	}})
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			tr, _ := v.mk(t, UDPConfig{Book: reserveBook(t, 2), SocketBuffer: 1 << 20})
+			defer tr.Close()
+			recv1, ch1 := collector(1024)
+			if _, err := openEach(tr, 1, recv1); err != nil {
+				t.Fatal(err)
+			}
+			ep0, err := openEach(tr, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 200
+			want := make(map[string]bool, 2*n)
+			for i := 0; i < n; i++ {
+				want[fmt.Sprintf("send-%03d", i)] = true
+				want[fmt.Sprintf("enqueue-%03d|body", i)] = true
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					ep0.Send(1, []byte(fmt.Sprintf("send-%03d", i)))
+				}
+			}()
+			for i := 0; i < n; i++ {
+				ep0.Enqueue(1, []byte(fmt.Sprintf("enqueue-%03d|", i)), []byte("body"))
+				if i%8 == 7 {
+					ep0.Flush()
+				}
+			}
+			ep0.Flush()
+			wg.Wait()
+			for i := 0; i < 2*n; i++ {
+				select {
+				case p := <-ch1:
+					if p.from != 0 || !want[p.data] {
+						t.Fatalf("delivered %+v, which was not sent or arrived twice", p)
+					}
+					delete(want, p.data)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("timed out with %d payloads missing", len(want))
+				}
 			}
 		})
 	}
@@ -234,18 +288,17 @@ func TestBatchPartialSendError(t *testing.T) {
 	}
 	defer tr.Close()
 	recv1, ch1 := collector(16)
-	if _, err := tr.Open(1, recv1); err != nil {
+	if _, err := openEach(tr, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := ep0.(BatchSender)
-	bs.Enqueue(1, []byte("before"))
-	bs.Enqueue(1, make([]byte, 70000)) // > 65507: kernel rejects with EMSGSIZE
-	bs.Enqueue(1, []byte("after"))
-	bs.Flush()
+	ep0.Enqueue(1, []byte("before"), nil)
+	ep0.Enqueue(1, make([]byte, 70000), nil) // > 65507: kernel rejects with EMSGSIZE
+	ep0.Enqueue(1, []byte("after"), nil)
+	ep0.Flush()
 	expectPacket(t, ch1, packet{0, "before"})
 	expectPacket(t, ch1, packet{0, "after"})
 	st := tr.Stats()
@@ -255,7 +308,7 @@ func TestBatchPartialSendError(t *testing.T) {
 }
 
 // TestOpenBatchDelivery checks batched receive end to end: a burst of
-// Sends — a datagram each — arrives through the BatchRecvFunc with
+// Sends — a datagram each — arrives through the RecvFunc with
 // correct senders, payloads and order, and the batched backend uses far
 // fewer read syscalls than datagrams.
 //
@@ -289,7 +342,7 @@ func TestOpenBatchDelivery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := tr.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(tr, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +376,11 @@ func TestOpenBatchDelivery(t *testing.T) {
 	}
 }
 
-// TestFaultySimSingletonBatches checks the decorator's OpenBatch shim
-// over a fabric with no batched receive path (simnet): every datagram
-// arrives as its own singleton batch — the per-datagram event granularity
-// that keeps scenario digests bit-identical. (Arrival order is simnet's
-// business: its default jitter may reorder.)
+// TestFaultySimSingletonBatches checks the simulated fabric through the
+// decorator keeps the per-datagram granularity that keeps scenario
+// digests bit-identical: an Enqueue leaves at once, with no Flush, as a
+// Send does, and every datagram arrives as its own singleton batch.
+// (Arrival order is simnet's business: its default jitter may reorder.)
 func TestFaultySimSingletonBatches(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	ft := Faulty(Sim(net), FaultConfig{Seed: 7})
@@ -335,7 +388,7 @@ func TestFaultySimSingletonBatches(t *testing.T) {
 	ch := make(chan packet, 64)
 	if _, err := ft.OpenBatch(1, func(pkts []Packet) {
 		if len(pkts) != 1 {
-			t.Errorf("singleton shim delivered %d packets in one batch", len(pkts))
+			t.Errorf("the simulated fabric delivered %d packets in one batch", len(pkts))
 		}
 		for _, p := range pkts {
 			ch <- packet{p.From, string(p.Data)}
@@ -343,15 +396,16 @@ func TestFaultySimSingletonBatches(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := ft.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(ft, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ep0.(BatchSender); ok {
-		t.Fatalf("sim endpoints must not batch sends (digest stability)")
-	}
 	for i := 0; i < 20; i++ {
-		ep0.Send(1, []byte(fmt.Sprintf("s%02d", i)))
+		if i%2 == 0 {
+			ep0.Send(1, []byte(fmt.Sprintf("s%02d", i)))
+		} else {
+			ep0.Enqueue(1, []byte(fmt.Sprintf("s%02d", i)), nil) // never flushed
+		}
 	}
 	got := make(map[string]bool, 20)
 	for i := 0; i < 20; i++ {
@@ -383,29 +437,25 @@ func TestFaultyBatchFates(t *testing.T) {
 	ft := Faulty(u, FaultConfig{Seed: 3, LossRate: 1})
 	defer ft.Close()
 	recv1, ch1 := collector(64)
-	if _, err := ft.Open(1, recv1); err != nil {
+	if _, err := openEach(ft, 1, recv1); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := ft.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(ft, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, ok := ep0.(BatchSender)
-	if !ok {
-		t.Fatalf("faulty wrapper lost BatchSender: %T", ep0)
-	}
 	for i := 0; i < 10; i++ {
-		bs.Enqueue(1, []byte("lost"))
+		ep0.Enqueue(1, []byte("lost"), nil)
 	}
-	bs.Flush()
+	ep0.Flush()
 	expectQuiet(t, ch1, 50*time.Millisecond)
 	if got := ft.Stats().Dropped; got != 10 {
 		t.Fatalf("dropped %d want 10", got)
 	}
 	ft.SetLoss(0)
 	ft.SetDelay(time.Millisecond)
-	bs.Enqueue(1, []byte("delayed"))
-	bs.Flush() // nothing on the queue: the delayed copy rides a timer
+	ep0.Enqueue(1, []byte("delayed"), nil)
+	ep0.Flush() // nothing on the queue: the delayed copy rides a timer
 	expectPacket(t, ch1, packet{0, "delayed"})
 }
 
@@ -429,20 +479,19 @@ func TestFaultyCorruptionIsPerPayload(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ep0, err := ft.Open(0, func(Addr, []byte) {})
+	ep0, err := openEach(ft, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := ep0.(BatchSender)
 	before := metrics.Counters()["wire.frames_rejected"]
 	const k = 20
 	for i := 0; i < k; i++ {
 		f := append(make([]byte, wire.FrameOverhead), fmt.Sprintf("payload %02d", i)...)
 		f[0] = 1
 		wire.SealFrame(f, 0)
-		bs.Enqueue(1, f)
+		ep0.Enqueue(1, f, nil)
 	}
-	bs.Flush()
+	ep0.Flush()
 	for i := 0; i < k; i++ {
 		select {
 		case d := <-got:
@@ -473,7 +522,7 @@ func TestLinkCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		ep, err := tr.Open(0, func(Addr, []byte) {})
+		ep, err := openEach(tr, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,11 +27,11 @@ var (
 //	from    uvarint sender's group address
 //	then one or more segments, which tile the rest of the datagram:
 //	  length  uvarint
-//	  payload length bytes: one Send's or one Enqueue's data
+//	  payload length bytes: one Send's data or one Enqueue's head‖body
 //
-// A Send is a datagram of one segment. A Flush packs the payloads it
-// sends to one peer, in Enqueue order, into as few datagrams as cross
-// the endpoint's link unfragmented (see linkCap). Decoding is
+// A Flush packs the payloads it sends to one peer, in Enqueue order,
+// into as few datagrams as cross the endpoint's link unfragmented (see
+// linkCap); a Send is an Enqueue and a Flush. Decoding is
 // all-or-nothing: a datagram whose segments do not tile it exactly is
 // dropped whole and counted once, so no prefix of it is ever delivered.
 // Version 1 (one payload, no length) is not accepted.
@@ -51,10 +51,10 @@ const (
 const MaxDatagram = 65507
 
 // BatchSyscallsAvailable reports whether this build carries the batched
-// syscall backend (sendmmsg/recvmmsg on linux). When false, BatchSender
-// and OpenBatch still work — a Flush still packs, and writes each
-// datagram with its own syscall — and benchmarks and alloc guards use
-// this to skip syscall-count assertions.
+// syscall backend (sendmmsg/recvmmsg on linux). When false, endpoints
+// work the same — a Flush still packs, and writes each datagram with
+// its own syscall; a read delivers one datagram's payloads — and alloc
+// guards use this to skip syscall-count assertions.
 func BatchSyscallsAvailable() bool { return batchSyscalls }
 
 // UDPConfig configures a real-socket transport.
@@ -68,12 +68,6 @@ type UDPConfig struct {
 	// Logf, when non-nil, receives diagnostics (send errors, malformed
 	// frames). The transport never logs through any other channel.
 	Logf func(format string, args ...any)
-	// DisableBatching forces the portable one-datagram-per-syscall path
-	// (WriteToUDP/ReadFromUDP) even on platforms with a batched backend
-	// (sendmmsg/recvmmsg). Endpoints still implement BatchSender and a
-	// Flush still packs, so callers need no platform-specific code.
-	// Benchmarks use this to measure the syscall delta on one binary.
-	DisableBatching bool
 	// SocketBuffer, when positive, requests SO_RCVBUF and SO_SNDBUF of
 	// that many bytes on every endpoint socket (the kernel may clamp to
 	// net.core.rmem_max/wmem_max). Datagrams a full receive buffer
@@ -85,11 +79,12 @@ type UDPConfig struct {
 
 // UDPStats counts socket activity. Retrieve a snapshot with Stats.
 //
-// A payload is one Send's or Enqueue's data; a datagram carries one or
-// more of them. Sent counts datagrams, Delivered, SendErrs and Bytes
-// count payloads, and SendCalls/RecvCalls count syscalls. So, for one
-// group, Delivered/Sent is how many payloads a datagram carries and
-// SendCalls/Sent how many datagrams one sendmmsg moves.
+// A payload is one Send's data or one Enqueue's head‖body; a datagram
+// carries one or more of them. Sent counts datagrams, Delivered,
+// SendErrs and Bytes count payloads, and SendCalls/RecvCalls count
+// syscalls. So, for one group, Delivered/Sent is how many payloads a
+// datagram carries and SendCalls/Sent how many datagrams one sendmmsg
+// moves.
 type UDPStats struct {
 	Sent      uint64 // datagrams written to the socket
 	Delivered uint64 // payloads handed to receivers
@@ -101,11 +96,12 @@ type UDPStats struct {
 }
 
 // UDPTransport sends datagrams over real net.UDPConn sockets using a
-// static address book. It satisfies Transport: each Open binds one
+// static address book. It satisfies Transport: each OpenBatch binds one
 // socket and starts a read-loop goroutine that decodes frames and hands
 // them to the endpoint's RecvFunc.
 type UDPTransport struct {
-	cfg UDPConfig
+	cfg      UDPConfig
+	portable bool // tests: hold endpoints on the WriteToUDP/ReadFromUDP path
 
 	// The address book is mutable at runtime (see AddRoute/RemoveRoute,
 	// driven by membership views); bookMu is read-locked on every Send.
@@ -123,7 +119,7 @@ type UDPTransport struct {
 }
 
 // NewUDP resolves the address book and returns a real-socket transport.
-// No sockets are bound until Open.
+// No sockets are bound until OpenBatch.
 func NewUDP(cfg UDPConfig) (*UDPTransport, error) {
 	if len(cfg.Book) == 0 {
 		return nil, fmt.Errorf("transport: empty address book")
@@ -148,27 +144,26 @@ func (t *UDPTransport) logf(format string, args ...any) {
 	}
 }
 
-// Open binds the socket listed for addr in the address book and starts
-// its read loop. The returned endpoint always implements BatchSender:
-// a Flush packs its payloads per peer into datagrams, written with
-// sendmmsg where the batched backend is live, one WriteToUDP each
-// elsewhere.
-func (t *UDPTransport) Open(addr Addr, recv RecvFunc) (Endpoint, error) {
-	return t.open(addr, recv, nil)
+// Open is OpenBatch with a per-payload receiver. It is kept for the
+// benchmark's transport rung, which drives a bare endpoint.
+func (t *UDPTransport) Open(addr Addr, recv func(from Addr, data []byte)) (Endpoint, error) {
+	return t.OpenBatch(addr, func(pkts []Packet) {
+		for _, p := range pkts {
+			recv(p.From, p.Data)
+		}
+	})
 }
 
-// OpenBatch binds the socket like Open but delivers incoming datagrams
-// through recv in batches: the payloads of one recvmmsg per callback on
-// the batched backend, of one datagram on the portable path. It
-// implements the optional BatchOpener extension.
-func (t *UDPTransport) OpenBatch(addr Addr, recv BatchRecvFunc) (Endpoint, error) {
+// OpenBatch binds the socket listed for addr in the address book and
+// starts its read loop, which delivers incoming payloads through recv in
+// batches: those of one recvmmsg per callback on the batched backend,
+// of one datagram on the portable path. A Flush packs the endpoint's
+// payloads per peer into datagrams, written with sendmmsg where the
+// batched backend is live, one WriteToUDP each elsewhere.
+func (t *UDPTransport) OpenBatch(addr Addr, recv RecvFunc) (Endpoint, error) {
 	if recv == nil {
 		return nil, fmt.Errorf("transport: OpenBatch with nil receiver")
 	}
-	return t.open(addr, nil, recv)
-}
-
-func (t *UDPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endpoint, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -197,10 +192,10 @@ func (t *UDPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endp
 			t.logf("transport: endpoint %d: SO_SNDBUF %d: %v", addr, t.cfg.SocketBuffer, err)
 		}
 	}
-	ep := &udpEndpoint{tr: t, addr: addr, conn: conn, recv: recv, brecv: brecv,
+	ep := &udpEndpoint{tr: t, addr: addr, conn: conn, recv: recv,
 		cap: linkCap(ua.IP, t.cfg.MaxPacket),
 		hdr: wire.NewWriter(maxFrameHeader).Byte(frameMagic).Byte(frameVersion).Uvarint(uint64(addr)).Bytes()}
-	if !t.cfg.DisableBatching {
+	if !t.portable {
 		// Best-effort: a setup failure (unsupported platform, raw-conn
 		// error) leaves bio nil and the endpoint on the portable path.
 		if bio, err := newBatchIO(conn, t.cfg.MaxPacket); err == nil {
@@ -211,7 +206,7 @@ func (t *UDPTransport) open(addr Addr, recv RecvFunc, brecv BatchRecvFunc) (Endp
 	}
 	t.eps[addr] = ep
 	ep.wg.Add(1)
-	if brecv != nil && ep.bio != nil {
+	if ep.bio != nil {
 		go ep.readBatchLoop()
 	} else {
 		go ep.readLoop()
@@ -319,22 +314,22 @@ func (t *UDPTransport) Close() {
 }
 
 type udpEndpoint struct {
-	tr    *UDPTransport
-	addr  Addr
-	conn  *net.UDPConn
-	recv  RecvFunc      // set when opened with Open
-	brecv BatchRecvFunc // set when opened with OpenBatch
-	bio   *batchIO      // nil: batched syscalls unavailable or disabled
-	cap   int           // largest datagram a Flush packs (linkCap)
-	hdr   []byte        // the frame header every datagram starts with
-	wg    sync.WaitGroup
+	tr   *UDPTransport
+	addr Addr
+	conn *net.UDPConn
+	recv RecvFunc
+	bio  *batchIO // nil: batched syscalls unavailable or disabled
+	cap  int      // largest datagram a Flush packs (linkCap)
+	hdr  []byte   // the frame header every datagram starts with
+	wg   sync.WaitGroup
 
 	// The send queue: the datagrams packed since the last Flush, in the
 	// order they were opened. Enqueue and Flush run on one goroutine (the
-	// stack executor); mu only fences them off from Close, and is never
-	// held across a syscall — Flush swaps the queue out and writes from
-	// its own slice, so Close never waits behind a full send buffer.
-	// Slots past the queue's length keep their buffers for reuse.
+	// stack executor); mu fences them off from Send on other goroutines
+	// and from Close, and is never held across a syscall — Flush swaps
+	// the queue out and writes from its own slice, so Close never waits
+	// behind a full send buffer. Slots past the queue's length keep their
+	// buffers for reuse.
 	mu    sync.Mutex
 	sendq []datagram
 	// flushMu serializes flushes: bio's scatter arrays must never be
@@ -376,12 +371,12 @@ func (e *udpEndpoint) Addr() Addr { return e.addr }
 // or too large to travel in a datagram of MaxPacket bytes, is counted
 // and dropped, as network loss would drop it; RP2P's retransmission
 // recovers.
-func (e *udpEndpoint) route(to Addr, data []byte, op string) (*net.UDPAddr, bool) {
+func (e *udpEndpoint) route(to Addr, size int) (*net.UDPAddr, bool) {
 	t := e.tr
 	t.bookMu.RLock()
 	dst, ok := t.book[to]
 	t.bookMu.RUnlock()
-	if ok && len(data) <= t.cfg.MaxPacket-maxFrameHeader {
+	if ok && size <= t.cfg.MaxPacket-maxFrameHeader {
 		return dst, true
 	}
 	reason := "address not in book"
@@ -389,32 +384,27 @@ func (e *udpEndpoint) route(to Addr, data []byte, op string) (*net.UDPAddr, bool
 		reason = "oversized payload"
 	}
 	t.sendErrs.Add(1)
-	t.logf("transport: drop %s %d->%d: %s", op, e.addr, to, reason)
+	t.logf("transport: drop send %d->%d: %s", e.addr, to, reason)
 	return nil, false
 }
 
-// Send writes data to to's book entry at once, as a datagram of its
-// own.
+// Send writes data to to's book entry at once: it is Enqueue and Flush,
+// so it also sends whatever the executor has queued so far.
 func (e *udpEndpoint) Send(to Addr, data []byte) {
-	dst, ok := e.route(to, data, "send")
-	if !ok {
-		return
-	}
-	w := wire.GetWriter(len(data) + maxFrameHeader)
-	w.Raw(e.hdr).BytesField(data)
-	e.write(&datagram{to: to, dst: dst, buf: w.Bytes(), n: 1, bytes: len(data)})
-	w.Free() // the kernel has copied the datagram
+	e.Enqueue(to, data, nil)
+	e.Flush()
 }
 
-// Enqueue copies data into the datagram the next Flush sends to to: the
-// last one opened for to since the previous Flush, or a new one when
-// that one cannot take it without outgrowing the endpoint's cap. A
+// Enqueue copies head‖body into the datagram the next Flush sends to
+// to: the last one opened for to since the previous Flush, or a new one
+// when that one cannot take it without outgrowing the endpoint's cap. A
 // payload larger than the cap on its own therefore travels alone, and
-// the payloads to one peer keep their Enqueue order. Like Send, an
-// unroutable or oversized payload is dropped as loss. Enqueue and Flush
-// must be called from one goroutine at a time (the stack executor).
-func (e *udpEndpoint) Enqueue(to Addr, data []byte) {
-	dst, ok := e.route(to, data, "enqueue")
+// the payloads to one peer keep their Enqueue order. An unroutable or
+// oversized payload is dropped as loss. The body is copied too, so it
+// is not retained.
+func (e *udpEndpoint) Enqueue(to Addr, head, body []byte) {
+	size := len(head) + len(body)
+	dst, ok := e.route(to, size)
 	if !ok {
 		return
 	}
@@ -424,10 +414,10 @@ func (e *udpEndpoint) Enqueue(to Addr, data []byte) {
 		e.tr.sendErrs.Add(1)
 		return
 	}
-	d := e.packInto(to, dst, uvarintLen(len(data))+len(data))
-	d.buf = append(binary.AppendUvarint(d.buf, uint64(len(data))), data...)
+	d := e.packInto(to, dst, uvarintLen(size)+size)
+	d.buf = append(append(binary.AppendUvarint(d.buf, uint64(size)), head...), body...)
 	d.n++
-	d.bytes += len(data)
+	d.bytes += size
 }
 
 // packInto returns the queued datagram to (to, dst) with room for a
@@ -533,7 +523,8 @@ const maxFrameHeader = 12
 // (an fd-level fault, not pressure) and stopping rather than spinning.
 const maxRecvFailures = 100
 
-// readLoop reads one datagram per syscall until the endpoint closes.
+// readLoop reads one datagram per syscall until the endpoint closes,
+// delivering its payloads as one batch.
 func (e *udpEndpoint) readLoop() {
 	defer e.wg.Done()
 	t := e.tr
@@ -549,22 +540,8 @@ func (e *udpEndpoint) readLoop() {
 			// Socket closed (endpoint shutdown) or unrecoverable.
 			return
 		}
-		f, ok := e.check(buf[:n], n == len(buf))
-		if !ok || e.closed.Load() {
-			continue
-		}
-		if e.brecv != nil {
-			// Opened with OpenBatch but on the portable loop: one batch
-			// per datagram.
-			frame := [1]rxFrame{f}
-			e.deliver(frame[:])
-			continue
-		}
-		for b := f.body; len(b) > 0; {
-			var seg []byte
-			seg, b, _ = nextSegment(b)
-			// The receiver owns its slice; the read buffer is reused.
-			e.recv(f.from, append([]byte(nil), seg...))
+		if f, ok := e.check(buf[:n], n == len(buf)); ok {
+			e.deliver([]rxFrame{f})
 		}
 	}
 }
@@ -632,8 +609,8 @@ func (e *udpEndpoint) check(raw []byte, overLimit bool) (rxFrame, bool) {
 	return rxFrame{from: from, body: body, segs: segs}, true
 }
 
-// deliver hands the payloads of checked datagrams to the batch receiver
-// as one batch, unless the endpoint has closed. The receiver owns the
+// deliver hands the payloads of checked datagrams to the receiver as
+// one batch, unless the endpoint has closed. The receiver owns the
 // batch, so the payloads are copied out of the receive buffers, which
 // are reused, into one arena: two allocations per batch, not two per
 // payload.
@@ -657,7 +634,7 @@ func (e *udpEndpoint) deliver(frames []rxFrame) {
 			pkts = append(pkts, Packet{From: f.from, Data: seg})
 		}
 	}
-	e.brecv(pkts)
+	e.recv(pkts)
 }
 
 // Close shuts the socket down and waits for the read loop to exit.

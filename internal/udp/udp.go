@@ -7,10 +7,10 @@
 // incoming one verified, so corrupted or truncated frames are counted
 // and dropped instead of misparsed by the modules above.
 //
-// The module is transport-agnostic: it speaks to internal/transport,
-// so the same stack runs over the deterministic in-process simnet
-// fabric (transport.Sim) or over real UDP sockets spanning processes
-// and hosts (transport.NewUDP).
+// The module is transport-agnostic: it speaks to internal/transport's
+// one Endpoint contract, so the same stack runs over the deterministic
+// in-process simnet fabric (transport.Sim), over real UDP sockets
+// spanning processes and hosts (transport.NewUDP) or over TCP streams.
 //
 // # Channel-tag registry
 //
@@ -54,8 +54,7 @@ const (
 // Send requests an unreliable datagram transmission.
 //
 // Data is never retained once the request has been handled: the module
-// frames it and the transport copies (or encodes) it before its Send
-// returns. A sender that issues the request with Stack.CallSync may
+// frames it and the transport copies it before its Enqueue returns. A sender that issues the request with Stack.CallSync may
 // therefore reuse or pool the buffer as soon as the call returns.
 //
 // When Headroom is true, the first wire.FrameOverhead bytes of Data are
@@ -68,11 +67,10 @@ const (
 // Body, when non-empty, is the rest of the datagram: the payload on the
 // wire is Data (past its headroom) followed by Body, under one checksum.
 // Its ownership is the opposite of Data's. The module only reads it,
-// but a stream transport keeps the slice until its writer has written
-// it, after the request returns: Body must be immutable from the call
-// on and must not be a pooled buffer (transport.BodySender). Over every
-// other transport the two are joined here, once, and Body is not
-// retained.
+// but it hands the slice to the transport by reference, and a stream
+// transport keeps it until its writer has written it, after the request
+// returns: Body must be immutable from the call on and must not be a
+// pooled buffer (see transport.Endpoint.Enqueue).
 //
 // (The byte-sized fields sit together at the end so that the request,
 // which is boxed into an interface per datagram, stays in the 64-byte
@@ -95,14 +93,11 @@ type Recv struct {
 
 // Module implements the UDP module over a transport backend.
 //
-// When the backend supports batching, the module engages it end to end:
-// outgoing Send requests are enqueued on the endpoint's BatchSender and
-// flushed once per executor pass, so every frame produced in one pass
-// leaves in as few datagrams and syscalls as possible; incoming traffic
-// is opened through BatchOpener and each received batch is re-injected
-// as ONE executor event (Stack.IndicateBatch) instead of one per
-// datagram. Backends without batching (simnet) take the original
-// per-datagram path, bit for bit.
+// Outgoing Send requests are enqueued on the endpoint and flushed once
+// per executor pass, so every frame produced in one pass leaves in as
+// few datagrams and syscalls as the backend can pack it into; each
+// received batch is re-injected as ONE executor event instead of one
+// per datagram.
 //
 // The flush is armed by the first frame of a pass (Stack.RegisterFlusher)
 // and disarms itself once it has run. Registered that late, it runs
@@ -113,10 +108,8 @@ type Module struct {
 	kernel.Base
 	tr      transport.Transport
 	ep      transport.Endpoint
-	bs      transport.BatchSender // non-nil when the endpoint batches sends
-	vs      transport.BodySender  // non-nil when it also takes a body by reference
-	flushFn func()                // m.flush, bound once
-	unflush func()                // non-nil while a flush is armed for this pass
+	flushFn func() // m.flush, bound once
+	unflush func() // non-nil while a flush is armed for this pass
 	openErr error
 }
 
@@ -138,24 +131,14 @@ func Factory(tr transport.Transport) kernel.Factory {
 // no endpoint, dropping all traffic.
 func (m *Module) Start() {
 	m.Stk.Subscribe(kernel.PeerService, m)
-	var ep transport.Endpoint
-	var err error
-	if bo, ok := m.tr.(transport.BatchOpener); ok {
-		ep, err = bo.OpenBatch(transport.Addr(m.Stk.Addr()), m.receiveBatch)
-	} else {
-		ep, err = m.tr.Open(transport.Addr(m.Stk.Addr()), m.receive)
-	}
+	ep, err := m.tr.OpenBatch(transport.Addr(m.Stk.Addr()), m.receive)
 	if err != nil {
 		m.openErr = err
 		m.Stk.Logf("udp: open: %v", err)
 		return
 	}
 	m.ep = ep
-	if bs, ok := ep.(transport.BatchSender); ok {
-		m.bs = bs
-		m.vs, _ = ep.(transport.BodySender)
-		m.flushFn = m.flush
-	}
+	m.flushFn = m.flush
 }
 
 // flush is the armed end-of-pass hook: it disarms itself and transmits
@@ -165,7 +148,7 @@ func (m *Module) Start() {
 func (m *Module) flush() {
 	m.unflush()
 	m.unflush = nil
-	m.bs.Flush()
+	m.ep.Flush()
 }
 
 // OpenErr reports whether Start failed to open the transport endpoint.
@@ -177,13 +160,10 @@ func (m *Module) OpenErr() error { return m.openErr }
 // module's last frames (e.g. a leave announcement) actually leave.
 func (m *Module) Stop() {
 	m.Stk.Unsubscribe(kernel.PeerService, m)
-	if m.bs != nil {
+	if m.ep != nil {
 		if m.unflush != nil {
 			m.flush()
 		}
-		m.bs, m.vs = nil, nil
-	}
-	if m.ep != nil {
 		m.ep.Close()
 		m.ep = nil
 	}
@@ -230,52 +210,24 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 	if !ok || m.ep == nil {
 		return
 	}
+	m.arm()
 	if s.Headroom && len(s.Data) >= wire.FrameOverhead {
 		// The sender reserved the frame header: no framing copy at all.
 		s.Data[0] = s.Chan
 		wire.SealSplitFrame(s.Data, s.Body, uint64(m.Stk.Addr()))
-		m.send(transport.Addr(s.To), s.Data, s.Body)
+		m.ep.Enqueue(transport.Addr(s.To), s.Data, s.Body)
 		return
 	}
 	w := wire.GetWriter(len(s.Data) + wire.FrameOverhead)
 	w.Byte(s.Chan).Pad(wire.FrameOverhead - 1).Raw(s.Data)
 	frame := w.Bytes()
 	wire.SealSplitFrame(frame, s.Body, uint64(m.Stk.Addr()))
-	m.send(transport.Addr(s.To), frame, s.Body)
-	w.Free() // the transport has copied (or enqueued a copy of) the frame
+	m.ep.Enqueue(transport.Addr(s.To), frame, s.Body)
+	w.Free() // the transport has copied (or sent) the frame
 }
 
-// send hands one sealed frame (frame‖body) to the transport: onto the
-// batch queue when the endpoint batches (arming the flush that
-// transmits it at the end of this executor pass), immediately
-// otherwise. Every path copies frame before returning; body goes by
-// reference to an endpoint that takes one and is joined to frame here
-// for all the others. Executor-only.
-//
-//dpulint:executor
-func (m *Module) send(to transport.Addr, frame, body []byte) {
-	switch {
-	case len(body) == 0:
-	case m.vs != nil:
-		m.arm()
-		m.vs.EnqueueBody(to, frame, body)
-		return
-	default:
-		w := wire.GetWriter(len(frame) + len(body))
-		m.send(to, w.Raw(frame).Raw(body).Bytes(), nil)
-		w.Free()
-		return
-	}
-	if m.bs != nil {
-		m.arm()
-		m.bs.Enqueue(to, frame)
-		return
-	}
-	m.ep.Send(to, frame)
-}
-
-// arm registers the end-of-pass flush unless this pass already has.
-// Executor-only.
+// arm registers the end-of-pass flush that transmits what this pass
+// enqueues, unless this pass already has. Executor-only.
 //
 //dpulint:executor
 func (m *Module) arm() {
@@ -285,32 +237,30 @@ func (m *Module) arm() {
 }
 
 // receive runs on a transport goroutine (simnet timer or socket read
-// loop); it re-injects the packet into the stack as an indication
-// (Indicate enqueues onto the executor).
+// loop); it re-injects the received batch into the stack as ONE
+// executor event carrying its surviving indications, delivered to
+// listeners in order — a batch of one as a plain Indicate, no slice.
 // A frame whose checksum does not verify against the claimed sender is
 // counted (wire.frames_rejected) and dropped here, before anything
 // above the framing layer can misparse it.
-func (m *Module) receive(from transport.Addr, data []byte) {
-	tag, payload, ok := wire.OpenFrame(data, uint64(from))
-	if !ok {
+func (m *Module) receive(pkts []transport.Packet) {
+	if len(pkts) == 1 {
+		if ind, ok := unseal(pkts[0]); ok {
+			m.Stk.Indicate(Service, ind)
+		}
 		return
 	}
-	m.Stk.Indicate(Service, Recv{From: kernel.Addr(from), Chan: tag, Data: payload})
-}
-
-// receiveBatch is the batched twin of receive: one recvmmsg worth of
-// datagrams becomes one executor event carrying the batch's surviving
-// indications, delivered to listeners individually and in order —
-// identical to len(pkts) receive calls, minus len(pkts)-1 queue
-// round-trips. Runs on a transport goroutine.
-func (m *Module) receiveBatch(pkts []transport.Packet) {
 	inds := make([]kernel.Indication, 0, len(pkts))
 	for _, p := range pkts {
-		tag, payload, ok := wire.OpenFrame(p.Data, uint64(p.From))
-		if !ok {
-			continue
+		if ind, ok := unseal(p); ok {
+			inds = append(inds, ind)
 		}
-		inds = append(inds, Recv{From: kernel.Addr(p.From), Chan: tag, Data: payload})
 	}
 	m.Stk.IndicateBatch(Service, inds)
+}
+
+// unseal checks one received frame and turns it into its indication.
+func unseal(p transport.Packet) (Recv, bool) {
+	tag, payload, ok := wire.OpenFrame(p.Data, uint64(p.From))
+	return Recv{From: kernel.Addr(p.From), Chan: tag, Data: payload}, ok
 }
