@@ -52,37 +52,6 @@ func TestKernelDispatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPoolDispatchAllocBudget is the pool-mode twin of the dispatch
-// budget: scheduling a stack on the shared executor pool must not
-// reintroduce per-event allocations. The only extra cost allowed over
-// dedicated mode is the amortized run-queue growth on the idle→scheduled
-// transition.
-func TestPoolDispatchAllocBudget(t *testing.T) {
-	pool := kernel.NewPool(2)
-	defer pool.Close()
-	st := kernel.NewStack(kernel.Config{Addr: 0, Peers: []kernel.Addr{0}, Pool: pool})
-	var handled atomic.Int64
-	if err := st.DoSync(func() {
-		m := &countingModule{Base: kernel.NewBase(st, "budget"), count: &handled}
-		st.AddModule(m)
-		st.Bind("svc", m)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var req kernel.Request = struct{}{}
-	avg := testing.AllocsPerRun(20000, func() {
-		st.Call("svc", req)
-	})
-	st.DoSync(func() {})
-	st.Close()
-	if avg > 1.0 {
-		t.Errorf("pooled Call fast-path allocates %.2f allocs/op, budget 1.0", avg)
-	}
-	if handled.Load() == 0 {
-		t.Fatal("no requests dispatched")
-	}
-}
-
 // TestBatchEnqueueFlushAllocBudget asserts the batched send path costs
 // the same per Flush however many payloads it carries: Enqueue copies a
 // payload's head and body into the datagram its peer's flush sends,

@@ -60,7 +60,6 @@ type Cluster struct {
 	membership bool
 	opts       *options
 	clock      vclock.Clock
-	pool       *kernel.Pool // shared executor pool (WithExecutorPool); nil otherwise
 
 	// mu guards the slot table (the id space), which grows on AddNode.
 	mu    sync.RWMutex
@@ -171,9 +170,6 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		slots:      make([]*stackSlot, n),
 		closed:     make(chan struct{}),
 	}
-	if o.pooled {
-		c.pool = kernel.NewPool(o.poolSize)
-	}
 	endpoints := make(map[kernel.Addr]string, len(o.endpoints))
 	for id, ep := range o.endpoints {
 		endpoints[kernel.Addr(id)] = ep
@@ -253,7 +249,6 @@ func (c *Cluster) buildStack(id int, peers []kernel.Addr, reg *kernel.Registry) 
 	st := kernel.NewStack(kernel.Config{
 		Addr: kernel.Addr(id), Peers: peers, Registry: reg,
 		Seed: o.net.Seed + int64(id), Tracer: o.tracer, Clock: c.clock,
-		Pool: c.pool,
 	})
 	// A virtual clock must observe the stack's executor for quiescence;
 	// registering here covers founders and runtime joiners alike.
@@ -626,11 +621,6 @@ func (c *Cluster) Close() {
 		// subscriptions below are closed.
 		for _, s := range slots {
 			s.st.Close()
-		}
-		if c.pool != nil {
-			// After the stacks: a pool closed under live executors would
-			// push every straggling slice onto transient goroutines.
-			c.pool.Close()
 		}
 		var subs []*Subscription
 		for _, s := range slots {

@@ -33,8 +33,6 @@ type options struct {
 	faults         bool
 	joinTimeout    time.Duration
 	joinRetry      joinRetryConfig
-	poolSize       int
-	pooled         bool
 }
 
 // joinRetryConfig is the resolved WithJoinRetry configuration: up to
@@ -263,23 +261,6 @@ func WithJoinRetry(attempts int, base, max time.Duration) Option {
 		}
 		o.joinRetry = joinRetryConfig{attempts: attempts, base: base, max: max}
 	}
-}
-
-// WithExecutorPool schedules the cluster's stack executors on a shared
-// pool of n workers instead of a dedicated goroutine per stack; n <= 0
-// means GOMAXPROCS. Per-stack serialization is preserved exactly (one
-// worker owns a stack at a time), so module code and event ordering are
-// unaffected — the pool changes where stacks run, never how.
-//
-// Enable it when one process hosts several stacks and has more than one
-// core to spend: independent stacks then drain their event batches in
-// parallel, which compounds with the batched UDP backend (each parallel
-// executor pass ends in its own sendmmsg flush). With a single stack
-// per process, or GOMAXPROCS=1, it changes nothing but scheduling
-// overhead. The pool is owned by the Cluster and closed by Close, after
-// the stacks. See docs/OPERATIONS.md for the kernel.pool_* counters.
-func WithExecutorPool(n int) Option {
-	return func(o *options) { o.pooled, o.poolSize = true, n }
 }
 
 // WithFailureDetector tunes the heartbeat failure detector: interval is

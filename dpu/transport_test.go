@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/dpu"
@@ -78,6 +79,80 @@ func TestClusterOverRealUDP(t *testing.T) {
 	}
 	if len(seen) != msgs {
 		t.Fatalf("delivered %d distinct messages, want %d", len(seen), msgs)
+	}
+}
+
+// TestClusterWithExecutorPoolOverBatchedUDP runs the full stack over
+// the batched UDP backend with every stack's executor goroutine
+// sharing a pool of two processors (GOMAXPROCS 2), the Go scheduler
+// multiplexing them onto it. The sharing must be invisible in the
+// results — same total order, same exactly-once delivery, live
+// protocol switch included — while the transport stats prove the
+// syscall batching actually engaged.
+func TestClusterWithExecutorPoolOverBatchedUDP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+	const n, msgs = 3, 60
+	tr, err := transport.NewUDP(transport.UDPConfig{Book: udpBook(t, n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newGroup(t, n, dpu.WithTransport(tr))
+
+	send := func(from, count int) {
+		for i := 0; i < count; i++ {
+			if err := c.node[from].Broadcast(bg, []byte(fmt.Sprintf("p-%d-%d", from, i))); err != nil {
+				t.Fatal(err)
+			}
+			from = (from + 1) % n
+		}
+	}
+	send(0, msgs/2)
+	c.requestChange(1, dpu.ProtocolSequencer)
+	send(1, msgs-msgs/2)
+
+	for i := 0; i < n; i++ {
+		if ev := c.waitSwitch(t, i); ev.Protocol != dpu.ProtocolSequencer {
+			t.Fatalf("stack %d switched to %q", i, ev.Protocol)
+		}
+	}
+
+	sequences := make([][]string, n)
+	for i := 0; i < n; i++ {
+		for _, d := range c.drain(t, i, msgs) {
+			sequences[i] = append(sequences[i], fmt.Sprintf("%d:%s", d.Origin, d.Data))
+		}
+	}
+	for i := 1; i < n; i++ {
+		if len(sequences[i]) != len(sequences[0]) {
+			t.Fatalf("stack %d delivered %d, stack 0 delivered %d", i, len(sequences[i]), len(sequences[0]))
+		}
+		for k := range sequences[0] {
+			if sequences[i][k] != sequences[0][k] {
+				t.Fatalf("order divergence at %d: stack0=%s stack%d=%s", k, sequences[0][k], i, sequences[i][k])
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, s := range sequences[0] {
+		if seen[s] {
+			t.Fatalf("duplicate delivery %s", s)
+		}
+		seen[s] = true
+	}
+	if len(seen) != msgs {
+		t.Fatalf("delivered %d distinct messages, want %d", len(seen), msgs)
+	}
+
+	if transport.BatchSyscallsAvailable() {
+		st := tr.Stats()
+		if st.SendCalls == 0 || st.SendCalls > st.Sent || st.Sent >= st.Delivered {
+			t.Errorf("send batching idle: %d syscalls for %d datagrams carrying %d payloads", st.SendCalls, st.Sent, st.Delivered)
+		}
+		if st.RecvCalls == 0 || st.RecvCalls >= st.Delivered {
+			t.Errorf("recv batching idle: %d syscalls for %d payloads", st.RecvCalls, st.Delivered)
+		}
 	}
 }
 

@@ -181,11 +181,6 @@ type Config struct {
 	// the wall clock; simulations inject a vclock.Virtual so whole
 	// clusters run under discrete-event virtual time.
 	Clock vclock.Clock
-	// Pool, when non-nil, schedules this stack's executor on a shared
-	// worker pool instead of a dedicated goroutine. Serialization is
-	// unchanged (one worker owns the stack at a time); see Pool. The
-	// pool must outlive the stack.
-	Pool *Pool
 }
 
 // PeerService is the kernel-provided membership service: SetPeers
@@ -277,7 +272,7 @@ func NewStack(cfg Config) *Stack {
 	initial := append([]Addr(nil), cfg.Peers...)
 	sort.Slice(initial, func(i, j int) bool { return initial[i] < initial[j] })
 	st.peers.Store(&peerSet{peers: initial})
-	st.exec = newExecutor(st.runTask, st.runFlushers, cfg.Pool)
+	st.exec = newExecutor(st.runTask, st.runFlushers)
 	return st
 }
 

@@ -33,10 +33,9 @@ import (
 //     including values reached through composite literals such as
 //     rp2p.Listen{Handler: m.onRecv};
 //   - function values passed to the kernel's newExecutor constructor:
-//     the executor invokes them only from its drain loop, whether that
-//     loop runs on a dedicated goroutine or on a shared Pool worker, so
-//     the task runner and post-batch flusher are executor context by
-//     axiom;
+//     the executor invokes them only from its drain loop, on the
+//     stack's executor goroutine, so the task runner and post-batch
+//     flusher are executor context by axiom;
 //   - transitively: an unexported function whose every direct call site
 //     sits inside an executor-context function and whose address never
 //     escapes. Exported functions are never inferred — callers in other
@@ -246,9 +245,9 @@ func (st *execState) collectScheduledValues() {
 // isExecutorConstructor reports whether callee is the kernel's internal
 // newExecutor constructor (or a fixture stand-in): the executor invokes
 // its function-valued arguments — the task runner and the post-batch
-// flusher — only from the drain loop, on the dedicated run() goroutine
-// or on a shared Pool worker's slice(), never concurrently. They are
-// therefore executor context by axiom.
+// flusher — only from the drain loop, on the stack's executor
+// goroutine, never concurrently. They are therefore executor context by
+// axiom.
 func isExecutorConstructor(f *types.Func) bool {
 	if f == nil || f.Pkg() == nil || f.Name() != "newExecutor" {
 		return false

@@ -79,9 +79,8 @@ func (m *mod) batchHandler() {
 }
 
 // newExecutor mirrors the shape of the kernel's executor constructor:
-// its function arguments run only on the drain loop — the dedicated
-// run() goroutine or a shared Pool worker's slice() — so they are
-// executor context by axiom.
+// its function arguments run only on the drain loop — the stack's
+// executor goroutine — so they are executor context by axiom.
 func newExecutor(run func(), flush func()) {
 	_ = run
 	_ = flush
