@@ -210,7 +210,9 @@ func runMulti(listen, peerList, transportKind string, msgs int, initial string, 
 		fatalf("%v", err)
 	}
 	if loss > 0 {
-		tr = transport.Faulty(tr, transport.FaultConfig{Seed: seed, LossRate: loss})
+		ft := transport.Faulty(tr, transport.FaultConfig{Seed: seed})
+		ft.SetLoss(loss)
+		tr = ft
 	}
 	endpoints := make(map[int]string, len(book))
 	for a, ep := range book {
@@ -377,18 +379,14 @@ collect:
 
 // runSingle is the original scripted scenario over the simulated LAN.
 func runSingle(n, msgs int, initial string, chain []string, loss float64, crash int, seed int64, quiet time.Duration) {
-	opts := []dpu.Option{
-		dpu.WithSeed(seed),
-		dpu.WithInitialProtocol(initial),
-	}
-	if loss > 0 {
-		opts = append(opts, dpu.WithLoss(loss))
-	}
-	c, err := dpu.New(n, opts...)
+	c, err := dpu.New(n, dpu.WithSeed(seed), dpu.WithInitialProtocol(initial))
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer c.Close()
+	if err := c.SetLoss(loss); err != nil {
+		fatalf("%v", err)
+	}
 	ctx := context.Background()
 
 	nodes := make([]*dpu.Node, n)

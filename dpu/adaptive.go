@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simnet"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -274,49 +273,47 @@ func (c *Cluster) publishAdvice(a Advice) {
 	}
 }
 
-// SetLoss changes the packet loss probability of the running network:
-// the built-in simulated LAN's loss model, or — over WithTransport —
-// the transport's, when it implements transport.Shaper (the Faulty
-// decorator does). ErrUnsupported otherwise. Scenario timelines use
-// these mutators to reshape the environment mid-run.
+// SetLoss changes the packet loss probability of the running network
+// through the cluster's fault surface; ErrUnsupported without one (see
+// WithTransport). Scenario timelines use these mutators to reshape the
+// environment mid-run.
 func (c *Cluster) SetLoss(p float64) error {
-	if c.net != nil {
-		c.net.Update(func(cfg *simnet.Config) { cfg.LossRate = p })
-		return nil
+	fi, err := c.injector()
+	if err != nil {
+		return err
 	}
-	if sh, ok := c.tr.(transport.Shaper); ok {
-		sh.SetLoss(p)
-		return nil
-	}
-	return fmt.Errorf("%w: runtime loss shaping needs the simulated network or a transport.Shaper", ErrUnsupported)
+	fi.SetLoss(p)
+	return nil
 }
 
-// SetDelay changes the one-way network delay at runtime (the simulated
-// LAN's base latency, or a transport.Shaper's fixed delay).
-// ErrUnsupported when neither is available.
+// SetDelay changes the one-way network delay at runtime: the simulated
+// LAN's base latency, or the fault surface's fixed delay over an
+// external transport. ErrUnsupported when neither is available.
 func (c *Cluster) SetDelay(d time.Duration) error {
 	if c.net != nil {
 		c.net.Update(func(cfg *simnet.Config) { cfg.BaseLatency = d })
 		return nil
 	}
-	if sh, ok := c.tr.(transport.Shaper); ok {
-		sh.SetDelay(d)
-		return nil
+	fi, err := c.injector()
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: runtime delay shaping needs the simulated network or a transport.Shaper", ErrUnsupported)
+	fi.SetDelay(d)
+	return nil
 }
 
-// SetJitter changes the uniform random delay bound at runtime (the
-// simulated LAN's jitter, or a transport.Shaper's). ErrUnsupported
-// when neither is available.
+// SetJitter changes the uniform random delay bound at runtime: the
+// simulated LAN's jitter, or the fault surface's over an external
+// transport. ErrUnsupported when neither is available.
 func (c *Cluster) SetJitter(j time.Duration) error {
 	if c.net != nil {
 		c.net.Update(func(cfg *simnet.Config) { cfg.Jitter = j })
 		return nil
 	}
-	if sh, ok := c.tr.(transport.Shaper); ok {
-		sh.SetJitter(j)
-		return nil
+	fi, err := c.injector()
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: runtime jitter shaping needs the simulated network or a transport.Shaper", ErrUnsupported)
+	fi.SetJitter(j)
+	return nil
 }

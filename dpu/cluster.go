@@ -55,7 +55,6 @@ type stackSlot struct {
 type Cluster struct {
 	net        *simnet.Network // nil when running over an external transport
 	tr         transport.Transport
-	faulty     *transport.FaultyTransport // non-nil with WithFaults; wraps tr's inner fabric
 	impls      *abcast.Registry
 	membership bool
 	opts       *options
@@ -147,22 +146,17 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		tr  = o.transport
 	)
 	if tr == nil {
+		// The simulated LAN only delays and carries packets; its faults
+		// come from the Faulty decorator, on a seed stream distinct from
+		// the fabric's jitter draws so the two never correlate.
 		o.net.Clock = o.clock
 		net = simnet.New(o.net)
-		tr = transport.Sim(net)
-	}
-	var faulty *transport.FaultyTransport
-	if o.faults {
-		// A distinct seed stream from simnet's, so the decorator's fate
-		// rolls never correlate with the fabric's own loss/jitter rolls.
-		faulty = transport.Faulty(tr, transport.FaultConfig{Seed: o.net.Seed ^ 0x5eedfa17, Clock: o.clock})
-		tr = faulty
+		tr = transport.Faulty(transport.Sim(net), transport.FaultConfig{Seed: o.net.Seed ^ 0x5eedfa17, Clock: o.clock})
 	}
 
 	c := &Cluster{
 		net:        net,
 		tr:         tr,
-		faulty:     faulty,
 		impls:      impls,
 		membership: o.membership,
 		opts:       o,
@@ -387,9 +381,6 @@ func (c *Cluster) retire(s *stackSlot) {
 	if !s.retired.CompareAndSwap(false, true) {
 		return
 	}
-	if c.net != nil {
-		c.net.SetDown(simnet.Addr(s.id), true)
-	}
 	s.st.Crash()
 }
 
@@ -540,20 +531,14 @@ func (c *Cluster) Crash(stack int) error {
 	return nil
 }
 
-// PartitionLink cuts the network link between two stacks, in both
-// directions. On the built-in simulated network the cut happens in the
-// fabric; over an external transport it falls back to the WithFaults
-// decorator (or a transport that is itself a FaultInjector), cutting
-// both one-way directions — which is how the scenario corpus runs its
-// partition timelines over real UDP and TCP sockets. ErrUnsupported
-// only when neither surface exists.
+// PartitionLink cuts the network link between two stacks by cutting
+// both one-way directions on the cluster's fault surface; see
+// WithTransport for when an external transport has one (ErrUnsupported
+// otherwise). A cut acts at send time: a datagram already in flight
+// still arrives.
 func (c *Cluster) PartitionLink(a, b int) error {
-	if err := c.checkLink(a, b); err != nil {
+	if err := c.checkPair(a, b); err != nil {
 		return err
-	}
-	if c.net != nil {
-		c.net.Cut(simnet.Addr(a), simnet.Addr(b))
-		return nil
 	}
 	fi, err := c.injector()
 	if err != nil {
@@ -564,15 +549,10 @@ func (c *Cluster) PartitionLink(a, b int) error {
 	return nil
 }
 
-// HealLink restores the link between two stacks (both directions; see
-// PartitionLink for the transport fallback rules).
+// HealLink restores the link between two stacks (both directions).
 func (c *Cluster) HealLink(a, b int) error {
-	if err := c.checkLink(a, b); err != nil {
+	if err := c.checkPair(a, b); err != nil {
 		return err
-	}
-	if c.net != nil {
-		c.net.Heal(simnet.Addr(a), simnet.Addr(b))
-		return nil
 	}
 	fi, err := c.injector()
 	if err != nil {
@@ -580,14 +560,6 @@ func (c *Cluster) HealLink(a, b int) error {
 	}
 	fi.HealOneWay(transport.Addr(a), transport.Addr(b))
 	fi.HealOneWay(transport.Addr(b), transport.Addr(a))
-	return nil
-}
-
-func (c *Cluster) checkLink(a, b int) error {
-	size := c.N()
-	if a < 0 || a >= size || b < 0 || b >= size {
-		return fmt.Errorf("%w: link %d-%d not in [0,%d)", ErrOutOfRange, a, b, size)
-	}
 	return nil
 }
 

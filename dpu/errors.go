@@ -18,7 +18,8 @@ var (
 	// before anything is broadcast to the group.
 	ErrUnknownProtocol = errors.New("dpu: unknown protocol")
 	// ErrUnsupported reports an operation the cluster's configuration
-	// cannot honor — e.g. link faults over an external transport.
+	// cannot honor — e.g. fault injection over an external transport
+	// that is not wrapped in transport.Faulty.
 	ErrUnsupported = errors.New("dpu: operation not supported by this cluster configuration")
 	// ErrNoMembership reports a membership operation (Join, Leave,
 	// Evict, AddNode, ServeJoin) on a cluster built without the

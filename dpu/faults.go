@@ -6,24 +6,23 @@ import (
 	"repro/internal/transport"
 )
 
-// injector resolves the adversarial fault surface: the WithFaults
-// decorator when the cluster was built with one, else an externally
-// supplied transport that implements transport.FaultInjector itself.
+// injector resolves the cluster's one fault surface: the Faulty
+// decorator New wraps the built-in simulated LAN in, or an external
+// transport that implements transport.FaultInjector itself (typically
+// one the caller wrapped in transport.Faulty).
 func (c *Cluster) injector() (transport.FaultInjector, error) {
-	if c.faulty != nil {
-		return c.faulty, nil
-	}
 	if fi, ok := c.tr.(transport.FaultInjector); ok {
 		return fi, nil
 	}
-	return nil, fmt.Errorf("%w: adversarial fault injection needs WithFaults (or a transport.FaultInjector transport)", ErrUnsupported)
+	return nil, fmt.Errorf("%w: fault injection needs the simulated network or a transport.FaultInjector transport (e.g. transport.Faulty)", ErrUnsupported)
 }
 
 // SetCorrupt changes the probability, in [0, 1], that a datagram has
 // 1–3 of its bytes flipped in flight. The per-frame checksum
 // (internal/wire) turns each corruption into a counted drop
 // (wire.frames_rejected) at the receiver, so the layers above see loss,
-// never garbage. Requires WithFaults; ErrUnsupported otherwise.
+// never garbage. ErrUnsupported without a fault surface (see
+// WithTransport).
 func (c *Cluster) SetCorrupt(p float64) error {
 	fi, err := c.injector()
 	if err != nil {
@@ -34,8 +33,8 @@ func (c *Cluster) SetCorrupt(p float64) error {
 }
 
 // SetReorder changes the probability, in [0, 1], that a datagram is
-// held back long enough for later sends to overtake it. Requires
-// WithFaults; ErrUnsupported otherwise.
+// held back long enough for later sends to overtake it. ErrUnsupported
+// without a fault surface.
 func (c *Cluster) SetReorder(p float64) error {
 	fi, err := c.injector()
 	if err != nil {
@@ -47,8 +46,8 @@ func (c *Cluster) SetReorder(p float64) error {
 
 // SetBurst changes the probability, in [0, 1], that a datagram opens a
 // correlated loss burst swallowing length datagrams in total (length
-// <= 0 keeps the current burst length). Requires WithFaults;
-// ErrUnsupported otherwise.
+// <= 0 keeps the current burst length). ErrUnsupported without a fault
+// surface.
 func (c *Cluster) SetBurst(p float64, length int) error {
 	fi, err := c.injector()
 	if err != nil {
@@ -61,7 +60,7 @@ func (c *Cluster) SetBurst(p float64, length int) error {
 // PartitionOneWay blocks datagrams from stack a to stack b while the
 // reverse direction keeps flowing — the asymmetric partition that
 // drives a failure detector's hardest cases (a hears b, b suspects a).
-// Requires WithFaults; ErrUnsupported otherwise.
+// ErrUnsupported without a fault surface.
 func (c *Cluster) PartitionOneWay(a, b int) error {
 	if err := c.checkPair(a, b); err != nil {
 		return err
@@ -98,11 +97,12 @@ func (c *Cluster) checkPair(a, b int) error {
 	return nil
 }
 
-// FaultStats snapshots the WithFaults decorator's counters (zero stats
-// and ErrUnsupported when the cluster was built without it).
+// FaultStats snapshots the Faulty decorator's counters (zero stats and
+// ErrUnsupported when the cluster's transport is not a Faulty one).
 func (c *Cluster) FaultStats() (transport.FaultStats, error) {
-	if c.faulty == nil {
-		return transport.FaultStats{}, fmt.Errorf("%w: fault stats need WithFaults", ErrUnsupported)
+	ft, ok := c.tr.(*transport.FaultyTransport)
+	if !ok {
+		return transport.FaultStats{}, fmt.Errorf("%w: fault stats need a transport.Faulty transport", ErrUnsupported)
 	}
-	return c.faulty.Stats(), nil
+	return ft.Stats(), nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/dpu"
 	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // TestCorruptionToleratedEndToEnd drives a cluster under 5% byte-level
@@ -16,7 +17,7 @@ import (
 // the group still delivers everything exactly once in total order.
 func TestCorruptionToleratedEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	c, err := dpu.New(3, dpu.WithSeed(31), dpu.WithFaults())
+	c, err := dpu.New(3, dpu.WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +62,77 @@ func TestCorruptionToleratedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFaultSurfaceRequiresWithFaults: without the decorator the
-// adversarial mutators report ErrUnsupported instead of silently doing
-// nothing.
-func TestFaultSurfaceRequiresWithFaults(t *testing.T) {
-	c, err := dpu.New(2, dpu.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+// TestFaultSurface: every fault method of a cluster resolves one
+// surface. The simulated LAN always has it; an external transport has
+// it exactly when it is a transport.Faulty decorator, and without one
+// the methods report ErrUnsupported instead of silently doing nothing.
+func TestFaultSurface(t *testing.T) {
+	udp := func(t *testing.T) transport.Transport {
+		tr, err := transport.NewUDP(transport.UDPConfig{Book: udpBook(t, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	defer c.Close()
-	if err := c.SetCorrupt(0.1); !errors.Is(err, dpu.ErrUnsupported) {
-		t.Fatalf("SetCorrupt without WithFaults: %v, want ErrUnsupported", err)
+	cases := []struct {
+		name    string
+		opts    func(t *testing.T) []dpu.Option
+		surface bool
+	}{
+		{"sim", func(*testing.T) []dpu.Option { return nil }, true},
+		{"raw-udp", func(t *testing.T) []dpu.Option {
+			return []dpu.Option{dpu.WithTransport(udp(t))}
+		}, false},
+		{"faulty-udp", func(t *testing.T) []dpu.Option {
+			return []dpu.Option{dpu.WithTransport(transport.Faulty(udp(t), transport.FaultConfig{Seed: 3}))}
+		}, true},
 	}
-	if err := c.PartitionOneWay(0, 1); !errors.Is(err, dpu.ErrUnsupported) {
-		t.Fatalf("PartitionOneWay without WithFaults: %v, want ErrUnsupported", err)
-	}
-	if _, err := c.FaultStats(); !errors.Is(err, dpu.ErrUnsupported) {
-		t.Fatalf("FaultStats without WithFaults: %v, want ErrUnsupported", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := dpu.New(2, append(tc.opts(t), dpu.WithSeed(1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"SetLoss", func() error { return c.SetLoss(0) }},
+				{"SetCorrupt", func() error { return c.SetCorrupt(0) }},
+				{"SetReorder", func() error { return c.SetReorder(0) }},
+				{"SetBurst", func() error { return c.SetBurst(0, 0) }},
+				{"PartitionLink", func() error { return c.PartitionLink(0, 1) }},
+				{"HealLink", func() error { return c.HealLink(0, 1) }},
+				{"PartitionOneWay", func() error { return c.PartitionOneWay(0, 1) }},
+				{"HealOneWay", func() error { return c.HealOneWay(0, 1) }},
+				{"FaultStats", func() error { _, err := c.FaultStats(); return err }},
+			}
+			for _, k := range calls {
+				err := k.call()
+				if tc.surface && err != nil {
+					t.Errorf("%s: %v", k.name, err)
+				}
+				if !tc.surface && !errors.Is(err, dpu.ErrUnsupported) {
+					t.Errorf("%s without a fault surface: %v, want ErrUnsupported", k.name, err)
+				}
+			}
+			if !tc.surface {
+				return
+			}
+			n, err := c.Node(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := collectOn(t, n)
+			if err := n.Broadcast(context.Background(), []byte("counted")); err != nil {
+				t.Fatal(err)
+			}
+			waitForMarker(t, map[int]*collector{0: col}, "0:counted")
+			if st, _ := c.FaultStats(); st.Passed == 0 {
+				t.Errorf("FaultStats counted nothing after a delivered broadcast: %+v", st)
+			}
+		})
 	}
 }
 
@@ -86,7 +141,7 @@ func TestFaultSurfaceRequiresWithFaults(t *testing.T) {
 // restores agreement.
 func TestOneWayPartitionAndHeal(t *testing.T) {
 	ctx := context.Background()
-	c, err := dpu.New(3, dpu.WithSeed(37), dpu.WithFaults())
+	c, err := dpu.New(3, dpu.WithSeed(37))
 	if err != nil {
 		t.Fatal(err)
 	}

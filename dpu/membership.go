@@ -336,11 +336,6 @@ func Join(ctx context.Context, sponsorAddr, selfEndpoint string, opts ...Option)
 		return nil, nil, err
 	}
 	var tr transport.Transport = udpTr
-	var faulty *transport.FaultyTransport
-	if o.faults {
-		faulty = transport.Faulty(tr, transport.FaultConfig{Seed: o.net.Seed ^ 0x5eedfa17})
-		tr = faulty
-	}
 
 	o.membership = true
 	o.transport = tr
@@ -355,7 +350,6 @@ func Join(ctx context.Context, sponsorAddr, selfEndpoint string, opts ...Option)
 	}
 	c := &Cluster{
 		tr:         tr,
-		faulty:     faulty,
 		impls:      impls,
 		membership: true,
 		opts:       o,

@@ -30,7 +30,6 @@ type options struct {
 	adaptive       *adaptiveOptions
 	clock          vclock.Clock
 	fd             fd.Config
-	faults         bool
 	joinTimeout    time.Duration
 	joinRetry      joinRetryConfig
 }
@@ -53,7 +52,8 @@ func WithInitialProtocol(name string) Option {
 	return func(o *options) { o.protocol = name }
 }
 
-// WithSeed makes the simulated network's fates reproducible.
+// WithSeed makes the simulated network's jitter and fault fates
+// reproducible.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.net.Seed = seed }
 }
@@ -62,11 +62,6 @@ func WithSeed(seed int64) Option {
 // jitter (default latency/2).
 func WithLatency(base, jitter time.Duration) Option {
 	return func(o *options) { o.net.BaseLatency, o.net.Jitter = base, jitter }
-}
-
-// WithLoss sets the packet loss probability in [0,1].
-func WithLoss(p float64) Option {
-	return func(o *options) { o.net.LossRate = p }
 }
 
 // WithBandwidth models a shared medium of the given bits per second.
@@ -176,13 +171,15 @@ func WithConsensusVariant(implName string, policy consensus.CoordPolicy) Option 
 // WithLocalStacks and cmd/dpu-sim's -listen/-peers mode).
 //
 // With an external transport the simulation-only options (WithLatency,
-// WithLoss, WithBandwidth) no longer shape the network — real links
-// do — and the link-fault methods PartitionLink and HealLink return
-// ErrUnsupported; Crash still halts the local stack. Close closes the
-// transport. Ownership transfers when New starts wiring stacks: a New
-// that fails during the build closes the transport, while a
-// configuration error caught before wiring (bad cluster size or local
-// stack index, duplicate protocol name) leaves it open for reuse.
+// WithBandwidth) no longer shape the network — real links do — and the
+// cluster has a fault surface (SetLoss, PartitionLink, SetCorrupt,
+// FaultStats and the rest) exactly when tr is a transport.Faulty
+// decorator; without one they return ErrUnsupported. Crash still halts
+// the local stack. Close closes the transport. Ownership transfers when
+// New starts wiring stacks: a New that fails during the build closes
+// the transport, while a configuration error caught before wiring (bad
+// cluster size or local stack index, duplicate protocol name) leaves it
+// open for reuse.
 func WithTransport(tr transport.Transport) Option {
 	return func(o *options) { o.transport = tr }
 }
@@ -213,18 +210,6 @@ func WithTracer(t kernel.Tracer) Option {
 // simulated network (the clock cannot slow down real sockets).
 func WithClock(c vclock.Clock) Option {
 	return func(o *options) { o.clock = c }
-}
-
-// WithFaults wraps the cluster's transport — built-in simulated LAN or
-// WithTransport fabric alike — in the transport.Faulty decorator, with
-// every rate at zero. The wrap itself is neutral (no RNG draws, no
-// copies, synchronous delivery), but it unlocks the adversarial fault
-// surface at runtime: Cluster.SetCorrupt, SetReorder, SetBurst,
-// PartitionOneWay and HealOneWay. The decorator's fates are seeded from
-// WithSeed and its timers run on the injected clock, so scenarios stay
-// deterministic under vclock.
-func WithFaults() Option {
-	return func(o *options) { o.faults = true }
 }
 
 // WithJoinTimeout bounds each leg of the TCP join handshake (the

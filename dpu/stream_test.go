@@ -116,18 +116,17 @@ func TestClusterTCPLargePayload(t *testing.T) {
 	}
 }
 
-// TestLinkFaultsOverTransport exercises the PartitionLink/HealLink
-// fallback path: without the built-in simulated network the cut must
-// land on the fault injector (both one-way directions) instead of
-// returning ErrUnsupported — and must still reject when no injector
-// surface exists at all.
+// TestLinkFaultsOverTransport exercises PartitionLink/HealLink over an
+// external transport wrapped in transport.Faulty: the cut lands on the
+// decorator (both one-way directions), bounds are still checked, and
+// the healed group makes progress end to end.
 func TestLinkFaultsOverTransport(t *testing.T) {
 	const n = 3
 	tr, err := transport.NewTCP(transport.TCPConfig{Book: tcpBook(t, n)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newGroup(t, n, dpu.WithTransport(tr), dpu.WithFaults())
+	c := newGroup(t, n, dpu.WithTransport(transport.Faulty(tr, transport.FaultConfig{Seed: 5})))
 
 	if err := c.PartitionLink(0, 1); err != nil {
 		t.Fatalf("PartitionLink over injector: %v", err)

@@ -164,7 +164,9 @@ func TestClusterOverLossyUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := transport.Faulty(inner, transport.FaultConfig{Seed: 11, LossRate: 0.1, DupRate: 0.05})
+	tr := transport.Faulty(inner, transport.FaultConfig{Seed: 11})
+	tr.SetLoss(0.1)
+	tr.SetDup(0.05)
 	c := newGroup(t, n, dpu.WithTransport(tr))
 
 	for i := 0; i < msgs; i++ {

@@ -61,12 +61,14 @@ func TestVirtualClockCluster(t *testing.T) {
 func TestVirtualClockDeterminism(t *testing.T) {
 	run := func() []string {
 		vc := vclock.NewVirtual()
-		c, err := New(3, WithSeed(42), WithClock(vc),
-			WithLoss(0.05)) // loss makes the RNG stream load-bearing
+		c, err := New(3, WithSeed(42), WithClock(vc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		if err := c.SetLoss(0.05); err != nil { // loss makes the RNG stream load-bearing
+			t.Fatal(err)
+		}
 		nodes := make([]*Node, 3)
 		for i := range nodes {
 			if nodes[i], err = c.Node(i); err != nil {

@@ -228,7 +228,8 @@ func TestTotalOrderUnderLoss(t *testing.T) {
 	for _, impl := range allImpls {
 		t.Run(impl, func(t *testing.T) {
 			c, sinks := build(t, 3,
-				simnet.Config{Seed: 22, LossRate: 0.1, BaseLatency: time.Millisecond}, impl)
+				simnet.Config{Seed: 22, BaseLatency: time.Millisecond}, impl)
+			c.Faults.SetLoss(0.1)
 			const per = 10
 			for k := 0; k < per; k++ {
 				for i := 0; i < 3; i++ {
@@ -250,9 +251,7 @@ func TestCTUniformAgreementWithMinorityCrash(t *testing.T) {
 		c.Stacks[0].Call(abcast.ServiceImpl, abcast.Broadcast{Data: []byte(fmt.Sprintf("pre-%d", k))})
 	}
 	waitAll(t, c, sinks, 5, nil)
-	c.Net.SetDown(3, true)
 	c.Stacks[3].Crash()
-	c.Net.SetDown(4, true)
 	c.Stacks[4].Crash()
 	for k := 0; k < 5; k++ {
 		c.Stacks[1].Call(abcast.ServiceImpl, abcast.Broadcast{Data: []byte(fmt.Sprintf("post-%d", k))})
@@ -271,7 +270,6 @@ func TestCTSenderCrashAfterBroadcast(t *testing.T) {
 	c.Stacks[0].Call(abcast.ServiceImpl, abcast.Broadcast{Data: []byte("last-words")})
 	c.Eventually(timeout, "sender self-processing", func() bool { return sinks[0].count() >= 0 })
 	time.Sleep(10 * time.Millisecond) // let dissemination start
-	c.Net.SetDown(0, true)
 	c.Stacks[0].Crash()
 	skip := map[int]bool{0: true}
 	waitAll(t, c, sinks, 1, skip)

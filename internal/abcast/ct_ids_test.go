@@ -90,11 +90,10 @@ func TestCTPayloadCrossesEachLinkOnce(t *testing.T) {
 // quorum and waits for the next broadcast of a correct stack.
 func TestCTOriginCrashAfterOnePeerIsPulled(t *testing.T) {
 	c, vc, sinks := ctGroup(t, 3, rp2p.Config{RTO: 5 * time.Millisecond})
-	c.Net.Cut(0, 2)
+	c.Cut(0, 2)
 	delta := stacktest.CounterDelta()
 	c.Stacks[0].Call(abcast.ServiceImpl, abcast.Broadcast{Data: []byte("last-words")})
 	vc.RunFor(1500 * time.Microsecond) // one hop: at stack 1, not decided
-	c.Net.SetDown(0, true)
 	c.Stacks[0].Crash()
 	c.Stacks[2].Call(abcast.ServiceImpl, abcast.Broadcast{Data: []byte("after")})
 	vc.RunFor(time.Second)
@@ -228,7 +227,6 @@ func TestCTUnservablePullHaltsTheStack(t *testing.T) {
 		t.Errorf("abcast.ct.payload_lost moved by %d, want 1", got)
 	}
 	wantSeq(t, "stack 2", g.delivered(2, "new-"), "new-0", "new-1")
-	g.c.Net.SetDown(2, true)
 	g.send(1, 1, "new-after")
 	for i := 0; i < 2; i++ {
 		if got := g.delivered(i, "new-"); len(got) != decisions+1 || got[decisions] != "new-after" {
@@ -248,7 +246,6 @@ func TestCTOrphanIdIsNeverDecided(t *testing.T) {
 	for k := 0; k < dropLimit+1; k++ {
 		g.send(2, 1, fmt.Sprintf("new-%d", k)) // the last one is dropped by both peers
 	}
-	g.c.Net.SetDown(2, true)
 	g.c.Stacks[2].Crash()
 	g.switchStack(0)
 	g.switchStack(1)
@@ -273,7 +270,6 @@ func TestCTOrphanIdIsNeverDecided(t *testing.T) {
 // of the proposal it cannot ack, or the group stops ordering for good.
 func TestCTUnheldProposalIsPulled(t *testing.T) {
 	g := newSwitchingGroup(t, 3)
-	g.c.Net.SetDown(1, true)
 	g.c.Stacks[1].Crash()
 	g.switchStack(0)
 	want := []string{"new-0", "new-1", "new-2"}

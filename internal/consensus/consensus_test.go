@@ -183,9 +183,7 @@ func TestConcurrentInstancesDifferentGroups(t *testing.T) {
 func TestTerminatesWithMinorityCrash(t *testing.T) {
 	c, logs := build(t, 5, simnet.Config{Seed: 4}, fastFD())
 	// Crash two of five before proposing (incl. the round-0 coordinator).
-	c.Net.SetDown(0, true)
 	c.Stacks[0].Crash()
-	c.Net.SetDown(4, true)
 	c.Stacks[4].Crash()
 	id := consensus.InstanceID{Group: 0, Seq: 0}
 	proposeAll(c, id, [][]byte{[]byte("survivor")})
@@ -202,7 +200,6 @@ func TestCoordinatorCrashMidInstanceStillTerminates(t *testing.T) {
 	// Propose everywhere, then immediately crash the round-0 coordinator
 	// (stack 0) so the nack/rotate path must run.
 	proposeAll(c, id, [][]byte{[]byte("x"), []byte("y"), []byte("z")})
-	c.Net.SetDown(0, true)
 	c.Stacks[0].Crash()
 	waitDecisionEverywhere(t, c, logs, id, map[int]bool{0: true})
 }
@@ -222,9 +219,10 @@ func TestSafeUnderAggressiveFalseSuspicions(t *testing.T) {
 
 func TestLossyNetworkDecides(t *testing.T) {
 	c, logs := build(t, 3,
-		simnet.Config{Seed: 7, LossRate: 0.15, BaseLatency: time.Millisecond},
+		simnet.Config{Seed: 7, BaseLatency: time.Millisecond},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 200 * time.Millisecond,
 			AdaptStep: 100 * time.Millisecond})
+	c.Faults.SetLoss(0.15)
 	for seq := uint64(0); seq < 5; seq++ {
 		id := consensus.InstanceID{Group: 0, Seq: seq}
 		proposeAll(c, id, [][]byte{[]byte(fmt.Sprintf("m%d", seq))})

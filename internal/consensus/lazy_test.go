@@ -78,8 +78,8 @@ func roundOf(t *testing.T, c *stacktest.Cluster, stack int, id consensus.Instanc
 func TestLazyRoundsSurviveCoordinatorCrashAfterMinorityProposal(t *testing.T) {
 	const hop = time.Millisecond
 	c, logs, vc := buildVirtual(t, 5, hop)
-	c.Net.Cut(0, 3)
-	c.Net.Cut(0, 4)
+	c.Cut(0, 3)
+	c.Cut(0, 4)
 	vc.RunFor(10 * time.Millisecond)
 	id := consensus.InstanceID{Group: 0, Seq: 0}
 	vals := make([][]byte, 5)
@@ -90,7 +90,6 @@ func TestLazyRoundsSurviveCoordinatorCrashAfterMinorityProposal(t *testing.T) {
 	// Estimates land after one hop, the proposal after two, the acks
 	// after three: crash the coordinator in between.
 	vc.RunFor(2*hop + hop/2)
-	c.Net.SetDown(0, true)
 	c.Stacks[0].Crash()
 
 	vc.RunFor(10 * time.Millisecond) // the acks are lost; nobody suspects yet
@@ -203,7 +202,6 @@ func TestUnreadyEstimateNeitherWinsNorBlocks(t *testing.T) {
 	est.Byte(0).Uvarint(second.Group).Uvarint(second.Seq).Uvarint(0).Uvarint(5).Raw([]byte("orphan"))
 	c.Stacks[1].Call(rp2p.Service, rp2p.Send{To: 0, Channel: "cons", Data: est.Bytes()})
 	vc.RunFor(10 * time.Millisecond)
-	c.Net.SetDown(1, true)
 	c.Stacks[1].Crash()
 	propose(second, 2, "held-by-2")
 	propose(second, 3, "held-by-3")

@@ -16,9 +16,9 @@ import (
 func TestMajorityPartitionDecidesMinorityBlocksThenCatchesUp(t *testing.T) {
 	c, logs := build(t, 5, simnet.Config{Seed: 77}, fastFD())
 	// Partition: {0,1,2} | {3,4}.
-	for _, a := range []simnet.Addr{0, 1, 2} {
-		for _, b := range []simnet.Addr{3, 4} {
-			c.Net.Cut(a, b)
+	for _, a := range []int{0, 1, 2} {
+		for _, b := range []int{3, 4} {
+			c.Cut(a, b)
 		}
 	}
 	id := consensus.InstanceID{Group: 0, Seq: 0}
@@ -43,9 +43,9 @@ func TestMajorityPartitionDecidesMinorityBlocksThenCatchesUp(t *testing.T) {
 		}
 	}
 	// Heal: relayed decisions catch the minority up.
-	for _, a := range []simnet.Addr{0, 1, 2} {
-		for _, b := range []simnet.Addr{3, 4} {
-			c.Net.Heal(a, b)
+	for _, a := range []int{0, 1, 2} {
+		for _, b := range []int{3, 4} {
+			c.Heal(a, b)
 		}
 	}
 	got := waitDecisionEverywhere(t, c, logs, id, nil)
@@ -60,11 +60,10 @@ func TestDecisionsSurviveCoordinatorPartition(t *testing.T) {
 	c, logs := build(t, 3, simnet.Config{Seed: 78, BaseLatency: time.Millisecond}, fastFD())
 	id := consensus.InstanceID{Group: 0, Seq: 0}
 	proposeAll(c, id, [][]byte{[]byte("x"), []byte("y"), []byte("z")})
-	c.Net.Isolate(0) // round-0 coordinator unreachable
+	c.Isolate(0) // round-0 coordinator unreachable
 	skip := map[int]bool{0: true}
 	waitDecisionEverywhere(t, c, logs, id, skip)
 	// Heal; the isolated coordinator must converge to the same value.
-	c.Net.Heal(0, 1)
-	c.Net.Heal(0, 2)
+	c.Rejoin(0)
 	waitDecisionEverywhere(t, c, logs, id, nil)
 }

@@ -291,7 +291,6 @@ func TestInitiatorCrashAfterChangeRequest(t *testing.T) {
 	waitDelivered(t, c, sinks, 5, nil)
 	c.Stacks[2].Call(core.Service, core.ChangeProtocol{Protocol: abcast.ProtocolCT})
 	time.Sleep(5 * time.Millisecond)
-	c.Net.SetDown(2, true)
 	c.Stacks[2].Crash()
 	skip := map[int]bool{2: true}
 	// Post-crash traffic from a survivor.
@@ -414,8 +413,9 @@ func TestPaperPropertiesOnTraces(t *testing.T) {
 
 func TestSwitchWithLossyNetwork(t *testing.T) {
 	c, sinks := buildDPU(t, 3,
-		simnet.Config{Seed: 38, LossRate: 0.1, BaseLatency: time.Millisecond},
+		simnet.Config{Seed: 38, BaseLatency: time.Millisecond},
 		core.Config{InitialProtocol: abcast.ProtocolCT}, nil)
+	c.Faults.SetLoss(0.1)
 	const pre, post = 8, 8
 	for k := 0; k < pre; k++ {
 		c.Stacks[k%3].Call(core.Service, core.Broadcast{Data: []byte(fmt.Sprintf("pre%d", k))})

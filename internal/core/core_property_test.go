@@ -27,11 +27,13 @@ func TestRandomizedSwitchSchedules(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			n := 3 + rng.Intn(2)*2 // 3 or 5
+			loss := float64(rng.Intn(8)) / 100
 			c, sinks := buildDPU(t, n,
 				simnet.Config{Seed: int64(trial), BaseLatency: 300 * time.Microsecond,
-					Jitter: 300 * time.Microsecond, LossRate: float64(rng.Intn(8)) / 100},
+					Jitter: 300 * time.Microsecond},
 				core.Config{InitialProtocol: protocols[rng.Intn(3)], Grace: 100 * time.Millisecond,
 					RetryLostChange: true}, nil)
+			c.Faults.SetLoss(loss)
 			sent := 0
 			switches := 0
 			for op := 0; op < 60; op++ {

@@ -83,7 +83,7 @@ func TestNoSuspicionsInStableGroup(t *testing.T) {
 func TestCrashedPeerEventuallySuspected(t *testing.T) {
 	c, logs := build(t, 3, simnet.Config{},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 40 * time.Millisecond})
-	c.Net.SetDown(2, true) // peer 2 goes silent
+	c.Isolate(2) // peer 2 goes silent
 	c.Eventually(timeout, "suspicion of 2", func() bool {
 		return logs[0].suspected(2) && logs[1].suspected(2)
 	})
@@ -95,9 +95,9 @@ func TestCrashedPeerEventuallySuspected(t *testing.T) {
 func TestRecoveredPeerRestored(t *testing.T) {
 	c, logs := build(t, 2, simnet.Config{},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 40 * time.Millisecond})
-	c.Net.SetDown(1, true)
+	c.Isolate(1)
 	c.Eventually(timeout, "suspicion", func() bool { return logs[0].suspected(1) })
-	c.Net.SetDown(1, false)
+	c.Rejoin(1)
 	c.Eventually(timeout, "restore", func() bool { return !logs[0].suspected(1) })
 	if logs[0].restoreCount() == 0 {
 		t.Error("no Restore indication")
@@ -107,13 +107,13 @@ func TestRecoveredPeerRestored(t *testing.T) {
 func TestPartitionedPeerSuspectedThenRestoredOnHeal(t *testing.T) {
 	c, logs := build(t, 3, simnet.Config{},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 40 * time.Millisecond})
-	c.Net.Cut(0, 2)
+	c.Cut(0, 2)
 	c.Eventually(timeout, "one-sided suspicion", func() bool { return logs[0].suspected(2) })
 	// 1 still hears 2: no suspicion there.
 	if logs[1].suspected(2) {
 		t.Error("stack 1 suspects 2 despite intact link")
 	}
-	c.Net.Heal(0, 2)
+	c.Heal(0, 2)
 	c.Eventually(timeout, "restore after heal", func() bool { return !logs[0].suspected(2) })
 }
 
@@ -138,7 +138,7 @@ func TestAdaptiveTimeoutReducesFalseSuspicions(t *testing.T) {
 func TestSuspectsQuery(t *testing.T) {
 	c, logs := build(t, 3, simnet.Config{},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 40 * time.Millisecond})
-	c.Net.SetDown(1, true)
+	c.Isolate(1)
 	c.Eventually(timeout, "suspicion", func() bool { return logs[0].suspected(1) })
 	got := make(chan []kernel.Addr, 1)
 	c.Stacks[0].Call(fd.Service, fd.SuspectsReq{Reply: func(s []kernel.Addr) { got <- s }})
@@ -161,12 +161,12 @@ func TestMonitorSetFollowsView(t *testing.T) {
 	// Remove 2 from stack 0's view; 2 keeps running, but even if it went
 	// silent, stack 0 must not suspect a non-member.
 	c.OnSync(0, func() { c.Stacks[0].SetPeers([]kernel.Addr{0, 1}, nil) })
-	c.Net.SetDown(2, true)
+	c.Isolate(2)
 	c.Eventually(timeout, "stack 1 suspects 2", func() bool { return logs[1].suspected(2) })
 	if logs[0].suspected(2) {
 		t.Error("stack 0 suspects evicted member 2")
 	}
-	// Re-admit 2 (still down): now stack 0 must suspect it again.
+	// Re-admit 2 (still isolated): now stack 0 must suspect it again.
 	c.OnSync(0, func() { c.Stacks[0].SetPeers([]kernel.Addr{0, 1, 2}, nil) })
 	c.Eventually(timeout, "stack 0 suspects re-admitted 2", func() bool { return logs[0].suspected(2) })
 }
@@ -174,7 +174,7 @@ func TestMonitorSetFollowsView(t *testing.T) {
 func TestSuspectsReqAfterViewChange(t *testing.T) {
 	c, logs := build(t, 2, simnet.Config{},
 		fd.Config{Interval: 5 * time.Millisecond, Timeout: 40 * time.Millisecond})
-	c.Net.SetDown(1, true)
+	c.Isolate(1)
 	c.Eventually(timeout, "suspicion", func() bool { return logs[0].suspected(1) })
 	c.OnSync(0, func() { c.Stacks[0].SetPeers([]kernel.Addr{0}, nil) })
 	got := make(chan []kernel.Addr, 1)

@@ -116,11 +116,11 @@ func TestAgreementDespiteSenderCrashMidBroadcast(t *testing.T) {
 	// The sender manages to reach only stack 1 before crashing; the
 	// relay step must spread the message to stack 2 anyway.
 	c, logs := build(t, 3, simnet.Config{BaseLatency: 2 * time.Millisecond})
-	c.Net.Cut(0, 2) // sender can only reach stack 1
+	c.Cut(0, 2) // sender can only reach stack 1
 	c.Stacks[0].Call(rbcast.Service, rbcast.Broadcast{Channel: "t", Data: []byte("m")})
 	// Give the message time to reach stack 1, then crash the sender.
 	c.Eventually(timeout, "reached stack 1", func() bool { return logs[1].count() == 1 })
-	c.Net.SetDown(0, true)
+	c.Stacks[0].Crash()
 	c.Eventually(timeout, "relayed to stack 2", func() bool { return logs[2].count() == 1 })
 	if d := logs[2].snapshot()[0]; d.Origin != 0 || string(d.Data) != "m" {
 		t.Errorf("stack 2 got %+v", d)
@@ -128,7 +128,8 @@ func TestAgreementDespiteSenderCrashMidBroadcast(t *testing.T) {
 }
 
 func TestLossyNetworkStillDeliversEverywhere(t *testing.T) {
-	c, logs := build(t, 4, simnet.Config{Seed: 6, LossRate: 0.25, BaseLatency: time.Millisecond})
+	c, logs := build(t, 4, simnet.Config{Seed: 6, BaseLatency: time.Millisecond})
+	c.Faults.SetLoss(0.25)
 	const total = 20
 	for i := 0; i < total; i++ {
 		c.Stacks[i%4].Call(rbcast.Service, rbcast.Broadcast{Channel: "t", Data: []byte{byte(i)}})

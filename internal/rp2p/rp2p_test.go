@@ -71,8 +71,9 @@ func TestReliableDeliveryPerfectNet(t *testing.T) {
 
 func TestReliableFIFOUnderHeavyLoss(t *testing.T) {
 	c := build(t, 2,
-		simnet.Config{Seed: 11, LossRate: 0.3, BaseLatency: time.Millisecond, Jitter: time.Millisecond},
+		simnet.Config{Seed: 11, BaseLatency: time.Millisecond, Jitter: time.Millisecond},
 		rp2p.Config{RTO: 5 * time.Millisecond, Window: 16})
+	c.Faults.SetLoss(0.3)
 	log := &recvLog{}
 	listen(c, 1, "ch", log)
 	const total = 200
@@ -90,8 +91,9 @@ func TestReliableFIFOUnderHeavyLoss(t *testing.T) {
 
 func TestExactlyOnceUnderDuplication(t *testing.T) {
 	c := build(t, 2,
-		simnet.Config{Seed: 5, DupRate: 0.5, BaseLatency: time.Millisecond},
+		simnet.Config{Seed: 5, BaseLatency: time.Millisecond},
 		rp2p.Config{RTO: 5 * time.Millisecond})
+	c.Faults.SetDup(0.5)
 	log := &recvLog{}
 	listen(c, 1, "ch", log)
 	const total = 100
@@ -179,8 +181,9 @@ func TestWindowBacklogDrains(t *testing.T) {
 	// With a tiny window, a burst larger than the window must still be
 	// delivered completely and in order.
 	c := build(t, 2,
-		simnet.Config{Seed: 2, BaseLatency: time.Millisecond, LossRate: 0.1},
+		simnet.Config{Seed: 2, BaseLatency: time.Millisecond},
 		rp2p.Config{Window: 4, RTO: 5 * time.Millisecond})
+	c.Faults.SetLoss(0.1)
 	log := &recvLog{}
 	listen(c, 1, "ch", log)
 	const total = 100
@@ -196,7 +199,8 @@ func TestWindowBacklogDrains(t *testing.T) {
 }
 
 func TestBidirectionalTrafficIsIndependent(t *testing.T) {
-	c := build(t, 2, simnet.Config{Seed: 9, LossRate: 0.2}, rp2p.Config{RTO: 5 * time.Millisecond})
+	c := build(t, 2, simnet.Config{Seed: 9}, rp2p.Config{RTO: 5 * time.Millisecond})
+	c.Faults.SetLoss(0.2)
 	log0, log1 := &recvLog{}, &recvLog{}
 	listen(c, 0, "ch", log0)
 	listen(c, 1, "ch", log1)
@@ -211,8 +215,9 @@ func TestBidirectionalTrafficIsIndependent(t *testing.T) {
 
 func TestManyPeersAllToAll(t *testing.T) {
 	const n = 5
-	c := build(t, n, simnet.Config{Seed: 4, LossRate: 0.1, BaseLatency: time.Millisecond},
+	c := build(t, n, simnet.Config{Seed: 4, BaseLatency: time.Millisecond},
 		rp2p.Config{RTO: 5 * time.Millisecond})
+	c.Faults.SetLoss(0.1)
 	logs := make([]*recvLog, n)
 	for i := 0; i < n; i++ {
 		logs[i] = &recvLog{}
@@ -251,7 +256,8 @@ func TestManyPeersAllToAll(t *testing.T) {
 }
 
 func TestRetransmissionsHappenUnderLoss(t *testing.T) {
-	c := build(t, 2, simnet.Config{Seed: 8, LossRate: 0.5}, rp2p.Config{RTO: 5 * time.Millisecond})
+	c := build(t, 2, simnet.Config{Seed: 8}, rp2p.Config{RTO: 5 * time.Millisecond})
+	c.Faults.SetLoss(0.5)
 	log := &recvLog{}
 	listen(c, 1, "ch", log)
 	for i := 0; i < 30; i++ {
@@ -282,8 +288,9 @@ func TestQuickExactlyOnceFIFO(t *testing.T) {
 		lossRate := float64(loss%45) / 100.0
 		win := int(window)%8 + 1
 		c := build(t, 2,
-			simnet.Config{Seed: seed, LossRate: lossRate, BaseLatency: 200 * time.Microsecond},
+			simnet.Config{Seed: seed, BaseLatency: 200 * time.Microsecond},
 			rp2p.Config{Window: win, RTO: 2 * time.Millisecond, MaxRTO: 20 * time.Millisecond})
+		c.Faults.SetLoss(lossRate)
 		defer c.Close()
 		log := &recvLog{}
 		listen(c, 1, "q", log)
@@ -352,7 +359,7 @@ func TestEvictedPeerStateDropped(t *testing.T) {
 	// in-flight packets to an unreachable peer stop retransmitting, and
 	// the stats no longer grow.
 	c := build(t, 2, simnet.Config{}, rp2p.Config{RTO: 5 * time.Millisecond})
-	c.Net.SetDown(1, true) // peer 1 unreachable: packets pile up unacked
+	c.Isolate(1) // peer 1 unreachable: packets pile up unacked
 	for i := 0; i < 5; i++ {
 		c.Stacks[0].Call(rp2p.Service, rp2p.Send{To: 1, Channel: "x", Data: []byte{byte(i)}})
 	}

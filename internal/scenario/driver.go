@@ -91,14 +91,9 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	}
 	wallStart := time.Now() //dpulint:ignore clocktime wall_ms result reporting measures real elapsed time, deliberately outside the virtual clock
 
-	// WithFaults is always on: with every rate at zero the decorator
-	// consumes no randomness and is schedule-neutral, and it gives the
-	// corrupt/reorder/partition-oneway actions a surface to mutate —
-	// over real transports it is the ONLY such surface.
 	dopts := []dpu.Option{
 		dpu.WithSeed(seed),
 		dpu.WithInitialProtocol(sc.Initial),
-		dpu.WithFaults(),
 	}
 	var (
 		clk  runClock
@@ -117,9 +112,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 				jitter = *sc.Env.Jitter
 			}
 			dopts = append(dopts, dpu.WithLatency(*sc.Env.Latency, jitter))
-		}
-		if sc.Env.Loss != nil {
-			dopts = append(dopts, dpu.WithLoss(*sc.Env.Loss))
 		}
 		if sc.Env.Bandwidth != nil {
 			dopts = append(dopts, dpu.WithBandwidth(*sc.Env.Bandwidth))
@@ -165,7 +157,10 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 			}
 			logf("scenario %s: endpoint reservation lost a port race (%v); re-reserving", sc.Name, err)
 		}
-		dopts = append(dopts, dpu.WithTransport(tr))
+		// The run's fault surface, seeded as dpu seeds the one it wraps
+		// the simulated LAN in: with every rate at zero it consumes no
+		// randomness and is schedule-neutral.
+		dopts = append(dopts, dpu.WithTransport(transport.Faulty(tr, transport.FaultConfig{Seed: seed ^ 0x5eedfa17})))
 		if sc.Membership {
 			dopts = append(dopts, dpu.WithEndpoints(founderEps))
 		}
@@ -216,26 +211,24 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	defer c.Close()
-	if trKind != "sim" {
-		// Real transports take the founding environment through the
-		// Faulty decorator's shaping surface (the simnet-only founding
-		// options cannot apply).
-		if sc.Env.Latency != nil {
-			jitter := *sc.Env.Latency / 2
-			if sc.Env.Jitter != nil {
-				jitter = *sc.Env.Jitter
-			}
-			if err := c.SetDelay(*sc.Env.Latency); err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-			}
-			if err := c.SetJitter(jitter); err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-			}
+	if trKind != "sim" && sc.Env.Latency != nil {
+		// Real transports take the founding latency through the fault
+		// surface's delay (the simnet-only founding options cannot
+		// apply).
+		jitter := *sc.Env.Latency / 2
+		if sc.Env.Jitter != nil {
+			jitter = *sc.Env.Jitter
 		}
-		if sc.Env.Loss != nil {
-			if err := c.SetLoss(*sc.Env.Loss); err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-			}
+		if err := c.SetDelay(*sc.Env.Latency); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+		if err := c.SetJitter(jitter); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+	}
+	if sc.Env.Loss != nil {
+		if err := c.SetLoss(*sc.Env.Loss); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
 	}
 	// The reject counter is process-wide; the delta across this run is

@@ -1,17 +1,17 @@
 // Package simnet is the network substrate substituting for the paper's
 // cluster (7 PCs on a 100Base-TX switch). It is an in-memory datagram
-// fabric with a parameterised fault and latency model: one-way base
-// latency, uniform jitter, a bandwidth term proportional to packet size,
-// probabilistic loss and duplication, link cuts (partitions) and
-// endpoint crashes. Packets are delivered asynchronously by the
-// fabric's clock — on wall time one pacer goroutine, in (deadline, send
-// order); under vclock.Virtual the driver of the clock — and receivers
-// re-inject them into their stack's executor.
+// fabric with a parameterised latency model: one-way base latency,
+// uniform jitter, a bandwidth term proportional to packet size and a
+// bounded per-NIC egress queue. Packets are delivered asynchronously by
+// the fabric's clock — on wall time one pacer goroutine, in (deadline,
+// send order); under vclock.Virtual the driver of the clock — and
+// receivers re-inject them into their stack's executor.
 //
-// The model is deliberately simple but exercises exactly the code paths
-// the protocols depend on: variable delay (reordering across sources),
-// loss (retransmission), duplication (dedup) and partitions (failure
-// detection and consensus rounds).
+// The fabric only delays and carries packets; it never loses,
+// duplicates or cuts them on purpose. Faults (loss, duplication,
+// partitions, corruption, reordering) are injected by the
+// transport.Faulty decorator layered over it, the same decorator that
+// shapes real sockets.
 //
 // The stack does not use this package directly: transport.Sim adapts a
 // Network to the internal/transport interface, next to the real-socket
@@ -34,7 +34,7 @@ type Addr int
 // Config parameterises the fabric. The zero value is a perfect network
 // with zero latency.
 type Config struct {
-	// Seed makes packet fates (loss, jitter, duplication) reproducible.
+	// Seed makes the jitter draws reproducible.
 	Seed int64
 	// BaseLatency is the one-way propagation delay.
 	BaseLatency time.Duration
@@ -55,10 +55,6 @@ type Config struct {
 	// on. Without a bound, congestion turns into unbounded bufferbloat
 	// instead of the loss that congestion control needs to observe.
 	EgressQueueLimit time.Duration
-	// LossRate is the probability a packet is dropped, in [0, 1].
-	LossRate float64
-	// DupRate is the probability a packet is delivered twice.
-	DupRate float64
 	// LoopbackLatency is the delay for self-addressed packets.
 	LoopbackLatency time.Duration
 	// Clock supplies delivery timers and the egress-queue timebase. Nil
@@ -73,10 +69,8 @@ type Config struct {
 type Stats struct {
 	Sent       uint64
 	Delivered  uint64
-	Dropped    uint64 // loss-model drops
 	QueueDrops uint64 // egress-queue tail drops (congestion)
-	Cut        uint64 // drops due to partitions or down endpoints
-	Duplicated uint64
+	Closed     uint64 // packets that found their endpoint (or the network) closed
 	Bytes      uint64
 }
 
@@ -100,8 +94,6 @@ type Network struct {
 	pacer   *vclock.Paced // clock, when the network runs on wall time and owns it
 	rng     *rand.Rand
 	eps     map[Addr]*Endpoint
-	cuts    map[link]bool
-	down    map[Addr]bool
 	latency map[link]time.Duration // per-link override
 	egress  map[Addr]time.Time     // per-NIC transmit queue tail
 	timers  map[vclock.Timer]struct{}
@@ -123,8 +115,6 @@ func New(cfg Config) *Network {
 		pacer:   pacer,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		eps:     make(map[Addr]*Endpoint),
-		cuts:    make(map[link]bool),
-		down:    make(map[Addr]bool),
 		latency: make(map[link]time.Duration),
 		egress:  make(map[Addr]time.Time),
 		timers:  make(map[vclock.Timer]struct{}),
@@ -174,44 +164,18 @@ func (n *Network) Open(addr Addr, recv func(from Addr, data []byte)) (*Endpoint,
 func (e *Endpoint) Send(to Addr, data []byte) {
 	n := e.net
 	n.mu.Lock()
-	if n.closed || n.down[e.addr] {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.closed {
 		return
 	}
 	n.stats.Sent++
 	n.stats.Bytes += uint64(len(data))
-	if n.down[to] || n.cuts[mkLink(e.addr, to)] {
-		n.stats.Cut++
-		n.mu.Unlock()
-		return
-	}
-	if e.addr != to && n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
-		n.stats.Dropped++
-		n.mu.Unlock()
-		return
-	}
 	delay, ok := n.delayLocked(e.addr, to, len(data))
 	if !ok {
 		n.stats.QueueDrops++
-		n.mu.Unlock()
 		return
 	}
-	dup := e.addr != to && n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate
-	var dupDelay time.Duration
-	if dup {
-		var dupOK bool
-		dupDelay, dupOK = n.delayLocked(e.addr, to, len(data))
-		dup = dupOK
-		if dupOK {
-			n.stats.Duplicated++
-		}
-	}
-	buf := append([]byte(nil), data...)
-	n.scheduleLocked(delay, e.addr, to, buf)
-	if dup {
-		n.scheduleLocked(dupDelay, e.addr, to, buf)
-	}
-	n.mu.Unlock()
+	n.scheduleLocked(delay, e.addr, to, append([]byte(nil), data...))
 }
 
 // delayLocked computes one packet's delay; n.mu must be held. The
@@ -264,14 +228,9 @@ func (n *Network) scheduleLocked(delay time.Duration, from, to Addr, data []byte
 	tm = n.clock.AfterFunc(delay, func() {
 		n.mu.Lock()
 		delete(n.timers, tm)
-		if n.closed || n.down[to] || n.cuts[mkLink(from, to)] {
-			n.stats.Cut++
-			n.mu.Unlock()
-			return
-		}
 		ep := n.eps[to]
-		if ep == nil {
-			n.stats.Cut++
+		if n.closed || ep == nil {
+			n.stats.Closed++
 			n.mu.Unlock()
 			return
 		}
@@ -283,39 +242,6 @@ func (n *Network) scheduleLocked(delay time.Duration, from, to Addr, data []byte
 	n.timers[tm] = struct{}{}
 }
 
-// Cut severs the bidirectional link between a and b (partition).
-func (n *Network) Cut(a, b Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cuts[mkLink(a, b)] = true
-}
-
-// Heal restores the link between a and b.
-func (n *Network) Heal(a, b Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cuts, mkLink(a, b))
-}
-
-// Isolate cuts every link touching a (full partition of one node).
-func (n *Network) Isolate(a Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for other := range n.eps {
-		if other != a {
-			n.cuts[mkLink(a, other)] = true
-		}
-	}
-}
-
-// SetDown marks an endpoint crashed (true) or recovered (false).
-// Packets from and to a down endpoint are silently discarded.
-func (n *Network) SetDown(a Addr, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.down[a] = down
-}
-
 // SetLinkLatency overrides the base latency of one link.
 func (n *Network) SetLinkLatency(a, b Addr, d time.Duration) {
 	n.mu.Lock()
@@ -323,8 +249,8 @@ func (n *Network) SetLinkLatency(a, b Addr, d time.Duration) {
 	n.latency[mkLink(a, b)] = d
 }
 
-// Update atomically adjusts the configuration (e.g. to change the loss
-// rate mid-experiment). The seed and RNG are unaffected.
+// Update atomically adjusts the configuration (e.g. to change the
+// latency or jitter mid-experiment). The seed and RNG are unaffected.
 func (n *Network) Update(fn func(*Config)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -2,12 +2,15 @@ package simnet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // collector gathers delivered packets.
@@ -124,109 +127,6 @@ func TestBandwidthAddsSizeProportionalDelay(t *testing.T) {
 	}
 }
 
-func TestLossRateDropsRoughlyTheRightFraction(t *testing.T) {
-	n := New(Config{Seed: 42, LossRate: 0.5})
-	defer n.Close()
-	var delivered atomic.Int64
-	a, _ := n.Open(0, func(Addr, []byte) {})
-	n.Open(1, func(Addr, []byte) { delivered.Add(1) })
-	const total = 2000
-	for i := 0; i < total; i++ {
-		a.Send(1, []byte{1})
-	}
-	time.Sleep(100 * time.Millisecond)
-	got := delivered.Load()
-	if got < total*3/10 || got > total*7/10 {
-		t.Errorf("delivered %d of %d with 50%% loss; outside [30%%,70%%]", got, total)
-	}
-	st := n.Stats()
-	if st.Dropped == 0 {
-		t.Error("no drops recorded")
-	}
-	if st.Dropped+uint64(got) != total {
-		t.Errorf("dropped %d + delivered %d != %d", st.Dropped, got, total)
-	}
-}
-
-func TestDuplication(t *testing.T) {
-	n := New(Config{Seed: 7, DupRate: 1.0})
-	defer n.Close()
-	var delivered atomic.Int64
-	a, _ := n.Open(0, func(Addr, []byte) {})
-	n.Open(1, func(Addr, []byte) { delivered.Add(1) })
-	a.Send(1, []byte{1})
-	time.Sleep(50 * time.Millisecond)
-	if got := delivered.Load(); got != 2 {
-		t.Errorf("delivered %d, want 2 (dup rate 1.0)", got)
-	}
-}
-
-func TestCutBlocksBothDirectionsAndHealRestores(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	c0, c1 := newCollector(), newCollector()
-	e0, _ := n.Open(0, c0.recv)
-	e1, _ := n.Open(1, c1.recv)
-	n.Cut(0, 1)
-	e0.Send(1, []byte("a"))
-	e1.Send(0, []byte("b"))
-	time.Sleep(30 * time.Millisecond)
-	if c0.count() != 0 || c1.count() != 0 {
-		t.Error("packets crossed a cut link")
-	}
-	n.Heal(0, 1)
-	e0.Send(1, []byte("c"))
-	c1.wait(t, 1)
-}
-
-func TestIsolateCutsAllLinks(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	c := newCollector()
-	e0, _ := n.Open(0, func(Addr, []byte) {})
-	e1, _ := n.Open(1, func(Addr, []byte) {})
-	n.Open(2, c.recv)
-	n.Isolate(2)
-	e0.Send(2, []byte("x"))
-	e1.Send(2, []byte("y"))
-	time.Sleep(30 * time.Millisecond)
-	if c.count() != 0 {
-		t.Error("isolated node received packets")
-	}
-}
-
-func TestDownEndpointDropsTraffic(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	c := newCollector()
-	e0, _ := n.Open(0, c.recv)
-	e1, _ := n.Open(1, c.recv)
-	n.SetDown(1, true)
-	e0.Send(1, []byte("to-down"))   // to a down node
-	e1.Send(0, []byte("from-down")) // from a down node
-	time.Sleep(30 * time.Millisecond)
-	if c.count() != 0 {
-		t.Error("down endpoint exchanged traffic")
-	}
-	n.SetDown(1, false)
-	e1.Send(0, []byte("recovered"))
-	c.wait(t, 1)
-}
-
-func TestInFlightPacketDroppedWhenLinkCutDuringFlight(t *testing.T) {
-	n := New(Config{BaseLatency: 60 * time.Millisecond})
-	defer n.Close()
-	c := newCollector()
-	e0, _ := n.Open(0, func(Addr, []byte) {})
-	n.Open(1, c.recv)
-	e0.Send(1, []byte("x"))
-	n.Cut(0, 1) // cut while the packet is in flight
-	time.Sleep(150 * time.Millisecond)
-	if c.count() != 0 {
-		t.Error("in-flight packet survived a cut")
-	}
-}
-
 func TestCloseCancelsInFlight(t *testing.T) {
 	n := New(Config{BaseLatency: 60 * time.Millisecond})
 	c := newCollector()
@@ -270,47 +170,44 @@ func TestPerLinkLatencyOverride(t *testing.T) {
 }
 
 func TestUpdateConfigMidRun(t *testing.T) {
-	n := New(Config{})
+	vc := vclock.NewVirtual()
+	n := New(Config{BaseLatency: time.Millisecond, Clock: vc})
 	defer n.Close()
-	var delivered atomic.Int64
+	var at []time.Duration // the virtual clock's driver (this goroutine) only
 	e0, _ := n.Open(0, func(Addr, []byte) {})
-	n.Open(1, func(Addr, []byte) { delivered.Add(1) })
+	n.Open(1, func(Addr, []byte) { at = append(at, vc.Elapsed()) })
 	e0.Send(1, []byte{1})
-	time.Sleep(20 * time.Millisecond)
-	n.Update(func(c *Config) { c.LossRate = 1.0 })
-	for i := 0; i < 20; i++ {
-		e0.Send(1, []byte{1})
-	}
-	time.Sleep(30 * time.Millisecond)
-	if got := delivered.Load(); got != 1 {
-		t.Errorf("delivered %d, want 1 (loss=1.0 after update)", got)
+	vc.RunFor(2 * time.Millisecond)
+	n.Update(func(c *Config) { c.BaseLatency = 10 * time.Millisecond })
+	e0.Send(1, []byte{2})
+	vc.RunFor(20 * time.Millisecond)
+	want := []time.Duration{time.Millisecond, 12 * time.Millisecond}
+	if fmt.Sprint(at) != fmt.Sprint(want) {
+		t.Errorf("arrivals at %v, want %v (latency 10ms after the update)", at, want)
 	}
 }
 
 func TestDeterministicWithSameSeed(t *testing.T) {
-	run := func(seed int64) []bool {
-		n := New(Config{Seed: seed, LossRate: 0.5})
+	run := func(seed int64) string {
+		vc := vclock.NewVirtual()
+		n := New(Config{Seed: seed, BaseLatency: time.Millisecond, Jitter: time.Millisecond, Clock: vc})
 		defer n.Close()
-		var mu sync.Mutex
-		fates := make([]bool, 0, 100)
+		var b strings.Builder
 		e0, _ := n.Open(0, func(Addr, []byte) {})
-		n.Open(1, func(_ Addr, data []byte) {
-			mu.Lock()
-			fates = append(fates, true)
-			mu.Unlock()
-		})
+		n.Open(1, func(_ Addr, data []byte) { fmt.Fprintf(&b, "%d@%v ", data[0], vc.Elapsed()) })
 		for i := 0; i < 100; i++ {
 			e0.Send(1, []byte{byte(i)})
-			time.Sleep(100 * time.Microsecond) // keep delivery order stable
+			vc.RunFor(100 * time.Microsecond)
 		}
-		time.Sleep(50 * time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
-		return fates
+		vc.RunFor(10 * time.Millisecond)
+		return b.String()
 	}
-	a, b := run(99), run(99)
-	if len(a) != len(b) {
-		t.Errorf("same seed, different delivery counts: %d vs %d", len(a), len(b))
+	a := run(99)
+	if b := run(99); a != b {
+		t.Errorf("same seed, different arrivals:\n%s\n%s", a, b)
+	}
+	if c := run(100); a == c {
+		t.Error("different seeds, identical jitter draws")
 	}
 }
 

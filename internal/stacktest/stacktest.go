@@ -1,7 +1,7 @@
 // Package stacktest assembles multi-stack groups over a simnet fabric
 // for the module test suites: one registry shared by n stacks, helpers
-// to create protocols on every stack and to wait for cross-stack
-// conditions with a deadline.
+// to create protocols on every stack, to inject faults and to wait for
+// cross-stack conditions with a deadline.
 package stacktest
 
 import (
@@ -17,9 +17,12 @@ import (
 
 // Cluster is a group of stacks wired to one fabric.
 type Cluster struct {
-	T      *testing.T
-	Net    *simnet.Network
-	Tr     transport.Transport // Net wrapped as a transport, for udp.Factory
+	T   *testing.T
+	Net *simnet.Network
+	// Faults wraps Net in the Faulty decorator, every rate at zero: the
+	// group's one fault surface (loss, duplication, cuts).
+	Faults *transport.FaultyTransport
+	Tr     transport.Transport // Faults, for udp.Factory
 	Reg    *kernel.Registry
 	Stacks []*kernel.Stack
 }
@@ -35,7 +38,8 @@ func New(t *testing.T, n int, netCfg simnet.Config, tracer kernel.Tracer) *Clust
 		Net: simnet.New(netCfg),
 		Reg: kernel.NewRegistry(),
 	}
-	c.Tr = transport.Sim(c.Net)
+	c.Faults = transport.Faulty(transport.Sim(c.Net), transport.FaultConfig{Seed: netCfg.Seed, Clock: netCfg.Clock})
+	c.Tr = c.Faults
 	peers := make([]kernel.Addr, n)
 	for i := range peers {
 		peers[i] = kernel.Addr(i)
@@ -74,9 +78,41 @@ func (c *Cluster) CreateAll(protocol string) {
 	}
 }
 
+// Cut severs the link between stacks a and b in both directions. A
+// cut acts at send time: what is already in flight still arrives.
+func (c *Cluster) Cut(a, b int) {
+	c.Faults.CutOneWay(transport.Addr(a), transport.Addr(b))
+	c.Faults.CutOneWay(transport.Addr(b), transport.Addr(a))
+}
+
+// Heal restores the link Cut severed.
+func (c *Cluster) Heal(a, b int) {
+	c.Faults.HealOneWay(transport.Addr(a), transport.Addr(b))
+	c.Faults.HealOneWay(transport.Addr(b), transport.Addr(a))
+}
+
+// Isolate cuts every link of stack i: it goes silent. A test that
+// models a crash rather than a silence also crashes the stack.
+func (c *Cluster) Isolate(i int) {
+	for j := range c.Stacks {
+		if j != i {
+			c.Cut(i, j)
+		}
+	}
+}
+
+// Rejoin heals every link Isolate cut.
+func (c *Cluster) Rejoin(i int) {
+	for j := range c.Stacks {
+		if j != i {
+			c.Heal(i, j)
+		}
+	}
+}
+
 // Close shuts everything down.
 func (c *Cluster) Close() {
-	c.Net.Close()
+	c.Faults.Close()
 	for _, st := range c.Stacks {
 		if st.Running() {
 			st.Close()

@@ -28,15 +28,16 @@
 //     book): membership views admit and retire endpoints at runtime
 //     through AddRoute/RemoveRoute. Fabrics with implicit routing
 //     (simnet reaches any address) simply do not implement it.
-//   - Shaper exposes runtime-mutable traffic shaping (SetLoss,
-//     SetDelay, SetJitter): the adaptation scenarios reshape a live
-//     network through it (see docs/ADAPTIVE.md).
+//   - FaultInjector exposes the runtime-mutable fault surface (SetLoss,
+//     SetDelay, SetJitter, SetCorrupt, SetReorder, SetBurst, CutOneWay,
+//     HealOneWay): scenario timelines and the adaptation scenarios
+//     reshape a live network through it (see docs/ADAPTIVE.md).
 //
-// The Faulty decorator layers simnet-style probabilistic loss,
-// duplication and delay over any backend — deterministically, from one
-// seeded RNG — so fault-injection tests and adaptive-controller
-// scenarios written against the simnet model also run over real
-// sockets. It forwards Router calls to the inner transport and
-// implements Shaper, so every fate parameter is mutable while traffic
-// flows.
+// The Faulty decorator is the one fault model: it layers probabilistic
+// loss, duplication, delay, corruption, reordering, bursts and one-way
+// cuts over any backend — deterministically, from one seeded RNG — so
+// the simulated LAN (which only delays and carries packets) and real
+// sockets share every fault-injection test and scenario. It forwards
+// Router calls to the inner transport and implements FaultInjector, so
+// every fate parameter is mutable while traffic flows.
 package transport

@@ -16,17 +16,19 @@ var (
 	reorderedCounter = metrics.NewCounter("transport.reordered")
 )
 
-// FaultConfig parameterises the Faulty decorator with simnet's loss and
-// duplication semantics: every non-loopback send is independently lost
-// with probability LossRate, and (when it survives) duplicated with
-// probability DupRate, then delayed by Delay plus a uniform random
-// jitter in [0, Jitter). Loopback (self-addressed) sends are never
-// dropped or delayed, matching simnet.
+// FaultConfig parameterises the Faulty decorator, the one fault model
+// of every fabric (the simulated LAN only delays and carries packets):
+// every non-loopback send is independently lost with probability
+// LossRate, and (when it survives) duplicated with probability DupRate,
+// then delayed by Delay plus a uniform random jitter in [0, Jitter).
+// Loopback (self-addressed) sends are never dropped or delayed.
 //
-// Beyond simnet's model the decorator injects adversarial faults:
-// seeded byte-level corruption (CorruptRate), reordering via per-
-// datagram hold-back (ReorderRate/ReorderDelay), correlated loss
-// bursts (BurstRate/BurstLen) and one-way partitions (CutOneWay).
+// The decorator also injects adversarial faults: seeded byte-level
+// corruption (CorruptRate), reordering via per-datagram hold-back
+// (ReorderRate/ReorderDelay), correlated loss bursts
+// (BurstRate/BurstLen) and one-way partitions (CutOneWay), which act
+// at send time: a datagram already in flight when its link is cut
+// still arrives, as on a real wire.
 //
 // All rates are runtime-mutable (SetLoss, SetDup, SetDelay, SetJitter,
 // SetCorrupt, SetReorder, SetBurst), so a scenario can reshape a live
@@ -96,24 +98,16 @@ type FaultStats struct {
 	Blocked    uint64 // datagrams dropped by one-way partitions
 }
 
-// Shaper is the runtime-mutable traffic-shaping surface shared by the
-// Faulty decorator and (via Cluster.SetLoss and friends) the built-in
-// simulated network: loss, fixed delay and jitter can be changed while
-// traffic flows. The adaptation scenarios drive their environment
-// timelines through this interface.
-type Shaper interface {
+// FaultInjector is the runtime-mutable fault surface of the Faulty
+// decorator: loss, fixed delay, jitter, byte-level corruption,
+// reordering, correlated loss bursts and one-way (asymmetric)
+// partitions can all change while traffic flows. Every fault method of
+// dpu.Cluster routes through this interface, so an externally supplied
+// transport has a fault surface exactly when it implements it.
+type FaultInjector interface {
 	SetLoss(p float64)
 	SetDelay(d time.Duration)
 	SetJitter(j time.Duration)
-}
-
-// FaultInjector extends Shaper with the adversarial fault surface of
-// the Faulty decorator: byte-level corruption, reordering, correlated
-// loss bursts and one-way (asymmetric) partitions, all runtime-mutable.
-// Cluster.SetCorrupt and friends route through this interface so an
-// externally supplied transport can substitute its own injector.
-type FaultInjector interface {
-	Shaper
 	SetCorrupt(p float64)
 	SetReorder(p float64)
 	SetBurst(p float64, length int)
@@ -122,9 +116,9 @@ type FaultInjector interface {
 }
 
 // Faulty layers probabilistic loss, duplication, delay, corruption,
-// reordering, burst loss and one-way partitions over any transport, so
-// fault-injection tests written against the simnet model also run over
-// real sockets. Closing the decorator closes the inner transport and
+// reordering, burst loss and one-way partitions over any transport —
+// the simulated LAN and real sockets alike, so a fault-injection test
+// runs unchanged over either. Closing the decorator closes the inner transport and
 // discards datagrams still held back by delay.
 func Faulty(inner Transport, cfg FaultConfig) *FaultyTransport {
 	clock := cfg.Clock
@@ -294,7 +288,7 @@ func (t *FaultyTransport) Stats() FaultStats {
 }
 
 // fate rolls the dice for one send; n.b. a dropped datagram cannot also
-// be duplicated, as in simnet. Each feature's RNG is only rolled when
+// be duplicated. Each feature's RNG is only rolled when
 // that feature is configured, so enabling and later disabling one
 // restores the exact fate sequence tests recorded without it. n is the
 // datagram length, bounding corruption positions.

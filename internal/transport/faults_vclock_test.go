@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -143,5 +144,35 @@ func TestFaultyWallDelayIsHandedOff(t *testing.T) {
 		if want, d := fmt.Sprintf("msg-%03d", i), <-got; d != want {
 			t.Fatalf("delivery %d is %s, want %s", i, d, want)
 		}
+	}
+}
+
+// TestFaultyCutActsAtSendTime: over the simulated LAN a one-way cut
+// blocks what is sent after it, and a datagram already on the wire
+// still arrives, as on a real link.
+func TestFaultyCutActsAtSendTime(t *testing.T) {
+	vc := vclock.NewVirtual()
+	ft := Faulty(Sim(simnet.New(simnet.Config{BaseLatency: time.Millisecond, Clock: vc})), FaultConfig{Clock: vc})
+	defer ft.Close()
+	var got []string
+	if _, err := openEach(ft, 1, func(_ Addr, data []byte) {
+		got = append(got, fmt.Sprintf("%s@%v", data, vc.Elapsed()))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := openEach(ft, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.Send(1, []byte("before"))
+	vc.RunFor(time.Millisecond / 2)
+	ft.CutOneWay(0, 1)
+	ep.Send(1, []byte("after"))
+	vc.RunFor(10 * time.Millisecond)
+	if want := "before@1ms"; strings.Join(got, " ") != want {
+		t.Fatalf("delivered %v, want %s", got, want)
+	}
+	if st := ft.Stats(); st.Blocked != 1 {
+		t.Fatalf("Blocked = %d, want 1", st.Blocked)
 	}
 }

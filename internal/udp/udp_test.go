@@ -91,7 +91,8 @@ func TestEmptyPayloadHeartbeat(t *testing.T) {
 }
 
 func TestLossyNetworkDropsAreSilent(t *testing.T) {
-	c, sinks := build(t, 2, simnet.Config{Seed: 3, LossRate: 1.0})
+	c, sinks := build(t, 2, simnet.Config{Seed: 3})
+	c.Faults.SetLoss(1)
 	for i := 0; i < 10; i++ {
 		c.Stacks[0].Call(udp.Service, udp.Send{To: 1, Chan: 1, Data: []byte{1}})
 	}
