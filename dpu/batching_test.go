@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/dpu"
+	"repro/internal/vclock"
 )
 
 // TestBatchingDeliversAllInOrder smoke-checks the batching fast path:
@@ -30,50 +30,43 @@ func TestBatchingDeliversAllInOrder(t *testing.T) {
 	assertExactlyOnceTotalOrder(t, c, n, n*per)
 }
 
-// TestBatchingAcrossProtocolSwitch is the batching x switch scenario:
-// ChangeProtocolAll fires in the middle of a concurrent burst with
-// batching enabled, so batches are caught undelivered at the epoch
-// boundary and must be reissued exactly once through the new protocol.
-// Asserts no loss, no duplication and a single total order spanning
-// both epochs, on every stack.
+// TestBatchingAcrossProtocolSwitch is the batching x switch scenario,
+// in virtual time: each of two clock events issues a burst from every
+// stack with a protocol change in its middle (ct → seq, then seq → ct),
+// so the initiator's batches opened after its change request are
+// ordered after the change, caught undelivered at the epoch boundary
+// and reissued exactly once through the new protocol. Asserts that a
+// batch was caught at each switch, and no loss, no duplication and a
+// single total order spanning all three epochs, on every stack.
 func TestBatchingAcrossProtocolSwitch(t *testing.T) {
 	const n, per = 3, 300
-	c := newGroup(t, n, dpu.WithSeed(12), dpu.WithInitialProtocol(dpu.ProtocolCT),
+	vc := vclock.NewVirtual()
+	c := newGroup(t, n, dpu.WithSeed(12), dpu.WithClock(vc), dpu.WithInitialProtocol(dpu.ProtocolCT),
 		dpu.WithBatching(150*time.Microsecond, 4<<10))
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
-	// Producers stream from every stack while the switch happens.
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	release := make(chan struct{}) // producers start; switch fires mid-stream
-	for i, node := range c.node {
-		wg.Add(1)
-		go func(i int, node *dpu.Node) {
-			defer wg.Done()
-			<-release
-			for s := 0; s < per; s++ {
+	ctx := context.Background()
+	burst := func(from, to int, change string) {
+		for s := from; s < to; s++ {
+			if s == (from+to)/2 {
+				c.requestChange(0, change)
+			}
+			for i, node := range c.node {
 				if err := node.Broadcast(ctx, payloadFor(i, s)); err != nil {
-					errs <- fmt.Errorf("stack %d msg %d: %w", i, s, err)
-					return
+					t.Errorf("stack %d msg %d: %v", i, s, err)
 				}
 			}
-		}(i, node)
+		}
 	}
-	close(release)
-	// Let the burst get going, then switch protocols under it — twice,
-	// so batches straddle two epoch boundaries.
-	time.Sleep(2 * time.Millisecond)
-	if _, err := c.ChangeProtocolAll(ctx, dpu.ProtocolSequencer); err != nil {
-		t.Fatalf("switch to sequencer: %v", err)
-	}
-	if _, err := c.ChangeProtocolAll(ctx, dpu.ProtocolCT); err != nil {
-		t.Fatalf("switch back to ct: %v", err)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for k, change := range []string{dpu.ProtocolSequencer, dpu.ProtocolCT} {
+		vc.AfterFunc(time.Millisecond, func() { burst(k*per/2, (k+1)*per/2, change) })
+		vc.RunFor(time.Second)
+		ev := c.waitSwitch(t, 0)
+		if ev.Protocol != change || ev.Epoch != uint64(k+1) {
+			t.Fatalf("switch %d: stack 0 reached %q at epoch %d, want %q at %d", k, ev.Protocol, ev.Epoch, change, k+1)
+		}
+		if ev.Reissued < 1 {
+			t.Errorf("switch %d to %s reissued %d messages on its initiator, want ≥ 1 batch caught undelivered",
+				k, change, ev.Reissued)
+		}
 	}
 	assertExactlyOnceTotalOrder(t, c, n, n*per)
 }

@@ -120,21 +120,22 @@ func WithMaxOutstanding(n int) Option {
 	return func(o *options) { o.maxOutstanding = n }
 }
 
-// WithBatching enables sender-side broadcast batching: payloads handed
-// to Broadcast accumulate for at most maxDelay (or until their packed
-// size reaches maxBytes, whichever comes first) and are atomically
-// broadcast as ONE inner message, amortizing one dissemination, one
-// consensus slot and one ack cycle over the whole batch. Delivery
+// WithBatching enables sender-side broadcast batching: the payloads a
+// stack is handed to Broadcast in one executor pass are atomically
+// broadcast as ONE inner message when that pass ends (earlier, once
+// their packed size reaches maxBytes), amortizing one dissemination,
+// one consensus slot and one ack cycle over the whole batch. Delivery
 // unpacks batches transparently, preserving exactly-once and total
 // order — including across a protocol switch, where a batch caught
 // undelivered is reissued exactly once through the new epoch.
 //
-// The tradeoff is latency: a lone broadcast waits up to maxDelay before
-// it leaves the sender. Batching is off by default. maxBytes <= 0
-// defaults to 32 KiB, and is capped at 48 KiB so a batch always fits
-// one real UDP datagram after framing; maxDelay <= 0 with maxBytes > 0
-// selects size-driven batching with a 1ms flush deadline. See
-// docs/PERFORMANCE.md for guidance.
+// A batch never waits for company or for a clock: a lone broadcast
+// leaves at the end of its pass, and batches grow with the load on
+// their own. maxDelay only turns batching on (any value > 0 does);
+// no timer uses it. Batching is off by default. maxBytes <= 0 defaults
+// to 32 KiB, and is capped at 48 KiB so a batch always fits one real
+// UDP datagram after framing; maxDelay <= 0 with maxBytes > 0 turns
+// batching on as well. See docs/PERFORMANCE.md for guidance.
 func WithBatching(maxDelay time.Duration, maxBytes int) Option {
 	return func(o *options) { o.batchDelay, o.batchBytes = maxDelay, maxBytes }
 }

@@ -36,12 +36,15 @@ import (
 // ABcast module of Figure 4, on top of CT consensus): uniform, and
 // tolerant of any minority of crashes.
 //
-// Instances are pipelined: up to maxInflight consensus instances run
-// concurrently, each proposing a disjoint slice of the pending backlog.
+// A stack proposes once per executor pass, from the flusher that sends
+// the pass's payload frame: every id received or freed in the pass joins
+// the same proposal, so a proposal grows with the load, and a lone
+// payload is still proposed in the pass it arrived in. Instances are
+// pipelined: up to maxInflight run concurrently, each proposing a
+// disjoint slice of at most maxBatch ids of the pending backlog.
 // Decisions are still processed strictly in instance order (out-of-order
 // arrivals buffer in decBuf); the pipeline only overlaps the round-trips
-// of consecutive instances, which keeps a loaded group throughput-bound
-// instead of latency-bound. Proposing a message in two instances is
+// of consecutive instances. Proposing a message in two instances is
 // harmless (delivery dedups); the in-flight set avoids it.
 type ctModule struct {
 	kernel.Base
@@ -51,6 +54,7 @@ type ctModule struct {
 
 	sendSeq    uint64
 	frame      *wire.Writer // payloads broadcast in this executor pass, not sent yet
+	proposeDue bool         // this pass received a payload or closed a decision
 	unregister func()
 	pending    map[msgID][]byte // received but not delivered
 	delivered  map[msgID]bool
@@ -171,13 +175,14 @@ func CTImplOn(name string, consSvc kernel.ServiceID) Impl {
 }
 
 // Start attaches to the epoch-scoped channel and consensus group, and
-// registers the flusher that sends each executor pass's payload frame.
+// registers the flusher that ends each executor pass: it sends the
+// pass's payload frame, then proposes.
 // The consensus Listen replays decisions of this group that were made
 // before this module existed (a module created mid-update catches up).
 func (m *ctModule) Start() {
 	m.Stk.Call(rp2p.Service, rp2p.Listen{Channel: m.channel, Handler: m.onRecv})
 	m.Stk.Call(m.consSvc, consensus.Listen{Group: m.epoch, Handler: m.onDecide, Ready: m.held})
-	m.unregister = m.Stk.RegisterFlusher(m.flush)
+	m.unregister = m.Stk.RegisterFlusher(m.passEnd)
 }
 
 // Stop sends what this pass still holds, detaches from the substrate and
@@ -235,8 +240,18 @@ func (m *ctModule) sendAlone(id msgID, data []byte) {
 	m.receive(id, data)
 }
 
-// flush runs as a stack flusher after every executor pass: the pass's
-// payload frame goes to every peer as one rp2p message.
+// passEnd runs as a stack flusher after every executor pass: the pass's
+// payload frame leaves, then what the pass made proposable is proposed.
+func (m *ctModule) passEnd() {
+	m.flush()
+	if m.proposeDue {
+		m.proposeDue = false
+		m.maybePropose()
+	}
+}
+
+// flush sends the payload frame of this pass to every peer as one rp2p
+// message.
 func (m *ctModule) flush() {
 	if m.frame == nil {
 		return
@@ -265,7 +280,7 @@ func (m *ctModule) receive(id msgID, data []byte) {
 		m.drain() // delivery was suspended at this very message
 		return
 	}
-	m.maybePropose()
+	m.proposeDue = true
 }
 
 // encodeIDs is the value handed to consensus and the body of a pull
@@ -444,7 +459,7 @@ func (m *ctModule) drain() {
 			})
 		}
 	}
-	m.maybePropose()
+	m.proposeDue = true
 }
 
 // closeDecision ends decision k: it rotates the retention ring, advances

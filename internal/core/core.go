@@ -180,17 +180,17 @@ type Config struct {
 	// lost the race against a concurrent change in the same epoch.
 	RetryLostChange bool
 	// BatchDelay, when > 0, enables sender-side batching: Broadcast
-	// payloads accumulate for at most BatchDelay (or until BatchBytes)
-	// and go out as ONE inner atomic broadcast, so one dissemination,
-	// one consensus slot and one ack cycle amortize over many
-	// application messages. Delivery unpacks the batch in order, so the
-	// public stream is unchanged except for latency ≤ BatchDelay. All
-	// stacks of a group must agree on whether batching is enabled only
-	// in the sense that receivers always understand both framings; the
-	// knob is per-stack.
+	// payloads handed to this stack in one executor pass accumulate in
+	// one batch, which goes out as ONE inner atomic broadcast when the
+	// pass ends (or earlier, once it reaches BatchBytes), so one
+	// dissemination, one consensus slot and one ack cycle amortize over
+	// many application messages. A batch never waits for the delay: the
+	// value only turns batching on. Delivery unpacks the batch in order,
+	// so the public stream is unchanged. Receivers always understand both
+	// framings, so the knob is per-stack.
 	BatchDelay time.Duration
-	// BatchBytes flushes a batch early once its packed payloads reach
-	// this size (default 32 KiB when batching is enabled).
+	// BatchBytes closes a batch mid-pass once its packed payloads reach
+	// this size (default 32 KiB); a value > 0 alone enables batching.
 	BatchBytes int
 }
 
@@ -203,11 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Grace <= 0 {
 		c.Grace = 500 * time.Millisecond
-	}
-	if c.BatchBytes > 0 && c.BatchDelay <= 0 {
-		// Size-only batching still needs a flush deadline, or a lone
-		// trailing payload would sit in the open batch forever.
-		c.BatchDelay = time.Millisecond
 	}
 	if c.BatchDelay > 0 && c.BatchBytes <= 0 {
 		c.BatchBytes = 32 << 10
@@ -326,11 +321,11 @@ type Repl struct {
 	view    viewState
 	evicted bool
 
-	// Sender-side batching state (Config.BatchDelay > 0): payloads
-	// accumulate as length-prefixed records in batch until a flush. The
-	// flush timer is made with the first batch and re-armed for each.
-	batch      *wire.Writer
-	batchTimer *kernel.Timer
+	// Sender-side batching state (Config.BatchBytes > 0): payloads
+	// accumulate as length-prefixed records in batch until the pass that
+	// opened it ends; unflush is non-nil while its flusher is armed.
+	batch   *wire.Writer
+	unflush func()
 }
 
 // Factory returns the kernel factory for the replacement module. The
@@ -368,8 +363,8 @@ func (m *Repl) Start() {
 
 // Stop retires the current implementation and detaches.
 func (m *Repl) Stop() {
-	if m.batchTimer != nil {
-		m.batchTimer.Stop()
+	if m.unflush != nil {
+		m.unflush()
 	}
 	m.Stk.Unsubscribe(abcast.ServiceImpl, m)
 	if m.cur != nil {
@@ -474,7 +469,7 @@ func (m *Repl) requestChange(r ChangeProtocol) {
 // whole then follows the exact same undelivered/reissue lifecycle as a
 // single message would.
 func (m *Repl) rABcast(data []byte) {
-	if m.cfg.BatchDelay > 0 {
+	if m.cfg.BatchBytes > 0 {
 		m.batchAppend(data)
 		return
 	}
@@ -485,19 +480,29 @@ func (m *Repl) rABcast(data []byte) {
 }
 
 // batchAppend adds one payload to the open batch, opening it (and
-// arming the flush timer) if needed, and flushes on the size threshold.
+// arming the end-of-pass flush) if needed, and flushes on the size
+// threshold.
 func (m *Repl) batchAppend(data []byte) {
 	if m.batch == nil {
 		m.batch = wire.NewWriter(m.cfg.BatchBytes + 256)
-		if m.batchTimer == nil {
-			m.batchTimer = m.Stk.NewTimer(m.flushBatch)
+		if m.unflush == nil {
+			m.unflush = m.Stk.RegisterFlusher(m.passEnd)
 		}
-		m.batchTimer.Reset(m.cfg.BatchDelay)
 	}
 	m.batch.BytesField(data)
 	if m.batch.Len() >= m.cfg.BatchBytes {
 		m.flushBatch()
 	}
+}
+
+// passEnd runs once, as a stack flusher, at the end of the executor
+// pass that opened a batch. The batch goes out through the queue
+// (Stk.Call, not CallSync): the inner module's own flusher has already
+// run in this pass, and it sends what the batch becomes in the next.
+func (m *Repl) passEnd() {
+	m.unflush()
+	m.unflush = nil
+	m.flushBatch()
 }
 
 // flushBatch closes the open batch: it becomes one undelivered message
@@ -509,18 +514,10 @@ func (m *Repl) flushBatch() {
 	}
 }
 
-// closeBatchForReissue closes the open batch into the undelivered set
-// without broadcasting it; the caller is about to reissue the whole
-// set.
-func (m *Repl) closeBatchForReissue() {
-	m.closeBatch()
-}
-
 func (m *Repl) closeBatch() (msgID, []byte, bool) {
 	if m.batch == nil {
 		return msgID{}, nil, false
 	}
-	m.batchTimer.Stop()
 	blob := m.batch.Bytes()
 	m.batch = nil
 	m.mseq++
@@ -556,7 +553,7 @@ func (m *Repl) encodeBatch(id msgID, blob []byte) []byte {
 // batching enabled every entry is a packed batch; without it, a plain
 // message.
 func (m *Repl) encodePending(id msgID, data []byte) []byte {
-	if m.cfg.BatchDelay > 0 {
+	if m.cfg.BatchBytes > 0 {
 		return m.encodeBatch(id, data)
 	}
 	return m.encodeNil(id, data)
@@ -740,8 +737,8 @@ func (m *Repl) onChange(sn uint64, initiator kernel.Addr, reqID uint64, name str
 	// without a broadcast of its own, since the reissue below sends it —
 	// so it crosses the epoch boundary exactly once. (On the
 	// install-failure path above the batch stays open instead, and the
-	// normal delay/size flush sends it through the retained epoch.)
-	m.closeBatchForReissue()
+	// end of this pass sends it through the retained epoch.)
+	m.closeBatch()
 	// Lines 15-16: reissue undelivered messages through the new module.
 	// An undelivered batch is a single entry here: it is reissued
 	// exactly once, as a whole, through the new epoch.

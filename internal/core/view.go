@@ -361,7 +361,7 @@ func (m *Repl) onView(sn uint64, initiator kernel.Addr, reqID uint64, op ViewOp,
 		}
 		return
 	}
-	m.closeBatchForReissue()
+	m.closeBatch() // an open batch joins the undelivered set, reissued below
 	reissued := 0
 	m.undelivered.each(func(id msgID, data []byte) {
 		m.innerBroadcast(m.encodePending(id, data))
