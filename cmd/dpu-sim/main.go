@@ -21,10 +21,10 @@
 // Switch barriers are deterministic: the initiating process blocks in
 // Node.ChangeProtocol until its local replacement completes, and every
 // other process blocks in WaitForEpoch for the same epoch — no
-// sleep-based guessing. Every process audits its own delivery sequence
-// (exactly-once, all messages present) and prints a digest of the
-// sequence; identical digests across processes certify the uniform
-// total order.
+// sleep-based guessing. Every process audits its own stack
+// (internal/audit), checks all messages arrived and prints a digest of
+// its delivery sequence; identical digests across processes certify the
+// uniform total order.
 //
 // With -scenario it instead runs declarative scenarios (see
 // docs/SCENARIOS.md): a cluster is driven through a scripted
@@ -45,13 +45,16 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/dpu"
+	"repro/internal/audit"
 	"repro/internal/transport"
 )
 
@@ -117,14 +120,15 @@ func main() {
 // runJoiner is the fresh-process path: handshake with a member over
 // TCP, boot the newly assigned stack over real UDP, print the view it
 // landed in, then observe the totally-ordered stream until it goes
-// quiet and report a digest of the observed suffix.
+// quiet, audit it and report a digest of the observed suffix.
 func runJoiner(sponsor, listen string, quiet time.Duration) {
 	if listen == "" {
 		fatalf("-join requires -listen (this process's UDP address)")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	c, node, err := dpu.Join(ctx, sponsor, listen)
+	aud := audit.New()
+	c, node, err := dpu.Join(ctx, sponsor, listen, dpu.WithTracer(aud))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -135,29 +139,73 @@ func runJoiner(sponsor, listen string, quiet time.Duration) {
 	}
 	fmt.Printf("joined as member %d: %s\n", node.Index(), st)
 
-	sub, err := node.Subscribe(dpu.SubscribeOptions{Deliveries: true, Buffer: 8192, Policy: dpu.Block})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var sequence []string
-	for {
-		select {
-		case d, ok := <-sub.Deliveries():
-			if !ok {
-				fatalf("cluster closed")
-			}
-			sequence = append(sequence, fmt.Sprintf("%d:%s", d.Origin, d.Data))
-		case <-time.After(quiet):
-			fmt.Printf("observed %d totally-ordered deliveries since joining; suffix digest %s\n",
-				len(sequence), digest(sequence))
-			return
-		}
-	}
+	aud.Join(node.Index())
+	sequence := follow(aud, node)
+	settle(func() int { return len(sequence()) }, math.MaxInt, quiet)
+	mustAudit(aud)
+	seq := sequence()
+	fmt.Printf("observed %d totally-ordered deliveries since joining, audit clean; suffix digest %s\n",
+		len(seq), digest(seq))
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
+}
+
+// follow drains node's unified event stream into aud until the cluster
+// closes, and returns a snapshot of the delivery sequence so far. It
+// subscribes with Block, not dropping: the audit must see every event,
+// and the drain always consumes.
+func follow(aud *audit.Auditor, node *dpu.Node) (sequence func() []string) {
+	sub, err := node.Subscribe(dpu.SubscribeOptions{Events: true, Policy: dpu.Block})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var (
+		mu  sync.Mutex
+		seq []string
+	)
+	go func() {
+		for ev := range sub.Events() {
+			switch d, id := ev.Delivery, node.Index(); ev.Kind {
+			case dpu.EventDelivery:
+				aud.Deliver(id, d.Origin, d.Data)
+				mu.Lock()
+				seq = append(seq, fmt.Sprintf("%d:%s", d.Origin, d.Data))
+				mu.Unlock()
+			case dpu.EventSwitch:
+				aud.Switch(id, ev.Switch.Epoch, ev.Switch.Protocol)
+			case dpu.EventView:
+				aud.View(id, ev.View.ID, ev.View.Members)
+			}
+		}
+	}()
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seq)
+	}
+}
+
+// settle polls until count reaches want and reports whether it did
+// before count stood still for quiet.
+func settle(count func() int, want int, quiet time.Duration) bool {
+	for last, since := -1, time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		if k := count(); k >= want {
+			return true
+		} else if k != last {
+			last, since = k, time.Now()
+		} else if time.Since(since) >= quiet {
+			return false
+		}
+	}
+}
+
+func mustAudit(aud *audit.Auditor) {
+	if err := aud.Report().Err(); err != nil {
+		fatalf("AUDIT FAILED: %v", err)
+	}
 }
 
 // digest fingerprints a delivery sequence for cross-process comparison.
@@ -218,9 +266,10 @@ func runMulti(listen, peerList, transportKind string, msgs int, initial string, 
 	for a, ep := range book {
 		endpoints[int(a)] = ep
 	}
+	aud := audit.New()
 	c, err := dpu.New(n, dpu.WithTransport(tr), dpu.WithLocalStacks(self),
 		dpu.WithInitialProtocol(initial), dpu.WithSeed(seed),
-		dpu.WithMembership(), dpu.WithEndpoints(endpoints))
+		dpu.WithMembership(), dpu.WithEndpoints(endpoints), dpu.WithTracer(aud))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -239,70 +288,32 @@ func runMulti(listen, peerList, transportKind string, msgs int, initial string, 
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// The audit must see every delivery, so the subscription blocks the
-	// stack rather than dropping when the collector lags.
-	sub, err := node.Subscribe(dpu.SubscribeOptions{Deliveries: true, Buffer: 8192, Policy: dpu.Block})
-	if err != nil {
-		fatalf("%v", err)
-	}
+	sequence := follow(aud, node)
+	delivered := func() int { return len(sequence()) }
 
 	fmt.Printf("stack %d of %d listening on %s, initial protocol %s\n", self, n, listen, initial)
-
-	want := msgs + n // workload plus hellos
-	var (
-		mu        sync.Mutex
-		sequence  []string
-		delivered = make(map[string]int)
-	)
-	hellosDone := make(chan struct{})
-	allDone := make(chan struct{})
-	progress := make(chan struct{}, 1) // coalesced delivery ticks
-	go func() {
-		hellos := 0
-		for d := range sub.Deliveries() {
-			s := fmt.Sprintf("%d:%s", d.Origin, d.Data)
-			mu.Lock()
-			sequence = append(sequence, s)
-			delivered[s]++
-			total := len(sequence)
-			mu.Unlock()
-			select {
-			case progress <- struct{}{}:
-			default:
-			}
-			if strings.HasPrefix(string(d.Data), "hello-") {
-				if hellos++; hellos == n {
-					close(hellosDone)
-				}
-			}
-			if total == want {
-				close(allDone)
-			}
-		}
-	}()
-
 	ctx := context.Background()
 
 	// Barrier: every process announces itself through the atomic
 	// broadcast and waits for the whole group, so no workload message
-	// races a peer that has not bound its socket yet.
+	// races a peer that has not bound its socket yet. The hellos are the
+	// first n deliveries: no process broadcasts more before it has
+	// delivered all of them.
 	if err := node.Broadcast(ctx, []byte(fmt.Sprintf("hello-%d", self))); err != nil {
 		fatalf("%v", err)
 	}
-	select {
-	case <-hellosDone:
-	case <-time.After(60 * time.Second):
+	if !settle(delivered, n, 60*time.Second) {
 		fatalf("group did not assemble within 60s")
 	}
 	fmt.Printf("all %d stacks joined\n", n)
 
-	// Workload: global message index i is broadcast by stack i%n; the
-	// chain's step'th switch is initiated by stack step%n after phase
-	// step's share of messages. The initiator blocks until its own
-	// replacement completes; everyone else waits for the same epoch —
-	// later phases exercise the new protocol while earlier messages may
-	// still be draining elsewhere, the live mid-stream replacement the
-	// paper is about.
+	// Workload: global message index i is broadcast by stack i%n as its
+	// (i/n)-th workload payload; the chain's step'th switch is initiated
+	// by stack step%n after phase step's share of messages. The
+	// initiator blocks until its own replacement completes; everyone
+	// else waits for the same epoch — later phases exercise the new
+	// protocol while earlier messages may still be draining elsewhere,
+	// the live mid-stream replacement the paper is about.
 	phases := len(chain) + 1
 	perPhase := msgs / phases
 	sendRange := func(lo, hi int) {
@@ -310,7 +321,7 @@ func runMulti(listen, peerList, transportKind string, msgs int, initial string, 
 			if i%n != self {
 				continue
 			}
-			if err := node.Broadcast(ctx, []byte(fmt.Sprintf("msg-%04d", i))); err != nil {
+			if err := node.Broadcast(ctx, audit.Payload(self, uint64(i/n), 0)); err != nil {
 				fatalf("%v", err)
 			}
 		}
@@ -343,43 +354,29 @@ func runMulti(listen, peerList, transportKind string, msgs int, initial string, 
 	// length as long as deliveries keep making progress (60s of silence
 	// is the failure signal) — then linger for the quiet window so a
 	// late duplicate would still be caught, and audit.
-collect:
-	for {
-		select {
-		case <-allDone:
-			break collect
-		case <-progress:
-		case <-time.After(60 * time.Second):
-			mu.Lock()
-			got := len(sequence)
-			mu.Unlock()
-			fatalf("AGREEMENT VIOLATION: delivered %d of %d expected messages", got, want)
-		}
+	want := msgs + n // workload plus hellos
+	if !settle(delivered, want, 60*time.Second) {
+		fatalf("AGREEMENT VIOLATION: delivered %d of %d expected messages", delivered(), want)
 	}
-	<-time.After(quiet)
-
-	mu.Lock()
-	defer mu.Unlock()
-	for s, k := range delivered {
-		if k != 1 {
-			fatalf("EXACTLY-ONCE VIOLATION: %s delivered %d times", s, k)
-		}
-	}
-	if len(sequence) != want {
-		fatalf("AGREEMENT VIOLATION: delivered %d, want %d", len(sequence), want)
+	time.Sleep(quiet)
+	mustAudit(aud)
+	seq := sequence()
+	if len(seq) != want {
+		fatalf("AGREEMENT VIOLATION: delivered %d, want %d", len(seq), want)
 	}
 	st, err := node.Status(ctx)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("OK: stack %d delivered %d messages exactly once; final status %s\n",
-		self, len(sequence), st)
-	fmt.Printf("sequence digest %s (must match every peer)\n", digest(sequence))
+	fmt.Printf("OK: stack %d delivered %d messages exactly once, audit clean; final status %s\n",
+		self, len(seq), st)
+	fmt.Printf("sequence digest %s (must match every peer)\n", digest(seq))
 }
 
 // runSingle is the original scripted scenario over the simulated LAN.
 func runSingle(n, msgs int, initial string, chain []string, loss float64, crash int, seed int64, quiet time.Duration) {
-	c, err := dpu.New(n, dpu.WithSeed(seed), dpu.WithInitialProtocol(initial))
+	aud := audit.New()
+	c, err := dpu.New(n, dpu.WithSeed(seed), dpu.WithInitialProtocol(initial), dpu.WithTracer(aud))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -390,28 +387,21 @@ func runSingle(n, msgs int, initial string, chain []string, loss float64, crash 
 	ctx := context.Background()
 
 	nodes := make([]*dpu.Node, n)
-	subs := make([]*dpu.Subscription, n)
+	logs := make([]func() []string, n)
 	for i := 0; i < n; i++ {
 		if nodes[i], err = c.Node(i); err != nil {
 			fatalf("%v", err)
 		}
-		// Sized to hold the whole workload so the audit-side collector
-		// can read after the fact without ever blocking the stacks.
-		subs[i], err = nodes[i].Subscribe(dpu.SubscribeOptions{
-			Deliveries: true, Buffer: msgs + 64, Policy: dpu.Block,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
+		logs[i] = follow(aud, nodes[i])
 	}
 
+	// Message k is stack k%n's (k/n)-th workload payload.
 	phases := len(chain) + 1
 	perPhase := msgs / phases
 	sent := 0
 	sendBatch := func(k int) {
 		for i := 0; i < k; i++ {
-			payload := fmt.Sprintf("msg-%04d", sent)
-			if err := nodes[sent%n].Broadcast(ctx, []byte(payload)); err == nil {
+			if err := nodes[sent%n].Broadcast(ctx, audit.Payload(sent%n, uint64(sent/n), 0)); err == nil {
 				sent++
 			}
 		}
@@ -446,10 +436,7 @@ func runSingle(n, msgs int, initial string, chain []string, loss float64, crash 
 	}
 	sendBatch(msgs - sent) // remainder
 
-	live := make([]bool, n)
-	for i := range live {
-		live[i] = true
-	}
+	live, probe := logs, nodes[0]
 	if crash >= 0 && crash < n {
 		// Fault drill: give the doomed stack's queued broadcasts a
 		// moment to leave; whatever is still local when it dies is
@@ -457,63 +444,32 @@ func runSingle(n, msgs int, initial string, chain []string, loss float64, crash 
 		// that got delivered somewhere).
 		time.Sleep(500 * time.Millisecond)
 		fmt.Printf("crashing stack %d\n", crash)
-		nodes[crash].Crash()
-		live[crash] = false
+		nodes[crash].Crash() // the tracer retires it in the audit
+		live, probe = slices.Delete(slices.Clone(logs), crash, crash+1), nodes[(crash+1)%n]
 	}
 
-	// Collect until each live stack has been quiet for a while, then
-	// audit: every live stack must have delivered the identical
-	// sequence (uniform agreement + uniform total order).
-	sequences := make([][]string, n)
-	for i := 0; i < n; i++ {
-		if !live[i] {
-			continue
+	// Collect until every live stack delivered everything sent, then
+	// linger a moment so a late duplicate is still caught; or until no
+	// live stack has made progress for the quiet window. Then audit: one
+	// total order and exactly once everywhere, and the same count on
+	// every live stack — one identical sequence.
+	total := func() (k int) {
+		for _, l := range live {
+			k += len(l())
 		}
-	collect:
-		for {
-			wait := quiet
-			if len(sequences[i]) >= sent {
-				wait = 200 * time.Millisecond
-			}
-			select {
-			case d, ok := <-subs[i].Deliveries():
-				if !ok {
-					break collect
-				}
-				sequences[i] = append(sequences[i], fmt.Sprintf("%d:%s", d.Origin, d.Data))
-			case <-time.After(wait):
-				break collect
-			}
+		return k
+	}
+	if settle(total, sent*len(live), quiet) {
+		time.Sleep(200 * time.Millisecond)
+	}
+	mustAudit(aud)
+	ref := len(live[0]())
+	for _, l := range live {
+		if k := len(l()); k != ref {
+			fatalf("AGREEMENT VIOLATION: live stacks delivered %d and %d messages", ref, k)
 		}
 	}
-	ref := -1
-	for i := 0; i < n; i++ {
-		if !live[i] {
-			continue
-		}
-		if ref == -1 {
-			ref = i
-			continue
-		}
-		if len(sequences[i]) != len(sequences[ref]) {
-			fatalf("AGREEMENT VIOLATION: stack %d delivered %d, stack %d delivered %d",
-				i, len(sequences[i]), ref, len(sequences[ref]))
-		}
-		for k := range sequences[ref] {
-			if sequences[i][k] != sequences[ref][k] {
-				fatalf("ORDER VIOLATION at %d: stack %d=%s stack %d=%s",
-					k, ref, sequences[ref][k], i, sequences[i][k])
-			}
-		}
-	}
-	aliveProbe := 0
-	for i, ok := range live {
-		if ok {
-			aliveProbe = i
-			break
-		}
-	}
-	st, _ := nodes[aliveProbe].Status(ctx)
-	fmt.Printf("OK: %d of %d sent messages delivered in identical total order on all live stacks; final status %s\n",
-		len(sequences[ref]), sent, st)
+	st, _ := probe.Status(ctx)
+	fmt.Printf("OK: %d of %d sent messages delivered exactly once in identical total order on all live stacks; final status %s\n",
+		ref, sent, st)
 }

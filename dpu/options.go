@@ -194,8 +194,8 @@ func WithLocalStacks(ids ...int) Option {
 	return func(o *options) { o.local = append(o.local, ids...) }
 }
 
-// WithTracer attaches a kernel tracer (e.g. trace.NewCollector()) to
-// every stack.
+// WithTracer attaches a kernel tracer (e.g. an audit.Auditor) to every
+// stack.
 func WithTracer(t kernel.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }

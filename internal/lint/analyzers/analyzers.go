@@ -37,6 +37,7 @@ var clockScoped = []string{
 	"internal/consensus",
 	"internal/gm",
 	"internal/scenario",
+	"internal/audit",
 	"internal/transport",
 	"dpu",
 }

@@ -3,11 +3,15 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/dpu"
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -43,6 +47,15 @@ type SwitchRecord struct {
 	Reissued int
 }
 
+// Counts are the deterministic per-run event totals over every stack: a
+// seeded virtual run must reproduce them bit-identically.
+type Counts struct {
+	Deliveries int
+	Switches   int
+	Views      int
+	Advice     int
+}
+
 // Result is the outcome of one scenario run that passed every
 // invariant and expectation.
 type Result struct {
@@ -53,7 +66,7 @@ type Result struct {
 	Phases        []PhaseResult
 	Switches      []SwitchRecord
 	Counts        Counts
-	Digest        uint64
+	Digest        uint64 // see digest
 	FinalProtocol string
 	FinalMembers  []int
 	// RejectedFrames counts the datagrams the wire checksum refused
@@ -91,9 +104,11 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	}
 	wallStart := time.Now() //dpulint:ignore clocktime wall_ms result reporting measures real elapsed time, deliberately outside the virtual clock
 
+	aud := audit.New()
 	dopts := []dpu.Option{
 		dpu.WithSeed(seed),
 		dpu.WithInitialProtocol(sc.Initial),
+		dpu.WithTracer(aud),
 	}
 	var (
 		clk  runClock
@@ -237,14 +252,11 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	// time over real transports).
 	rejectedBefore := metrics.Counters()["wire.frames_rejected"]
 
-	d := &driver{sc: sc, c: c, clk: clk, pool: pool, logf: logf,
+	d := &driver{sc: sc, c: c, clk: clk, pool: pool, logf: logf, aud: aud,
 		logs:    map[int][]dpu.Event{},
-		founder: map[int]bool{},
-		exempt:  map[int]bool{},
 		retired: map[int]bool{},
 	}
 	for i := 0; i < sc.Nodes; i++ {
-		d.founder[i] = true
 		if err := d.subscribe(i); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
@@ -271,8 +283,8 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	virtual := clk.Elapsed()
 
 	// Tear down before auditing: Close ends every subscription stream,
-	// which is what lets the drain goroutines finish and the logs
-	// freeze.
+	// which is what lets the drain goroutines finish and the feed
+	// quiesce.
 	c.Close()
 	d.wg.Wait()
 
@@ -299,15 +311,12 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	d.mu.Unlock()
 	res.Nodes = aliveStacks
 
-	ck := &Checker{Enabled: sc.Invariants, Founders: d.founder, ExemptOrigins: d.exempt}
-	rep := ck.Check(logs)
-	res.Counts = rep.Counts
-	res.Digest = rep.Digest
+	res.Counts, res.Digest = digest(logs)
 	res.Switches = d.referenceSwitches(logs)
 	for i := range res.Phases {
 		res.Phases[i].Switches = countSwitchesIn(res.Switches, res.Phases[i].Start, res.Phases[i].End)
 	}
-	if err := rep.Err(); err != nil {
+	if err := aud.Report().Err(); err != nil {
 		return res, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if expectFailure != nil {
@@ -333,12 +342,11 @@ type driver struct {
 	clk  runClock
 	pool *endpointPool // nil under sim: every draw is ""
 	logf func(string, ...any)
+	aud  *audit.Auditor
 
 	mu      sync.Mutex
-	logs    map[int][]dpu.Event
-	founder map[int]bool // immutable after Run's setup
-	exempt  map[int]bool // senders with a legitimate ragged tail
-	retired map[int]bool // crashed or evicted stacks
+	logs    map[int][]dpu.Event // for the digest, the switch trail and min_views
+	retired map[int]bool        // crashed or evicted stacks
 	wg      sync.WaitGroup
 
 	workloadStopped atomic.Bool
@@ -346,12 +354,16 @@ type driver struct {
 }
 
 // subscribe attaches an Events-stream subscription to the stack and
-// drains it into the per-stack log. Block policy: the checkers must see
-// every event, and the drain goroutine always consumes.
+// drains it into the auditor and the per-stack log. Block policy: the
+// auditor must see every event, and the drain goroutine always
+// consumes. A stack subscribed after the founders is a joiner.
 func (d *driver) subscribe(id int) error {
 	n, err := d.c.Node(id)
 	if err != nil {
 		return err
+	}
+	if id >= d.sc.Nodes {
+		d.aud.Join(id)
 	}
 	sub, err := n.Subscribe(dpu.SubscribeOptions{Events: true, Buffer: 8192, Policy: dpu.Block})
 	if err != nil {
@@ -361,12 +373,48 @@ func (d *driver) subscribe(id int) error {
 	go func() {
 		defer d.wg.Done()
 		for ev := range sub.Events() {
+			switch ev.Kind {
+			case dpu.EventDelivery:
+				d.aud.Deliver(id, ev.Delivery.Origin, ev.Delivery.Data)
+			case dpu.EventSwitch:
+				d.aud.Switch(id, ev.Switch.Epoch, ev.Switch.Protocol)
+			case dpu.EventView:
+				d.aud.View(id, ev.View.ID, ev.View.Members)
+			}
 			d.mu.Lock()
 			d.logs[id] = append(d.logs[id], ev)
 			d.mu.Unlock()
 		}
 	}()
 	return nil
+}
+
+// digest counts the logs' events and FNV-1a-hashes them stack by stack
+// in id order: the cheap determinism witness, equal for runs of a seed.
+func digest(logs map[int][]dpu.Event) (Counts, uint64) {
+	var counts Counts
+	h := fnv.New64a()
+	for _, id := range slices.Sorted(maps.Keys(logs)) {
+		fmt.Fprintf(h, "stack %d\n", id)
+		for _, ev := range logs[id] {
+			switch ev.Kind {
+			case dpu.EventDelivery:
+				counts.Deliveries++
+				fmt.Fprintf(h, "d %d %q %d\n", ev.Delivery.Origin, ev.Delivery.Data, ev.Delivery.At.UnixNano())
+			case dpu.EventSwitch:
+				counts.Switches++
+				fmt.Fprintf(h, "s %d %s\n", ev.Switch.Epoch, ev.Switch.Protocol)
+			case dpu.EventView:
+				counts.Views++
+				fmt.Fprintf(h, "v %d %v\n", ev.View.ID, ev.View.Members)
+			case dpu.EventAdvice:
+				counts.Advice++
+				// Advice carries engine-side floats; counted but not
+				// digested, so the digest stays a pure protocol witness.
+			}
+		}
+	}
+	return counts, h.Sum64()
 }
 
 // period is the interval between one sender's broadcasts.
@@ -415,12 +463,12 @@ func (d *driver) startWorkload() {
 			}
 			n, err := d.c.Node(s)
 			if err == nil {
-				err = n.Broadcast(context.Background(), workloadPayload(s, seq, w.Payload))
+				err = n.Broadcast(context.Background(), audit.Payload(s, seq, w.Payload))
 			}
 			if err != nil {
 				// The stack crashed or was evicted mid-run: its stream ends
 				// here, legitimately ragged.
-				d.markExempt(s)
+				d.aud.Retire(s)
 				return
 			}
 			seq++
@@ -440,32 +488,11 @@ func (d *driver) isRetired(id int) bool {
 	return d.retired[id]
 }
 
-func (d *driver) markExempt(id int) {
-	d.mu.Lock()
-	d.exempt[id] = true
-	d.mu.Unlock()
-}
-
 func (d *driver) markRetired(id int) {
+	d.aud.Retire(id)
 	d.mu.Lock()
-	d.exempt[id] = true
 	d.retired[id] = true
 	d.mu.Unlock()
-}
-
-// workloadPayload builds `w:<origin>:<seq>` padded to size bytes.
-func workloadPayload(origin int, seq uint64, size int) []byte {
-	p := fmt.Sprintf("w:%d:%d", origin, seq)
-	if len(p) < size {
-		b := make([]byte, size)
-		copy(b, p)
-		b[len(p)] = ':'
-		for i := len(p) + 1; i < size; i++ {
-			b[i] = 'x'
-		}
-		return b
-	}
-	return []byte(p)
 }
 
 // runPhase applies the phase's environment, schedules its actions and

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/dpu"
+	"repro/internal/audit"
 )
 
 // minimal is a tiny inline scenario used by the smoke, determinism and
@@ -178,8 +181,39 @@ func TestParity(t *testing.T) {
 	}
 }
 
+// TestDigestSensitivity pins the digest to the event streams: the same
+// logs hash alike, a reordering does not, and the counts are per event.
+func TestDigestSensitivity(t *testing.T) {
+	logs := func() map[int][]dpu.Event {
+		logs := map[int][]dpu.Event{}
+		for stack := 0; stack < 3; stack++ {
+			for seq := 0; seq < 4; seq++ {
+				for origin := 0; origin < 3; origin++ {
+					logs[stack] = append(logs[stack], dpu.Event{Kind: dpu.EventDelivery, Delivery: dpu.Delivery{
+						Stack: stack, Origin: origin, Data: audit.Payload(origin, uint64(seq), 0), At: time.Unix(0, 0),
+					}})
+				}
+			}
+			logs[stack] = append(logs[stack], dpu.Event{Kind: dpu.EventSwitch, Switch: dpu.SwitchEvent{Epoch: 1, Protocol: "abcast/seq"}})
+		}
+		return logs
+	}
+	counts, a := digest(logs())
+	if want := (Counts{Deliveries: 36, Switches: 3}); counts != want {
+		t.Fatalf("counts = %+v, want %+v", counts, want)
+	}
+	if _, b := digest(logs()); a != b {
+		t.Fatalf("identical logs digest differently: %016x vs %016x", a, b)
+	}
+	reordered := logs()
+	reordered[2][4], reordered[2][5] = reordered[2][5], reordered[2][4]
+	if _, c := digest(reordered); c == a {
+		t.Fatal("reordered logs produced the same digest")
+	}
+}
+
 // TestDeterminism is the reproducibility witness: the same scenario at
-// the same seed must produce bit-identical checker event counts and
+// the same seed must produce bit-identical event counts and
 // the identical event-stream digest across two runs. crash-restart and
 // corrupt-under-switch extend the witness over the fault-injection
 // surface: restart joins, seeded corruption and checksum rejects are
@@ -201,7 +235,7 @@ func TestDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a.Counts != b.Counts {
-				t.Fatalf("checker counts diverge: %+v vs %+v", a.Counts, b.Counts)
+				t.Fatalf("event counts diverge: %+v vs %+v", a.Counts, b.Counts)
 			}
 			if a.Digest != b.Digest {
 				t.Fatalf("event digests diverge: %016x vs %016x (counts %+v)", a.Digest, b.Digest, a.Counts)

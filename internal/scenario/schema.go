@@ -30,9 +30,6 @@ type Scenario struct {
 	Phases   []Phase
 	Drain    time.Duration
 	Expect   Expect
-
-	// Invariants lists the enabled checkers; empty means all.
-	Invariants []string
 }
 
 // Env is a network shape; nil fields inherit the previous shape.
@@ -119,12 +116,6 @@ var actionNames = map[string]bool{
 	"set-loss": true, "set-delay": true, "set-jitter": true,
 }
 
-// knownInvariants names the checkers Parse accepts (and Run enforces).
-var knownInvariants = map[string]bool{
-	"total-order": true, "exactly-once": true, "no-gaps": true,
-	"view-agreement": true, "switch-agreement": true,
-}
-
 // Parse decodes one scenario document. Unknown keys, malformed
 // durations and out-of-range references are errors — a corpus file
 // that parses is a corpus file that runs.
@@ -150,7 +141,6 @@ func Parse(data []byte) (*Scenario, error) {
 	sc.Grace = d.dur("grace", 0)
 	sc.Drain = d.dur("drain", 500*time.Millisecond)
 	sc.Tags = d.strList("tags")
-	sc.Invariants = d.strList("invariants")
 	sc.Env = decodeEnv(d.sub("env"))
 	if fd := d.sub("fd"); fd != nil {
 		sc.FD = FDConfig{Interval: fd.dur("interval", 0), Timeout: fd.dur("timeout", 0)}
@@ -287,16 +277,6 @@ func (sc *Scenario) validate() error {
 		case "loss-sensitive", "latency-sensitive":
 		default:
 			return fmt.Errorf("scenario %s: unknown adaptive policy %q", sc.Name, sc.Adaptive.Policy)
-		}
-	}
-	for _, inv := range sc.Invariants {
-		if !knownInvariants[inv] {
-			known := make([]string, 0, len(knownInvariants))
-			for k := range knownInvariants {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return fmt.Errorf("scenario %s: unknown invariant %q (known: %s)", sc.Name, inv, strings.Join(known, ", "))
 		}
 	}
 	needsMembership := false

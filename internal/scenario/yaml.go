@@ -7,9 +7,9 @@
 // outcome the run must converge to. The driver executes it against the
 // built-in simulated network on a virtual clock, so a 50-node run over
 // tens of simulated seconds finishes in well under a second of wall
-// time, and always-on invariant checkers (total order, exactly-once,
-// gap-freeness across switches, view agreement) audit every delivery
-// stream. See docs/SCENARIOS.md for the DSL reference.
+// time, and internal/audit's eight always-on checks (order, exactly-once,
+// gaps, view and switch agreement, switch position, Section 3) audit
+// every run. See docs/SCENARIOS.md for the DSL reference.
 package scenario
 
 import (

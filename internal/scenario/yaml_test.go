@@ -102,7 +102,9 @@ func TestSchemaRejections(t *testing.T) {
 		{"too-many-nodes", "name: x\nnodes: 4096\nphases:\n  - name: p\n    duration: 1s\n", "nodes"},
 		{"add-node-without-membership", "name: x\nphases:\n  - name: p\n    duration: 1s\n    actions:\n      - {at: 0ms, action: add-node}\n", "membership"},
 		{"evict-without-membership", "name: x\nphases:\n  - name: p\n    duration: 1s\n    actions:\n      - {at: 0ms, action: evict, node: 1}\n", "membership"},
-		{"unknown-invariant", "name: x\ninvariants: [total-order, telepathy]\nphases:\n  - name: p\n    duration: 1s\n", "invariant"},
+		// Every check is always on: the retired `invariants:` selector
+		// is an unknown key like any other.
+		{"unknown-invariant", "name: x\ninvariants: [total-order]\nphases:\n  - name: p\n    duration: 1s\n", "unknown key \"invariants\""},
 		{"switch-without-target", "name: x\nphases:\n  - name: p\n    duration: 1s\n    actions:\n      - {at: 0ms, action: switch}\n", "to"},
 		{"restart-without-membership", "name: x\nphases:\n  - name: p\n    duration: 1s\n    actions:\n      - {at: 0ms, action: restart, node: 1}\n", "membership"},
 		{"restart-without-node", "name: x\nmembership: true\nphases:\n  - name: p\n    duration: 1s\n    actions:\n      - {at: 0ms, action: restart}\n", "node"},
@@ -120,6 +122,24 @@ func TestSchemaRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+func TestSchemaRejectsInvariantsKey(t *testing.T) {
+	// No scenario can switch a check off: whatever the retired
+	// `invariants:` selector lists, even nothing, the file is rejected.
+	for _, sel := range []string{
+		"invariants: []\n",
+		"invariants: [exactly-once]\n",
+		"invariants:\n  - total-order\n  - no-gaps\n",
+	} {
+		_, err := Parse([]byte("name: x\n" + sel + "phases:\n  - name: p\n    duration: 1s\n"))
+		if err == nil {
+			t.Fatalf("schema accepted %q", sel)
+		}
+		if !strings.Contains(err.Error(), "unknown key \"invariants\"") {
+			t.Fatalf("%q: error %q does not name the unknown invariants key", sel, err)
+		}
 	}
 }
 
@@ -176,7 +196,6 @@ phases:
       - {at: 30ms, action: set-loss, loss: 0.5}
     expect: {protocol: ct}
 drain: 1s
-invariants: [total-order, exactly-once]
 expect:
   final_protocol: ct
   switch_sequence: [ct]
@@ -202,9 +221,6 @@ expect:
 	}
 	if ph.Expect.Protocol != "abcast/ct" {
 		t.Fatalf("phase expect: %+v", ph.Expect)
-	}
-	if !reflect.DeepEqual(sc.Invariants, []string{"total-order", "exactly-once"}) {
-		t.Fatalf("invariants: %v", sc.Invariants)
 	}
 	if sc.Expect.MinSwitches != 1 || sc.Expect.MaxSwitches != 3 || sc.Expect.MinViews != 0 {
 		t.Fatalf("expect: %+v", sc.Expect)
