@@ -3,6 +3,7 @@ package dpu
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,24 +110,20 @@ func New(n int, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(o)
 	}
-	if o.maxOutstanding < 1 {
-		o.maxOutstanding = 1
-	}
 
 	// Validate configuration and build the registry before constructing
 	// any transport, so every early error return leaves the caller's
 	// transport untouched and nothing is leaked.
-	local := make(map[int]bool, n)
-	if len(o.local) == 0 {
-		for i := 0; i < n; i++ {
-			local[i] = true
+	local := slices.Compact(slices.Sorted(slices.Values(o.local)))
+	if len(local) == 0 {
+		for i := range n {
+			local = append(local, i)
 		}
 	}
-	for _, id := range o.local {
+	for _, id := range local {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("%w: local stack %d not in [0,%d)", ErrOutOfRange, id, n)
 		}
-		local[id] = true
 	}
 	if o.adaptive != nil && o.adaptive.policy == nil {
 		return nil, fmt.Errorf("dpu: WithAdaptive requires a policy (e.g. dpu.LossSensitivePolicy)")
@@ -154,6 +151,32 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		tr = transport.Faulty(transport.Sim(net), transport.FaultConfig{Seed: o.net.Seed ^ 0x5eedfa17, Clock: o.clock})
 	}
 
+	endpoints := make(map[kernel.Addr]string, len(o.endpoints))
+	for id, ep := range o.endpoints {
+		endpoints[kernel.Addr(id)] = ep
+	}
+	peers := make([]kernel.Addr, n)
+	for i := range peers {
+		peers[i] = kernel.Addr(i)
+	}
+	c, err := start(o, net, tr, impls, n, local, peers, bootCut{protocol: o.protocol, endpoints: endpoints})
+	if err != nil {
+		return nil, err
+	}
+	if o.adaptive != nil {
+		c.startAdaptive(o.adaptive)
+	}
+	return c, nil
+}
+
+// start is the one Cluster constructor, shared by New and Join: a
+// cluster over tr with room for size ids, whose local stacks ids boot,
+// in order, from one cut over peers. A failed boot closes the cluster,
+// transport included.
+func start(o *options, net *simnet.Network, tr transport.Transport, impls *abcast.Registry, size int, ids []int, peers []kernel.Addr, cut bootCut) (*Cluster, error) {
+	if o.maxOutstanding < 1 {
+		o.maxOutstanding = 1
+	}
 	c := &Cluster{
 		net:        net,
 		tr:         tr,
@@ -161,29 +184,15 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		membership: o.membership,
 		opts:       o,
 		clock:      o.clock,
-		slots:      make([]*stackSlot, n),
+		slots:      make([]*stackSlot, size),
 		closed:     make(chan struct{}),
 	}
-	endpoints := make(map[kernel.Addr]string, len(o.endpoints))
-	for id, ep := range o.endpoints {
-		endpoints[kernel.Addr(id)] = ep
-	}
-	reg := c.newRegistry(bootCut{protocol: o.protocol, endpoints: endpoints})
-	peers := make([]kernel.Addr, n)
-	for i := range peers {
-		peers[i] = kernel.Addr(i)
-	}
-	for i := 0; i < n; i++ {
-		if !local[i] {
-			continue
-		}
-		if _, err := c.buildStack(i, peers, reg); err != nil {
+	reg := c.newRegistry(cut)
+	for _, id := range ids {
+		if _, err := c.buildStack(id, peers, reg); err != nil {
 			c.Close()
 			return nil, err
 		}
-	}
-	if o.adaptive != nil {
-		c.startAdaptive(o.adaptive)
 	}
 	return c, nil
 }
@@ -433,28 +442,34 @@ func (c *Cluster) N() int {
 	return len(c.slots)
 }
 
+// sponsor returns the lowest-indexed local running stack: the one that
+// orders this process's joins and their compensating evictions, and
+// initiates ChangeProtocolAll.
+func (c *Cluster) sponsor() (*stackSlot, error) {
+	for _, s := range c.localSlots() {
+		if s.st.Running() {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: no local running stack", ErrNotRunning)
+}
+
 // ChangeProtocolAll replaces the atomic-broadcast protocol on every
 // stack and blocks until every stack hosted by this process has
 // completed the switch (remote stacks confirm on their own hosts via
-// WaitForEpoch). The change is initiated by the lowest-indexed local
-// running stack; the returned SwitchEvent is the initiator's.
+// Node.WaitForEpoch). The change is initiated by the lowest-indexed
+// local running stack; the returned SwitchEvent is the initiator's.
 func (c *Cluster) ChangeProtocolAll(ctx context.Context, protocol string) (SwitchEvent, error) {
-	slots := c.localSlots()
-	var initiator *Node
-	for _, s := range slots {
-		if s.st.Running() {
-			initiator = &Node{c: c, id: s.id}
-			break
-		}
+	s, err := c.sponsor()
+	if err != nil {
+		return SwitchEvent{}, err
 	}
-	if initiator == nil {
-		return SwitchEvent{}, fmt.Errorf("%w: no local running stack", ErrNotRunning)
-	}
+	initiator := &Node{c: c, id: s.id}
 	ev, err := initiator.ChangeProtocol(ctx, protocol)
 	if err != nil {
 		return SwitchEvent{}, err
 	}
-	for _, s := range slots {
+	for _, s := range c.localSlots() {
 		if s.id == initiator.id || !s.st.Running() {
 			continue
 		}
@@ -466,22 +481,8 @@ func (c *Cluster) ChangeProtocolAll(ctx context.Context, protocol string) (Switc
 	return ev, nil
 }
 
-// WaitForEpoch blocks until the local stack's replacement layer has
-// reached the given epoch (seqNumber ≥ epoch) and returns its status.
-// This is the deterministic switch barrier for observers that did not
-// initiate a change — e.g. the non-initiating processes of a
-// multi-process group. Membership changes advance the epoch too, so the
-// same barrier covers view installation.
-func (c *Cluster) WaitForEpoch(ctx context.Context, stack int, epoch uint64) (Status, error) {
-	n, err := c.Node(stack)
-	if err != nil {
-		return Status{}, err
-	}
-	return n.WaitForEpoch(ctx, epoch)
-}
-
-// peek returns the slot regardless of liveness: Crash and Stack address
-// crashed and evicted stacks too.
+// peek returns the slot regardless of liveness: Node.Crash and Stack
+// address crashed and evicted stacks too.
 func (c *Cluster) peek(stack int) *stackSlot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -489,46 +490,6 @@ func (c *Cluster) peek(stack int) *stackSlot {
 		return nil
 	}
 	return c.slots[stack]
-}
-
-// Join re-admits a member id to the group view (requires
-// WithMembership; ErrNoMembership otherwise). To admit a brand-new node
-// with a fresh id and a running stack, use AddNode.
-func (c *Cluster) Join(stack, member int) error {
-	n, err := c.Node(stack)
-	if err != nil {
-		return err
-	}
-	return n.Join(member)
-}
-
-// Leave removes a member from the group view (requires WithMembership;
-// ErrNoMembership otherwise). See Node.Evict for the confirmed variant.
-func (c *Cluster) Leave(stack, member int) error {
-	n, err := c.Node(stack)
-	if err != nil {
-		return err
-	}
-	return n.Leave(member)
-}
-
-// Crash kills the stack abruptly: its events are discarded and its
-// network traffic stops, modelling a machine crash. Only local stacks
-// can be crashed; over an external transport the network isolation is
-// skipped (the halted stack simply goes silent).
-func (c *Cluster) Crash(stack int) error {
-	s := c.peek(stack)
-	if s == nil {
-		c.mu.RLock()
-		size := len(c.slots)
-		c.mu.RUnlock()
-		if stack < 0 || stack >= size {
-			return fmt.Errorf("%w: %d not in [0,%d)", ErrOutOfRange, stack, size)
-		}
-		return fmt.Errorf("%w: stack %d", ErrRemoteStack, stack)
-	}
-	c.retire(s)
-	return nil
 }
 
 // PartitionLink cuts the network link between two stacks by cutting

@@ -35,13 +35,15 @@
 //
 // With WithMembership the cluster is elastic: GM views drive the peer
 // set of every layer, so members can be added and evicted at runtime.
-// Cluster.AddNode admits a new node whose stack boots on the coherent
-// cut its ordered join created (delivering the same totally-ordered
-// suffix as the founders), Node.Evict removes a member with commit
-// confirmation, WithAutoEvict turns failure-detector suspicions into
-// ordered evictions, and ServeJoin/Join extend the same handshake
-// across OS processes over real UDP. See docs/OPERATIONS.md for the
-// operator runbook.
+// Cluster.AddNode (or its non-blocking form AddNodeAsync) is the one way
+// into the group: it admits a new node under a fresh id, whose stack
+// boots on the coherent cut its ordered join created (delivering the
+// same totally-ordered suffix as the founders). Node.Evict removes a
+// member with commit confirmation, WithAutoEvict turns failure-detector
+// suspicions into ordered evictions, and a crashed or evicted member
+// comes back through AddNode like any new machine — ids are never
+// reused. ServeJoin/Join extend the same handshake across OS processes
+// over real UDP. See docs/OPERATIONS.md for the operator runbook.
 //
 // # Adaptive protocol switching
 //

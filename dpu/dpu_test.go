@@ -196,7 +196,7 @@ func TestMembershipViewsAcrossSwitch(t *testing.T) {
 	// GM must keep working, unaware of the replacement — and since views
 	// now drive the stack, the evicted member halts and a NEW node joins
 	// at runtime instead of a stale id resurrecting.
-	if err := c.Leave(0, 2); err != nil {
+	if err := c.node[0].Leave(2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -247,7 +247,7 @@ func TestCrashMinorityServiceContinues(t *testing.T) {
 	c.node[0].Broadcast(bg, []byte("before"))
 	c.drain(t, 0, 1)
 	c.drain(t, 1, 1)
-	if err := c.Crash(2); err != nil {
+	if err := c.node[2].Crash(); err != nil {
 		t.Fatal(err)
 	}
 	c.node[0].Broadcast(bg, []byte("after"))

@@ -21,17 +21,14 @@ var (
 	// cannot honor — e.g. fault injection over an external transport
 	// that is not wrapped in transport.Faulty.
 	ErrUnsupported = errors.New("dpu: operation not supported by this cluster configuration")
-	// ErrNoMembership reports a membership operation (Join, Leave,
-	// Evict, AddNode, ServeJoin) on a cluster built without the
+	// ErrNoMembership reports a membership operation (Leave, Evict,
+	// AddNode, AddNodeAsync, ServeJoin) on a cluster built without the
 	// group-membership module. Enable it with WithMembership.
 	ErrNoMembership = errors.New("dpu: membership module not enabled")
 	// ErrNoAdaptive reports an adaptation operation (Node.Advise,
 	// Subscribe with Advice) on a cluster built without the adaptation
 	// engine. Enable it with WithAdaptive.
 	ErrNoAdaptive = errors.New("dpu: adaptive engine not enabled")
-	// ErrStillRunning reports a Restart of a stack that has not crashed
-	// or been evicted — only a retired slot can be revived.
-	ErrStillRunning = errors.New("dpu: stack is still running")
 	// ErrClosed reports an operation on a closed cluster.
 	ErrClosed = errors.New("dpu: cluster closed")
 )

@@ -34,163 +34,133 @@ var joinRetriesCounter = metrics.NewCounter("membership.join_retries")
 //
 // endpoint is the new node's transport endpoint ("host:port" over a
 // real-socket transport; "" over the built-in simulated LAN). Requires
-// WithMembership (ErrNoMembership otherwise).
+// WithMembership (ErrNoMembership otherwise). AddNode is AddNodeAsync
+// plus a wait for its outcome, for ctx, for the sponsoring stack to
+// stop or for the cluster to close.
+//
+// AddNode is also how a crashed or evicted member comes back: ids are
+// never reused, so the revived process joins under a fresh id, with a
+// fresh endpoint over a real-socket transport (the dead incarnation's
+// socket may still hold the old one).
 func (c *Cluster) AddNode(ctx context.Context, endpoint string) (*Node, error) {
-	return c.admit(ctx, endpoint)
-}
-
-// admit is the shared body of AddNode and Restart: order an Assign-join
-// through a local sponsor, then boot the admitted member's stack on the
-// committed cut.
-func (c *Cluster) admit(ctx context.Context, endpoint string) (*Node, error) {
-	res, err := c.sponsorJoin(ctx, endpoint)
+	type added struct {
+		n   *Node
+		err error
+	}
+	reply := make(chan added, 1)
+	sponsor, err := c.addNode(endpoint, func(n *Node, err error) { reply <- added{n, err} })
 	if err != nil {
 		return nil, err
 	}
-	id := int(res.Member)
-	boot := func() error {
-		// The sponsor's commit admits the route on its own executor pass
-		// asynchronously; admit it here too so the joiner's socket can
-		// open before that pass runs.
-		if endpoint != "" {
-			if r, ok := c.tr.(transport.Router); ok {
-				if err := r.AddRoute(transport.Addr(id), endpoint); err != nil {
-					return err
-				}
-			}
-		}
-		reg := c.newRegistry(bootCut{
-			protocol:  res.Protocol,
-			epoch:     res.Epoch,
-			viewID:    res.View.ID,
-			nextID:    res.NextID,
-			endpoints: res.Endpoints,
-		})
-		_, err := c.buildStack(id, res.View.Members, reg)
-		return err
+	r, err := await(ctx, c, sponsor, reply)
+	if err != nil {
+		return nil, err
 	}
-	if err := boot(); err != nil {
+	return r.n, r.err
+}
+
+// AddNodeAsync is the non-blocking form of AddNode for callers that
+// must not wait on cluster progress — the virtual-time scenario driver,
+// whose clock goroutine IS what makes the commit happen. The join is
+// ordered through a sponsor; when it commits, the joiner's stack is
+// booted inline on the sponsor's executor and done is invoked there
+// with the new node. If the boot fails, the phantom
+// member is evicted again and done receives the boot error once that
+// eviction has committed. done must not block. The error returned by
+// AddNodeAsync itself only covers submission (no membership, no
+// running sponsor).
+func (c *Cluster) AddNodeAsync(endpoint string, done func(*Node, error)) error {
+	_, err := c.addNode(endpoint, done)
+	return err
+}
+
+// addNode is AddNodeAsync, returning the sponsor AddNode waits on.
+func (c *Cluster) addNode(endpoint string, done func(*Node, error)) (*stackSlot, error) {
+	return c.orderJoin(endpoint, func(sponsor *stackSlot, r gm.Result) {
+		if r.Err != nil {
+			done(nil, r.Err)
+			return
+		}
+		id := int(r.Member)
+		bootErr := c.bootJoiner(r)
+		if bootErr == nil {
+			done(&Node{c: c, id: id}, nil)
+			return
+		}
 		// The join already committed: every member's view, quorum and
 		// monitor set now count a stack that never started. Evict the
-		// phantom so the group's fault tolerance is not silently reduced.
-		ectx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if _, eerr := c.compensateEvict(ectx, id); eerr != nil {
-			return nil, fmt.Errorf("dpu: joiner stack %d failed (%w); compensating eviction also failed: %v", id, err, eerr)
-		}
-		return nil, fmt.Errorf("dpu: joiner stack %d failed and was evicted again: %w", id, err)
-	}
-	return &Node{c: c, id: id}, nil
-}
-
-// AddNodeAsync is the non-blocking variant of AddNode for callers that
-// must not wait on cluster progress — the virtual-time scenario driver,
-// whose clock goroutine IS what makes the commit happen. The Assign-join
-// is ordered through a sponsor; when it commits, the joiner's stack is
-// booted inline on the sponsor's executor and done is invoked there with
-// the new node (or the boot error, after a compensating eviction is
-// ordered). done must not block. The error returned by AddNodeAsync
-// itself only covers submission (no membership, no running sponsor).
-func (c *Cluster) AddNodeAsync(endpoint string, done func(*Node, error)) error {
-	if !c.membership {
-		return fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
-	}
-	var sponsor *stackSlot
-	for _, s := range c.localSlots() {
-		if s.st.Running() {
-			sponsor = s
-			break
-		}
-	}
-	if sponsor == nil {
-		return fmt.Errorf("%w: no local running stack to sponsor the join", ErrNotRunning)
-	}
-	sponsor.st.Call(gm.Service, gm.Join{
-		Assign:   true,
-		Endpoint: endpoint,
-		Reply: func(r gm.Result) {
-			if r.Err != nil {
-				done(nil, r.Err)
+		// phantom so the group's fault tolerance is not silently reduced,
+		// and report the failure once the eviction has committed.
+		sponsor.st.Call(gm.Service, gm.Leave{P: r.Member, Reply: func(l gm.Result) {
+			if l.Err != nil {
+				done(nil, fmt.Errorf("dpu: joiner stack %d failed (%w); compensating eviction also failed: %v", id, bootErr, l.Err))
 				return
 			}
+			done(nil, fmt.Errorf("dpu: joiner stack %d failed and was evicted again: %w", id, bootErr))
+		}})
+	})
+}
+
+// orderJoin orders a join for endpoint through the sponsor, which
+// assigns the fresh id at the commit; reply runs on the sponsor's
+// executor once the join commits there.
+func (c *Cluster) orderJoin(endpoint string, reply func(*stackSlot, gm.Result)) (*stackSlot, error) {
+	if !c.membership {
+		return nil, fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
+	}
+	sponsor, err := c.sponsor()
+	if err != nil {
+		return nil, err
+	}
+	sponsor.st.Call(gm.Service, gm.Join{Endpoint: endpoint, Reply: func(r gm.Result) {
+		if r.Err == nil {
 			joinSyncsCounter.Add(1)
-			id := int(r.Member)
-			if endpoint != "" {
-				if router, ok := c.tr.(transport.Router); ok {
-					if err := router.AddRoute(transport.Addr(id), endpoint); err != nil {
-						c.Leave(sponsor.id, id) //nolint:errcheck // compensating, best effort
-						done(nil, err)
-						return
-					}
-				}
-			}
-			reg := c.newRegistry(bootCut{
-				protocol:  r.Protocol,
-				epoch:     r.Epoch,
-				viewID:    r.View.ID,
-				nextID:    r.NextID,
-				endpoints: r.Endpoints,
-			})
-			if _, err := c.buildStack(id, r.View.Members, reg); err != nil {
-				c.Leave(sponsor.id, id) //nolint:errcheck // compensating, best effort
-				done(nil, err)
-				return
-			}
-			done(&Node{c: c, id: id}, nil)
-		},
-	})
-	return nil
+		}
+		reply(sponsor, r)
+	}})
+	return sponsor, nil
 }
 
-// compensateEvict orders the removal of a member through any local
-// running stack (used when a committed join could not be followed by a
-// working stack).
-func (c *Cluster) compensateEvict(ctx context.Context, member int) (View, error) {
-	for _, s := range c.localSlots() {
-		if s.st.Running() && s.id != member {
-			return (&Node{c: c, id: s.id}).Evict(ctx, member)
+// bootJoiner starts, in this process, the stack of the member whose
+// join committed with res, on the cut that join created. It is the one
+// boot of a joiner hosted by an existing cluster.
+func (c *Cluster) bootJoiner(res gm.Result) error {
+	id := res.Member
+	// Every member admits the route when it installs the view, each on
+	// its own executor; admit it here too so the joiner's socket can
+	// open before this process's stacks have.
+	if ep := res.Endpoints[id]; ep != "" {
+		if r, ok := c.tr.(transport.Router); ok {
+			if err := r.AddRoute(transport.Addr(id), ep); err != nil {
+				return err
+			}
 		}
 	}
-	return View{}, fmt.Errorf("%w: no local running stack", ErrNotRunning)
+	reg := c.newRegistry(bootCut{
+		protocol:  res.Protocol,
+		epoch:     res.Epoch,
+		viewID:    res.View.ID,
+		nextID:    res.NextID,
+		endpoints: res.Endpoints,
+	})
+	_, err := c.buildStack(int(id), res.View.Members, reg)
+	return err
 }
 
-// sponsorJoin orders an Assign-join through the lowest-indexed local
-// running stack and waits for its commit, returning the sync cut a
-// joiner boots from.
+// sponsorJoin orders a join through the sponsor and waits for its
+// commit, returning the sync cut a joiner in another process boots
+// from; nothing boots here.
 func (c *Cluster) sponsorJoin(ctx context.Context, endpoint string) (gm.Result, error) {
-	if !c.membership {
-		return gm.Result{}, fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
-	}
-	var sponsor *stackSlot
-	for _, s := range c.localSlots() {
-		if s.st.Running() {
-			sponsor = s
-			break
-		}
-	}
-	if sponsor == nil {
-		return gm.Result{}, fmt.Errorf("%w: no local running stack to sponsor the join", ErrNotRunning)
-	}
 	reply := make(chan gm.Result, 1)
-	sponsor.st.Call(gm.Service, gm.Join{
-		Assign:   true,
-		Endpoint: endpoint,
-		Reply:    func(r gm.Result) { reply <- r },
-	})
-	select {
-	case r := <-reply:
-		if r.Err != nil {
-			return gm.Result{}, r.Err
-		}
-		joinSyncsCounter.Add(1)
-		return r, nil
-	case <-ctx.Done():
-		return gm.Result{}, ctx.Err()
-	case <-sponsor.st.Done():
-		return gm.Result{}, fmt.Errorf("%w: stack %d", ErrNotRunning, sponsor.id)
-	case <-c.closed:
-		return gm.Result{}, ErrClosed
+	sponsor, err := c.orderJoin(endpoint, func(_ *stackSlot, r gm.Result) { reply <- r })
+	if err != nil {
+		return gm.Result{}, err
 	}
+	r, err := await(ctx, c, sponsor, reply)
+	if err == nil {
+		err = r.Err
+	}
+	return r, err
 }
 
 // joinRequest and joinResponse are the JSON handshake between a joining
@@ -212,9 +182,9 @@ type joinResponse struct {
 }
 
 // ServeJoin accepts join handshakes on the listener: each connection
-// carries one joinRequest, is ordered through this cluster as an
-// Assign-join, and is answered with the committed sync cut. The
-// listener is closed when the cluster closes. Requires WithMembership
+// carries one joinRequest, is ordered through this cluster as a join,
+// and is answered with the committed sync cut. The listener is closed
+// when the cluster closes. Requires WithMembership
 // and, for the joiner to be reachable, a real-socket transport with
 // endpoints configured (WithEndpoints).
 func (c *Cluster) ServeJoin(l net.Listener) error {
@@ -284,8 +254,8 @@ func (c *Cluster) serveJoinConn(conn net.Conn) {
 //
 // Functional options are honored where they make sense for a joiner
 // (WithGrace, WithBatching, WithMaxOutstanding, WithSeed,
-// WithJoinTimeout, WithJoinRetry, consensus variants and extra protocol
-// implementations — which must match the founders' registries); the
+// WithJoinTimeout, WithJoinRetry and consensus variants — which must
+// match the founders' registries); the
 // initial protocol, epoch and membership come from the handshake.
 //
 // Each handshake attempt is bounded by WithJoinTimeout (default 60s) or
@@ -297,6 +267,10 @@ func Join(ctx context.Context, sponsorAddr, selfEndpoint string, opts ...Option)
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(o)
+	}
+	impls, err := buildImpls(o)
+	if err != nil {
+		return nil, nil, err
 	}
 	backoffClock := o.clock
 	if backoffClock == nil {
@@ -331,45 +305,26 @@ func Join(ctx context.Context, sponsorAddr, selfEndpoint string, opts ...Option)
 	}
 	book[transport.Addr(resp.Member)] = selfEndpoint
 	endpoints[kernel.Addr(resp.Member)] = selfEndpoint
-	udpTr, err := transport.NewUDP(transport.UDPConfig{Book: book})
+	tr, err := transport.NewUDP(transport.UDPConfig{Book: book})
 	if err != nil {
 		return nil, nil, err
 	}
-	var tr transport.Transport = udpTr
-
 	o.membership = true
 	o.transport = tr
-	impls, err := buildImpls(o)
-	if err != nil {
-		tr.Close()
-		return nil, nil, err
+	o.clock = vclock.Wall // joiners run over real sockets: wall time only
+	size := max(resp.NextID, resp.Member+1)
+	peers := make([]kernel.Addr, len(resp.Members))
+	for i, m := range resp.Members {
+		peers[i] = kernel.Addr(m)
 	}
-	size := resp.NextID
-	if resp.Member >= size {
-		size = resp.Member + 1
-	}
-	c := &Cluster{
-		tr:         tr,
-		impls:      impls,
-		membership: true,
-		opts:       o,
-		clock:      vclock.Wall, // joiners run over real sockets: wall time only
-		slots:      make([]*stackSlot, size),
-		closed:     make(chan struct{}),
-	}
-	reg := c.newRegistry(bootCut{
+	c, err := start(o, nil, tr, impls, size, []int{resp.Member}, peers, bootCut{
 		protocol:  resp.Protocol,
 		epoch:     resp.Epoch,
 		viewID:    resp.ViewID,
 		nextID:    kernel.Addr(resp.NextID),
 		endpoints: endpoints,
 	})
-	peers := make([]kernel.Addr, len(resp.Members))
-	for i, m := range resp.Members {
-		peers[i] = kernel.Addr(m)
-	}
-	if _, err := c.buildStack(resp.Member, peers, reg); err != nil {
-		c.Close()
+	if err != nil {
 		return nil, nil, err
 	}
 	node, err := c.Node(resp.Member)

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -556,4 +558,202 @@ func TestServeJoinOverRealUDP(t *testing.T) {
 	}
 	survivors := map[int]*collector{0: cols[0], 1: cols[1], 3: jcol}
 	waitSuffixAgreement(t, survivors, "1:post-evict", 1)
+}
+
+// TestRestartRevivesCrashedSlot is the crash–restart acceptance path:
+// a member crashes, is evicted, and AddNode brings its process back as
+// a fresh member under a new id — never the old one — that delivers the
+// same totally-ordered suffix as the survivors.
+func TestRestartRevivesCrashedSlot(t *testing.T) {
+	ctx := context.Background()
+	c, err := dpu.New(3, dpu.WithSeed(17), dpu.WithMembership())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	nodes := make(map[int]*dpu.Node)
+	cols := make(map[int]*collector)
+	for i := 0; i < 3; i++ {
+		n, err := c.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		cols[i] = collectOn(t, n)
+	}
+
+	crashed := nodes[2]
+	if err := crashed.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].Evict(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	revived, err := c.AddNode(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revived.Index() == 2 {
+		t.Fatal("restarted member reused the crashed id")
+	}
+	if revived.Index() != 3 {
+		t.Fatalf("restarted member id %d, want 3 (next deterministic id)", revived.Index())
+	}
+	// The revived slot is running again; the old one stays retired.
+	if _, err := c.Node(2); !errors.Is(err, dpu.ErrNotRunning) {
+		t.Fatalf("old slot: %v, want ErrNotRunning", err)
+	}
+
+	rcol := collectOn(t, revived)
+	live := map[int]*collector{0: cols[0], 1: cols[1], 3: rcol}
+	if err := nodes[0].Broadcast(ctx, []byte("anchor")); err != nil {
+		t.Fatal(err)
+	}
+	waitForMarker(t, live, "0:anchor")
+	const post = 12
+	for k := 0; k < post; k++ {
+		sender := nodes[k%2]
+		if k%3 == 2 {
+			sender = revived
+		}
+		if err := sender.Broadcast(ctx, []byte(fmt.Sprintf("post-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSuffixAgreement(t, live, "0:anchor", post+1)
+
+	st, err := revived.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Members) != 3 {
+		t.Fatalf("view after restart %v, want 3 members", st.Members)
+	}
+	for _, m := range st.Members {
+		if m == 2 {
+			t.Fatalf("view %v still lists the crashed incarnation", st.Members)
+		}
+	}
+}
+
+// TestRestartWithoutEvict brings a crashed member back through AddNode
+// while its dead incarnation still sits in the view: the join orders
+// through the live majority and the group keeps agreeing.
+func TestRestartWithoutEvict(t *testing.T) {
+	ctx := context.Background()
+	c, err := dpu.New(3, dpu.WithSeed(23), dpu.WithMembership())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	n0, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, err := c.Node(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := c.Node(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n2.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	revived, err := c.AddNode(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cols := map[int]*collector{0: collectOn(t, n0), 1: collectOn(t, n1), 3: collectOn(t, revived)}
+	if err := n1.Broadcast(ctx, []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	waitSuffixAgreement(t, cols, "1:alive", 1)
+
+	st, err := revived.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Members) != 4 {
+		t.Fatalf("view %v, want 4 members (dead id 2 still listed)", st.Members)
+	}
+}
+
+// TestAddNodeBootFailureEvictsPhantom covers the one compensation path
+// of a join: over real sockets, a join whose stack cannot boot (its
+// endpoint's port is already bound) commits first, so AddNode evicts
+// the phantom member again and reports the boot failure only once that
+// eviction has committed. No founder keeps counting the phantom, and
+// the next join is assigned the id after it.
+func TestAddNodeBootFailureEvictsPhantom(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	const n = 3
+	book := udpBook(t, n)
+	endpoints := make(map[int]string, n)
+	for a, ep := range book {
+		endpoints[int(a)] = ep
+	}
+	tr, err := transport.NewUDP(transport.UDPConfig{Book: book})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dpu.New(n, dpu.WithTransport(tr), dpu.WithMembership(), dpu.WithEndpoints(endpoints))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	squatter, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer squatter.Close()
+	if _, err := c.AddNode(ctx, squatter.LocalAddr().String()); !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("AddNode on a bound port = %v, want the bind failure (EADDRINUSE)", err)
+	}
+
+	// The sponsor, stack 0, had committed the eviction when AddNode
+	// returned; the others install it at the same epoch.
+	n0, err := c.Node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st0, err := n0.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		nd, err := c.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := nd.WaitForEpoch(ctx, st0.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(st.Members, []int{0, 1, 2}) {
+			t.Errorf("stack %d members %v after the failed join, want the phantom 3 evicted", i, st.Members)
+		}
+	}
+
+	joiner, err := c.AddNode(ctx, transporttest.ReserveAddrs(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joiner.Index() != 4 {
+		t.Fatalf("next joiner id %d, want 4 (ids are never reused)", joiner.Index())
+	}
+	st, err := joiner.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(st.Members, []int{0, 1, 2, 4}) {
+		t.Fatalf("joiner members %v, want [0 1 2 4]", st.Members)
+	}
 }

@@ -157,20 +157,12 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 	return n.WaitForEpoch(ctx, 0)
 }
 
-// Join re-admits a member id to the group view, fire-and-forget.
-// Requires WithMembership (ErrNoMembership otherwise). The view change
-// is totally ordered; it commits as a no-op if the id is already a
-// member. To admit a brand-new node with a fresh id and a running
-// stack, use Cluster.AddNode.
-func (n *Node) Join(member int) error {
-	return n.gmCall(member, func(p kernel.Addr) kernel.Request { return gm.Join{P: p} })
-}
-
 // Leave removes a member from the group view, fire-and-forget. Requires
 // WithMembership (ErrNoMembership otherwise). See Evict for the variant
 // that blocks until the view change commits.
 func (n *Node) Leave(member int) error {
-	return n.gmCall(member, func(p kernel.Addr) kernel.Request { return gm.Leave{P: p} })
+	_, err := n.leave(member, nil)
+	return err
 }
 
 // Evict removes a member from the group view and blocks until the
@@ -180,49 +172,52 @@ func (n *Node) Leave(member int) error {
 // halted after publishing the view it was removed in. Requires
 // WithMembership (ErrNoMembership otherwise).
 func (n *Node) Evict(ctx context.Context, member int) (View, error) {
-	st, err := n.stack()
+	reply := make(chan gm.Result, 1)
+	s, err := n.leave(member, func(r gm.Result) { reply <- r })
 	if err != nil {
 		return View{}, err
 	}
-	if !n.c.membership {
-		return View{}, fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
+	r, err := await(ctx, n.c, s, reply)
+	if err == nil {
+		err = r.Err
 	}
-	if member < 0 {
-		return View{}, fmt.Errorf("%w: member %d", ErrOutOfRange, member)
+	if err != nil {
+		return View{}, err
 	}
-	reply := make(chan gm.Result, 1)
-	st.Call(gm.Service, gm.Leave{
-		P:     kernel.Addr(member),
-		Reply: func(r gm.Result) { reply <- r },
-	})
-	select {
-	case r := <-reply:
-		if r.Err != nil {
-			return View{}, r.Err
-		}
-		return publicView(r.View), nil
-	case <-ctx.Done():
-		return View{}, ctx.Err()
-	case <-st.Done():
-		return View{}, fmt.Errorf("%w: stack %d", ErrNotRunning, n.id)
-	case <-n.c.closed:
-		return View{}, ErrClosed
-	}
+	return publicView(r.View), nil
 }
 
-func (n *Node) gmCall(member int, req func(kernel.Addr) kernel.Request) error {
-	st, err := n.stack()
+// leave validates the handle and the operand, then orders member's
+// removal through this stack; reply, when non-nil, runs at the commit.
+func (n *Node) leave(member int, reply func(gm.Result)) (*stackSlot, error) {
+	s, err := n.c.slot(n.id)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !n.c.membership {
-		return fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
+		return nil, fmt.Errorf("%w: enable it with WithMembership", ErrNoMembership)
 	}
 	if member < 0 {
-		return fmt.Errorf("%w: member %d", ErrOutOfRange, member)
+		return nil, fmt.Errorf("%w: member %d", ErrOutOfRange, member)
 	}
-	st.Call(gm.Service, req(kernel.Addr(member)))
-	return nil
+	s.st.Call(gm.Service, gm.Leave{P: kernel.Addr(member), Reply: reply})
+	return s, nil
+}
+
+// await waits for the reply to a call submitted on s, giving up when
+// ctx is done, the stack stops or the cluster closes.
+func await[T any](ctx context.Context, c *Cluster, s *stackSlot, reply <-chan T) (T, error) {
+	var zero T
+	select {
+	case r := <-reply:
+		return r, nil
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	case <-s.st.Done():
+		return zero, fmt.Errorf("%w: stack %d", ErrNotRunning, s.id)
+	case <-c.closed:
+		return zero, ErrClosed
+	}
 }
 
 // publicView converts a gm.View into the public View type.
@@ -234,9 +229,11 @@ func publicView(v gm.View) View {
 	return View{ID: v.ID, Members: members}
 }
 
-// Crash kills this stack abruptly, modelling a machine crash. The
-// handle (and every other handle on this stack) fails with
-// ErrNotRunning afterwards.
+// Crash kills this stack abruptly, modelling a machine crash: its
+// events are discarded and it goes silent on the network. The handle
+// (and every other handle on this stack) fails with ErrNotRunning
+// afterwards. Crash is valid on a dead handle and then does nothing.
 func (n *Node) Crash() error {
-	return n.c.Crash(n.id)
+	n.c.retire(n.c.peek(n.id))
+	return nil
 }

@@ -29,7 +29,7 @@ func TestNodeHandleValidation(t *testing.T) {
 	if n.Index() != 2 {
 		t.Errorf("Index = %d", n.Index())
 	}
-	if err := c.Crash(2); err != nil {
+	if err := n.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	// An existing handle re-validates on use.
@@ -156,11 +156,14 @@ func TestNodeBroadcastBackpressure(t *testing.T) {
 	defer c.Close()
 	// Kill the majority: consensus stalls, so broadcasts can never be
 	// delivered back and the outstanding window never drains.
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Crash(2); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{1, 2} {
+		n, err := c.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Crash(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n0, err := c.Node(0)
 	if err != nil {
@@ -216,7 +219,11 @@ func TestWaitForEpochBarrier(t *testing.T) {
 	// Every stack reaches the epoch; an already-reached epoch returns
 	// immediately.
 	for i := 0; i < 3; i++ {
-		st, err := c.WaitForEpoch(ctx, i, ev.Epoch)
+		n, err := c.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := n.WaitForEpoch(ctx, ev.Epoch)
 		if err != nil {
 			t.Fatalf("stack %d: %v", i, err)
 		}
@@ -227,7 +234,7 @@ func TestWaitForEpochBarrier(t *testing.T) {
 	// A future epoch times out with the context.
 	short, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel2()
-	if _, err := c.WaitForEpoch(short, 0, ev.Epoch+5); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := n0.WaitForEpoch(short, ev.Epoch+5); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("future epoch wait = %v, want DeadlineExceeded", err)
 	}
 }
@@ -312,8 +319,8 @@ func TestIndexAccessorsBoundsChecked(t *testing.T) {
 	if st := c.Stack(-5); st != nil {
 		t.Error("Stack(-5) != nil")
 	}
-	if err := c.Crash(99); !errors.Is(err, dpu.ErrOutOfRange) {
-		t.Errorf("Crash(99) = %v, want ErrOutOfRange", err)
+	if _, err := c.Node(99); !errors.Is(err, dpu.ErrOutOfRange) {
+		t.Errorf("Node(99) = %v, want ErrOutOfRange", err)
 	}
 }
 
@@ -327,9 +334,6 @@ func TestNodeMembershipRequiresOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n0.Join(1); !errors.Is(err, dpu.ErrNoMembership) {
-		t.Errorf("Join without WithMembership = %v, want ErrNoMembership", err)
-	}
 	if err := n0.Leave(1); !errors.Is(err, dpu.ErrNoMembership) {
 		t.Errorf("Leave without WithMembership = %v, want ErrNoMembership", err)
 	}
@@ -339,6 +343,9 @@ func TestNodeMembershipRequiresOption(t *testing.T) {
 	}
 	if _, err := c.AddNode(ctx, ""); !errors.Is(err, dpu.ErrNoMembership) {
 		t.Errorf("AddNode without WithMembership = %v, want ErrNoMembership", err)
+	}
+	if err := c.AddNodeAsync("", func(*dpu.Node, error) {}); !errors.Is(err, dpu.ErrNoMembership) {
+		t.Errorf("AddNodeAsync without WithMembership = %v, want ErrNoMembership", err)
 	}
 }
 

@@ -140,12 +140,6 @@ func WithBatching(maxDelay time.Duration, maxBytes int) Option {
 	return func(o *options) { o.batchDelay, o.batchBytes = maxDelay, maxBytes }
 }
 
-// WithProtocolImpl registers a custom atomic-broadcast implementation
-// so ChangeProtocol can switch to it. See abcast.Impl for the contract.
-func WithProtocolImpl(im abcast.Impl) Option {
-	return func(o *options) { o.extraImpls = append(o.extraImpls, im) }
-}
-
 // WithConsensusVariant registers a CT atomic-broadcast variant that
 // runs on its own consensus protocol instance — the paper's
 // consensus-replacement extension. implName is the protocol name to

@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		st, err := cluster.WaitForEpoch(sctx, i, ev.Epoch)
+		st, err := nodes[i].WaitForEpoch(sctx, ev.Epoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func main() {
 
 	// The other stacks confirm the same epoch deterministically — no
 	// sleeping, no polling.
-	st, err := cluster.WaitForEpoch(ctx, 1, ev.Epoch)
+	st, err := nodes[1].WaitForEpoch(ctx, ev.Epoch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,12 +2,14 @@
 // Its feed is each stack's deliveries, completed switches and installed
 // views in publish order (one goroutine per stack may feed), plus, as
 // the stacks' kernel.Tracer, their structural events. Report checks
-// eight properties, all always on:
+// nine properties, all always on:
 //
 //   - exactly-once: no stack delivers the same broadcast twice;
 //   - total-order: each stack's deliveries are one contiguous window of
 //     one reference order, founders anchored at its start and a joiner
 //     at its first delivery (a crashed stack's log is a legal prefix);
+//   - agreement: every anchored stack that is not retired reaches the
+//     end of the reference order, so no correct stack stalls unseen;
 //   - no-gaps: the reference order holds every workload sequence number
 //     (see Payload) of each sender up to its highest, except for retired
 //     senders, whose stream may end ragged;
@@ -24,9 +26,10 @@
 //     protocol P is bound on some stack, every traced founder contains a
 //     module of P.
 //
-// Crashed and retired stacks are exempt from the two Section-3 checks,
-// which constrain correct stacks only, and a joiner from the second: it
-// never holds a protocol the group replaced before it joined.
+// Crashed and retired stacks are exempt from agreement and the two
+// Section-3 checks, which constrain correct stacks only, and a joiner
+// from the last: it never holds a protocol the group replaced before it
+// joined.
 package audit
 
 import (
@@ -137,8 +140,8 @@ func (a *Auditor) Join(stack int) {
 }
 
 // Retire marks stack as crashed or evicted. Its workload stream may
-// end ragged, so no-gaps skips it as a sender, and the Section-3 checks
-// skip it; the order checks do not.
+// end ragged, so no-gaps skips it as a sender, and agreement and the
+// Section-3 checks skip it; the order checks do not.
 func (a *Auditor) Retire(stack int) {
 	a.mu.Lock()
 	a.stack(stack).retired = true
@@ -206,6 +209,13 @@ func (a *Auditor) Report() *Report {
 	ids := slices.Sorted(maps.Keys(a.stacks))
 	ref, refStack := a.reference(ids)
 	offsets := a.checkOrder(ids, ref, refStack, rep)
+	for _, id := range ids {
+		if off, ok := offsets[id]; ok && !a.stacks[id].retired {
+			if short := len(ref) - off - len(a.stacks[id].log); short > 0 {
+				rep.addf("agreement: stack %d stops %d deliveries short of the reference order's end (stack %d)", id, short, refStack)
+			}
+		}
+	}
 	a.checkGaps(ref, refStack, rep)
 	a.checkAgreement(ids, offsets, rep, "view", "view-agreement", "view-agreement",
 		func(s *stackLog) []mark { return s.views })

@@ -160,6 +160,22 @@ func TestExemptsRetiredSenders(t *testing.T) {
 	wantClean(t, a.Report())
 }
 
+func TestCatchesStalledStack(t *testing.T) {
+	logs := cleanLogs()
+	// Stack 1 stopped delivering after a legal prefix: total-order
+	// accepts the prefix, agreement does not.
+	logs[1] = logs[1][:7]
+	wantViolation(t, feed(logs).Report(), "agreement", "stack 1 ", "5 deliveries short")
+	// A crashed or evicted stack may stop anywhere.
+	a := feed(logs)
+	a.Retire(1)
+	wantClean(t, a.Report())
+	// A joiner's window must reach the end too.
+	logs = cleanLogs()
+	logs[3] = append([]event(nil), logs[0][6:10]...)
+	wantViolation(t, feed(logs, 3).Report(), "agreement", "stack 3 ", "2 deliveries short")
+}
+
 func TestCatchesViewDisagreement(t *testing.T) {
 	logs := cleanLogs()
 	// Same view id, different member sets on two stacks.

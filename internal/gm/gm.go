@@ -58,16 +58,12 @@ func (v View) Contains(p kernel.Addr) bool {
 	return false
 }
 
-// Join requests adding a member; the resulting view change is totally
-// ordered against all other membership operations and protocol
-// switches.
+// Join requests adding a new member; the resulting view change is
+// totally ordered against all other membership operations and protocol
+// switches. The member's id is allocated deterministically at the
+// commit point, fresh — ids are never reused — and reported through
+// Reply.
 type Join struct {
-	// P is the member address to admit. Ignored when Assign is set.
-	P kernel.Addr
-	// Assign allocates a fresh member id deterministically at the
-	// commit point (for nodes joining from outside the original id
-	// space); the assigned id is reported through Reply.
-	Assign bool
 	// Endpoint is the joining node's transport endpoint, admitted into
 	// every member's routing state when the view installs ("" over
 	// implicit-routing fabrics such as simnet).
@@ -93,8 +89,8 @@ type Result struct {
 	// View is the membership after the operation (the current one for a
 	// no-op).
 	View View
-	// Member is the operand — for an Assign join, the id that was
-	// allocated at the commit point.
+	// Member is the operand — for a Join, the id that was allocated at
+	// the commit point.
 	Member kernel.Addr
 	// Epoch is the replacement layer's seqNumber after the operation;
 	// a joiner's first implementation instance is scoped to it.
@@ -105,8 +101,8 @@ type Result struct {
 	Endpoints map[kernel.Addr]string
 	// NextID is the id-allocator position after the operation.
 	NextID kernel.Addr
-	// NoOp marks an operation that matched the current view (joining a
-	// present member, removing an absent one).
+	// NoOp marks an operation that matched the current view (removing
+	// an absent member).
 	NoOp bool
 	// Err is non-nil when the operation failed validation or wiring, or
 	// (core.ErrEvicted) when this stack was removed from the view before
@@ -203,7 +199,7 @@ func (m *Module) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
 	switch r := req.(type) {
 	case Join:
 		m.Stk.Call(core.Service, core.ChangeView{
-			Op: core.ViewJoin, Member: r.P, Assign: r.Assign,
+			Op: core.ViewJoin, Assign: true,
 			Endpoint: r.Endpoint, Reply: adaptReply(r.Reply),
 		})
 	case Leave:

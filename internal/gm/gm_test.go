@@ -97,8 +97,8 @@ func TestInitialViewContainsAllPeers(t *testing.T) {
 func TestLeaveAndJoinProduceConsistentViews(t *testing.T) {
 	// Views now drive the whole stack: an evicted member halts its
 	// participation, so view agreement is checked on the members of each
-	// view. The rejoin of the (now inert) id still commits consistently
-	// on the surviving members.
+	// view. A join then admits a fresh id — never the evicted one — and
+	// commits consistently on the surviving members.
 	c, logs := build(t, 3)
 	c.Stacks[0].Call(gm.Service, gm.Leave{P: 1})
 	c.Eventually(timeout, "view 1 everywhere", func() bool {
@@ -109,7 +109,8 @@ func TestLeaveAndJoinProduceConsistentViews(t *testing.T) {
 		}
 		return true
 	})
-	c.Stacks[2].Call(gm.Service, gm.Join{P: 1})
+	joined := make(chan gm.Result, 1)
+	c.Stacks[2].Call(gm.Service, gm.Join{Reply: func(r gm.Result) { joined <- r }})
 	c.Eventually(timeout, "view 2 on the survivors", func() bool {
 		return logs[0].count() >= 2 && logs[2].count() >= 2
 	})
@@ -118,9 +119,12 @@ func TestLeaveAndJoinProduceConsistentViews(t *testing.T) {
 		if vs[0].ID != 1 || len(vs[0].Members) != 2 || vs[0].Contains(1) {
 			t.Errorf("stack %d view[0] = %+v", i, vs[0])
 		}
-		if vs[1].ID != 2 || len(vs[1].Members) != 3 || !vs[1].Contains(1) {
+		if vs[1].ID != 2 || len(vs[1].Members) != 3 || vs[1].Contains(1) || !vs[1].Contains(3) {
 			t.Errorf("stack %d view[1] = %+v", i, vs[1])
 		}
+	}
+	if r := <-joined; r.Err != nil || r.Member != 3 || r.NextID != 4 {
+		t.Errorf("join result %+v, want fresh member 3", r)
 	}
 	// The evicted stack observed its own eviction and nothing after.
 	vs := logs[1].snapshot()
@@ -281,13 +285,13 @@ func TestViewsSurviveProtocolSwitch(t *testing.T) {
 		return true
 	})
 	c.Stacks[1].Call(core.Service, core.ChangeProtocol{Protocol: abcast.ProtocolSeq})
-	c.Stacks[0].Call(gm.Service, gm.Join{P: 2})
+	c.Stacks[0].Call(gm.Service, gm.Join{})
 	c.Eventually(timeout, "post-switch view on the survivors", func() bool {
 		return logs[0].count() >= 2 && logs[1].count() >= 2
 	})
 	for _, i := range []int{0, 1} {
 		vs := logs[i].snapshot()
-		if vs[1].ID != 2 || !vs[1].Contains(2) {
+		if vs[1].ID != 2 || !vs[1].Contains(3) {
 			t.Errorf("stack %d post-switch view %+v", i, vs[1])
 		}
 	}

@@ -576,21 +576,31 @@ func (d *driver) runPhase(ph Phase) (PhaseResult, error) {
 // virtual clock against the progress it is waiting for.
 func (d *driver) runAction(phase string, a Action, fail func(string, ...any)) {
 	switch a.Action {
-	case "add-node":
+	case "add-node", "restart":
+		// A restart brings a crashed or evicted member back the way any
+		// new machine joins: under a fresh id, through AddNodeAsync.
+		what := "add-node"
+		if a.Action == "restart" {
+			what = fmt.Sprintf("restart %d", a.Node)
+			if !d.isRetired(a.Node) {
+				fail("%s: the stack must crash or be evicted first", what)
+				return
+			}
+		}
 		err := d.c.AddNodeAsync(d.pool.next(), func(n *dpu.Node, err error) {
 			if err != nil {
-				fail("add-node: %v", err)
+				fail("%s: %v", what, err)
 				return
 			}
 			// The callback runs on the sponsor's executor at the commit:
 			// subscribing here catches the joiner's stream from its first
 			// event.
 			if err := d.subscribe(n.Index()); err != nil {
-				fail("add-node: subscribe joiner %d: %v", n.Index(), err)
+				fail("%s: subscribe joiner %d: %v", what, n.Index(), err)
 			}
 		})
 		if err != nil {
-			fail("add-node: %v", err)
+			fail("%s: %v", what, err)
 		}
 	case "evict":
 		victim := a.Node
@@ -605,7 +615,11 @@ func (d *driver) runAction(phase string, a Action, fail func(string, ...any)) {
 		}
 		// The victim's stream legitimately ends at the eviction commit.
 		d.markRetired(victim)
-		if err := d.c.Leave(sponsor, victim); err != nil {
+		n, err := d.c.Node(sponsor)
+		if err == nil {
+			err = n.Leave(victim)
+		}
+		if err != nil {
 			fail("evict %d: %v", victim, err)
 		}
 	case "crash":
@@ -614,24 +628,12 @@ func (d *driver) runAction(phase string, a Action, fail func(string, ...any)) {
 			return
 		}
 		d.markRetired(a.Node)
-		if err := d.c.Crash(a.Node); err != nil {
-			fail("crash %d: %v", a.Node, err)
+		n, err := d.c.Node(a.Node)
+		if err == nil {
+			err = n.Crash()
 		}
-	case "restart":
-		// Revive the crashed/evicted slot as a fresh member: the commit
-		// callback runs on the sponsor's executor, so subscribing there
-		// catches the revived stack's stream from its first event.
-		err := d.c.RestartAtAsync(a.Node, d.pool.next(), func(n *dpu.Node, err error) {
-			if err != nil {
-				fail("restart %d: %v", a.Node, err)
-				return
-			}
-			if err := d.subscribe(n.Index()); err != nil {
-				fail("restart %d: subscribe revived %d: %v", a.Node, n.Index(), err)
-			}
-		})
 		if err != nil {
-			fail("restart %d: %v", a.Node, err)
+			fail("crash %d: %v", a.Node, err)
 		}
 	case "switch":
 		initiator := a.Node
