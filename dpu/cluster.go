@@ -253,11 +253,6 @@ func (c *Cluster) buildStack(id int, peers []kernel.Addr, reg *kernel.Registry) 
 		Addr: kernel.Addr(id), Peers: peers, Registry: reg,
 		Seed: o.net.Seed + int64(id), Tracer: o.tracer, Clock: c.clock,
 	})
-	// A virtual clock must observe the stack's executor for quiescence;
-	// registering here covers founders and runtime joiners alike.
-	if vr, ok := c.clock.(vclock.Registrar); ok {
-		vr.Register(st)
-	}
 	s := &stackSlot{
 		id:          id,
 		st:          st,

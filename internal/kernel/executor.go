@@ -3,6 +3,8 @@ package kernel
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/vclock"
 )
 
 // task is one queued executor event. The hot paths (Call, Indicate,
@@ -36,7 +38,7 @@ type executor struct {
 	cond     *sync.Cond
 	queue    []task
 	spare    []task // recycled batch storage, swapped back under the lock
-	accepted uint64 // monotonic count of enqueued tasks (quiescence detection)
+	accepted uint64 // monotonic count of enqueued tasks (kernel.tasks_per_msg)
 	busy     bool   // a batch is being drained or flushed
 	stopped  bool
 	drain    bool
@@ -44,10 +46,11 @@ type executor struct {
 	done     chan struct{}
 	runTask  func(*task)
 	flush    func()
+	vc       *vclock.Virtual // counts e while len(queue) > 0 || busy; nil on wall time
 }
 
-func newExecutor(runTask func(*task), flush func()) *executor {
-	e := &executor{done: make(chan struct{}), runTask: runTask, flush: flush}
+func newExecutor(runTask func(*task), flush func(), vc *vclock.Virtual) *executor {
+	e := &executor{done: make(chan struct{}), runTask: runTask, flush: flush, vc: vc}
 	e.cond = sync.NewCond(&e.mu)
 	go e.run()
 	return e
@@ -67,9 +70,12 @@ func (e *executor) enqueue(t task) bool {
 		e.mu.Unlock()
 		return false
 	}
+	first := len(e.queue) == 0
+	if first && !e.busy {
+		e.vc.AddBusy(1)
+	}
 	e.queue = append(e.queue, t)
 	e.accepted++
-	first := len(e.queue) == 1
 	e.mu.Unlock()
 	if first {
 		e.cond.Signal()
@@ -92,6 +98,9 @@ func (e *executor) stop(drain bool) {
 	e.drain = drain
 	if !drain {
 		e.killed.Store(true)
+		if len(e.queue) > 0 && !e.busy {
+			e.vc.AddBusy(-1)
+		}
 		e.queue = nil
 	}
 	e.mu.Unlock()
@@ -109,9 +118,8 @@ func (e *executor) running() bool {
 }
 
 // queueState reports the monotonic count of tasks ever accepted and
-// whether the loop is idle (nothing queued, no batch in flight). A
-// stopped executor reports idle once its final batch drains, so virtual
-// clocks never wait on dead stacks.
+// whether the loop is idle (nothing queued, no batch in flight), for
+// kernel.tasks_per_msg.
 func (e *executor) queueState() (uint64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -155,5 +163,8 @@ func (e *executor) run() {
 		e.mu.Lock()
 		e.spare = batch[:0]
 		e.busy = false
+		if len(e.queue) == 0 {
+			e.vc.AddBusy(-1)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // bounded by the test binary's timeout.
 func TestStopRacingEnqueueClosesDone(t *testing.T) {
 	for i := 0; i < 2000; i++ {
-		e := newExecutor(func(*task) {}, func() {})
+		e := newExecutor(func(*task) {}, func() {}, nil)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {

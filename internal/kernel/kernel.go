@@ -272,7 +272,8 @@ func NewStack(cfg Config) *Stack {
 	initial := append([]Addr(nil), cfg.Peers...)
 	sort.Slice(initial, func(i, j int) bool { return initial[i] < initial[j] })
 	st.peers.Store(&peerSet{peers: initial})
-	st.exec = newExecutor(st.runTask, st.runFlushers)
+	vc, _ := clock.(*vclock.Virtual)
+	st.exec = newExecutor(st.runTask, st.runFlushers, vc)
 	return st
 }
 
@@ -288,8 +289,8 @@ func (st *Stack) Clock() vclock.Clock { return st.clock }
 // virtual time.
 func (st *Stack) Now() time.Time { return st.clock.Now() }
 
-// QueueState exposes the executor's accepted-work counter and idleness
-// so a virtual clock can detect quiescence (vclock.Source).
+// QueueState reports the executor's monotonic count of accepted tasks
+// and whether it is idle, for the benchmark's kernel.tasks_per_msg.
 func (st *Stack) QueueState() (uint64, bool) { return st.exec.queueState() }
 
 // Peers returns the current group membership (including this stack

@@ -118,7 +118,6 @@ func TestEveryCoalescesFiringsTheExecutorHasNotRun(t *testing.T) {
 func TestTimerResetOrdersAsAFreshRegistration(t *testing.T) {
 	v := vclock.NewVirtual()
 	st := NewStack(Config{Addr: 0, Peers: []Addr{0}, Clock: v})
-	v.Register(st)
 	t.Cleanup(st.Close)
 	var got []int // executor only; read after the clock is quiescent
 	a := st.After(10*time.Millisecond, func() { got = append(got, 1) })

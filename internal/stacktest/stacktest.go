@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 )
 
 // Cluster is a group of stacks wired to one fabric.
@@ -53,9 +52,6 @@ func New(t *testing.T, n int, netCfg simnet.Config, tracer kernel.Tracer) *Clust
 			Seed:     int64(netCfg.Seed) + int64(i),
 			Clock:    netCfg.Clock,
 		})
-		if vr, ok := netCfg.Clock.(vclock.Registrar); ok {
-			vr.Register(st)
-		}
 		c.Stacks = append(c.Stacks, st)
 	}
 	t.Cleanup(c.Close)

@@ -1,9 +1,9 @@
 // Package vclock abstracts time for the stack so whole clusters can run
 // under discrete-event virtual time. Simulations use Virtual, a
-// deterministic event scheduler that advances time only when every
-// registered event source (kernel executors) is quiescent. Wall time is
-// kept by Paced: Virtual's deadline heap fired by one goroutine that
-// keeps sub-millisecond deadlines. Production code uses Wall, the one
+// deterministic event scheduler that advances time only when no kernel
+// executor on it has work queued or running. Wall time is kept by
+// Paced: Virtual's deadline heap fired by one goroutine that keeps
+// sub-millisecond deadlines. Production code uses Wall, the one
 // Paced that holds every wall-clock timer in the process; a simulated
 // fabric that runs in real time owns another (see Paced). They are the
 // stack's only adapter to the runtime clock.
@@ -21,19 +21,25 @@
 //     firing the next, so the event cascade triggered by one firing is
 //     serialized: shared randomness (the simnet fault RNG) is consumed
 //     in a reproducible order.
-//  3. Event sources do no wall-clock-dependent work of their own.
+//  3. Executors do no wall-clock-dependent work of their own.
 //
-// Quiescence is detected with a double poll over a monotonic
-// accepted-work counter: if every source reports idle and the total
-// count is identical across two consecutive polls, no work was in
-// flight between them (counters never decrease, so the check cannot be
-// fooled by work that starts and finishes between polls).
+// Quiescence is one busy count that the executors keep themselves (see
+// AddBusy): an executor built on a Virtual is counted while it has work
+// queued or a pass running. Every enqueue happens on an executor that
+// is itself counted, or on the clock's owner before it waits, so the
+// count cannot reach zero while a cascade is still running. The owner
+// waits in a yield loop around one atomic read, not on a condition
+// variable: both fire the same events in the same order, but parking
+// the owner between events changes how far goroutines that watch the
+// run (a benchmark's collector draining delivery channels) get between
+// two firings, and with it any figure they derive from arrival order.
 package vclock
 
 import (
 	"container/heap"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,21 +69,6 @@ type Clock interface {
 // not block (see Paced).
 var Wall Clock = newPaced(newHeapSleeper)
 
-// Source is an event consumer whose activity the virtual clock must
-// observe to detect quiescence. QueueState returns a monotonic count of
-// work items ever accepted and whether the source is currently idle
-// (empty queue, no task running).
-type Source interface {
-	QueueState() (accepted uint64, idle bool)
-}
-
-// Registrar is implemented by clocks that track event sources. Code
-// that builds stacks registers each one with the cluster's clock when
-// the clock cares (the virtual clock does, the wall clock does not).
-type Registrar interface {
-	Register(Source)
-}
-
 // IsVirtual reports whether c is a virtual clock, letting callers pick
 // non-blocking code paths that are safe to run on the clock goroutine.
 func IsVirtual(c Clock) bool {
@@ -86,18 +77,16 @@ func IsVirtual(c Clock) bool {
 }
 
 // Virtual is a discrete-event clock. Timer callbacks run inline on the
-// goroutine calling Step or RunFor (the driver), one at a time, each
-// only after the previous event's cascade has fully drained.
+// goroutine calling RunFor (the driver), one at a time, each only after
+// the previous event's cascade has fully drained.
 //
-// Step and RunFor must be called from a single goroutine; Now,
-// AfterFunc, Stop and Register are safe from any goroutine.
+// RunFor must be called from a single goroutine; Now, AfterFunc, Stop
+// and AddBusy are safe from any goroutine.
 type Virtual struct {
 	schedule
 	base time.Time
-	now  int64 // nanoseconds since base; guarded by schedule.mu
-
-	srcMu sync.Mutex
-	srcs  []Source
+	now  int64        // nanoseconds since base; guarded by schedule.mu
+	busy atomic.Int64 // executors with work queued or running; see AddBusy
 }
 
 // NewVirtual creates a virtual clock. Time starts at a fixed arbitrary
@@ -160,7 +149,7 @@ func (h *eventHeap) Pop() any {
 }
 
 // schedule is the deadline heap both clocks own: Virtual fires its head
-// when every source is quiescent, Paced when the head is due. Events
+// when every executor is idle, Paced when the head is due. Events
 // fire in (deadline, registration) order whoever drives.
 type schedule struct {
 	mu     sync.Mutex
@@ -256,7 +245,7 @@ func (v *Virtual) Elapsed() time.Duration {
 }
 
 // AfterFunc schedules fn to run after d of virtual time. The callback
-// runs inline on the driver goroutine during Step or RunFor.
+// runs inline on the driver goroutine during RunFor.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	ev := &vevent{c: v, fn: fn, index: -1}
 	v.mu.Lock()
@@ -269,43 +258,19 @@ func (v *Virtual) armLocked(ev *vevent, d time.Duration) {
 	v.pushLocked(ev, v.now+int64(max(d, 0)))
 }
 
-// Register adds an event source to the quiescence poll set. Sources are
-// never removed: a stopped executor permanently reports idle.
-func (v *Virtual) Register(s Source) {
-	v.srcMu.Lock()
-	defer v.srcMu.Unlock()
-	v.srcs = append(v.srcs, s)
-}
-
-// pollSources returns the total accepted count and whether every source
-// reports idle.
-func (v *Virtual) pollSources() (uint64, bool) {
-	v.srcMu.Lock()
-	srcs := v.srcs
-	v.srcMu.Unlock()
-	var total uint64
-	idle := true
-	for _, s := range srcs {
-		a, i := s.QueueState()
-		total += a
-		if !i {
-			idle = false
-		}
+// AddBusy adds delta to the number of executors with work queued or
+// running. An executor on this clock calls it, under its own lock, with
+// +1 on its idle → queued edge and -1 when it goes idle again. On a nil
+// Virtual (an executor on wall time) it does nothing.
+func (v *Virtual) AddBusy(delta int64) {
+	if v != nil {
+		v.busy.Add(delta)
 	}
-	return total, idle
 }
 
-// quiesce blocks until every registered source is idle and no work was
-// accepted between two consecutive polls.
+// quiesce blocks until no executor on the clock has work.
 func (v *Virtual) quiesce() {
-	for spin := 0; ; spin++ {
-		before, idle := v.pollSources()
-		if idle {
-			after, idleAgain := v.pollSources()
-			if idleAgain && before == after {
-				return
-			}
-		}
+	for spin := 0; v.busy.Load() > 0; spin++ {
 		if spin < 256 {
 			runtime.Gosched()
 		} else {
@@ -330,20 +295,8 @@ func (v *Virtual) popNext(limit int64) func() {
 	return ev.fn
 }
 
-// Step waits for quiescence, then fires the earliest pending event.
-// It reports false when no events remain.
-func (v *Virtual) Step() bool {
-	v.quiesce()
-	fn := v.popNext(-1)
-	if fn == nil {
-		return false
-	}
-	fn()
-	return true
-}
-
 // RunFor advances virtual time by d, firing every event that falls due,
-// and returns with all sources quiescent and the clock exactly d later.
+// and returns with every executor idle and the clock exactly d later.
 func (v *Virtual) RunFor(d time.Duration) {
 	v.mu.Lock()
 	end := v.now + int64(d)

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +14,9 @@ func TestVirtualOrdering(t *testing.T) {
 	v.AfterFunc(20*time.Millisecond, func() { got = append(got, 2) })
 	// Same deadline: registration order breaks the tie.
 	v.AfterFunc(30*time.Millisecond, func() { got = append(got, 4) })
-	for v.Step() {
+	v.RunFor(30 * time.Millisecond)
+	if n := v.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending after their deadlines, want 0", n)
 	}
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -41,9 +42,10 @@ func TestVirtualStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop should report false")
 	}
-	if v.Step() {
-		t.Fatal("no runnable events expected")
+	if n := v.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending, want 0", n)
 	}
+	v.RunFor(time.Millisecond)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
@@ -109,65 +111,6 @@ func TestVirtualRearmChain(t *testing.T) {
 	v.RunFor(100 * time.Millisecond)
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-}
-
-// fakeSource models an executor: work is accepted asynchronously and
-// drains after a short real-time delay.
-type fakeSource struct {
-	mu       sync.Mutex
-	accepted uint64
-	pending  int
-}
-
-func (s *fakeSource) QueueState() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accepted, s.pending == 0
-}
-
-func (s *fakeSource) push() {
-	s.mu.Lock()
-	s.accepted++
-	s.pending++
-	s.mu.Unlock()
-}
-
-func (s *fakeSource) drainOne() {
-	s.mu.Lock()
-	s.pending--
-	s.mu.Unlock()
-}
-
-func TestVirtualQuiescenceWaitsForSources(t *testing.T) {
-	v := NewVirtual()
-	src := &fakeSource{}
-	v.Register(src)
-
-	drained := make(chan struct{})
-	v.AfterFunc(time.Millisecond, func() {
-		// The event hands work to the source; a background goroutine
-		// drains it after a real-time delay. The next Step must not
-		// fire until the drain completes.
-		src.push()
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			src.drainOne()
-			close(drained)
-		}()
-	})
-	ordered := true
-	v.AfterFunc(2*time.Millisecond, func() {
-		select {
-		case <-drained:
-		default:
-			ordered = false
-		}
-	})
-	for v.Step() {
-	}
-	if !ordered {
-		t.Fatal("second event fired before the source quiesced")
 	}
 }
 
