@@ -34,11 +34,17 @@ const (
 // ctGroup starts abcast/ct at epoch 0 on n stacks in virtual time, with
 // 1-ms hops.
 func ctGroup(t *testing.T, n int, rpCfg rp2p.Config) (*stacktest.Cluster, *vclock.Virtual, []*sink) {
+	return implGroup(t, n, abcast.CTImpl(), rpCfg)
+}
+
+// implGroup starts im at epoch 0 on n stacks in virtual time, with 1-ms
+// hops.
+func implGroup(t *testing.T, n int, im abcast.Impl, rpCfg rp2p.Config) (*stacktest.Cluster, *vclock.Virtual, []*sink) {
 	vc := vclock.NewVirtual()
 	c := substrate(t, n, simnet.Config{Clock: vc, BaseLatency: time.Millisecond}, rpCfg)
 	sinks := make([]*sink, n)
 	for i := range sinks {
-		sinks[i] = attach(t, c, i, abcast.CTImpl(), 0, abcast.ServiceImpl)
+		sinks[i] = attach(t, c, i, im, 0, abcast.ServiceImpl)
 	}
 	vc.RunFor(10 * time.Millisecond)
 	return c, vc, sinks

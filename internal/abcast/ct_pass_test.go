@@ -1,11 +1,9 @@
 package abcast_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/abcast"
 	"repro/internal/kernel"
 	"repro/internal/rp2p"
 	"repro/internal/stacktest"
@@ -16,17 +14,6 @@ import (
 // proposal (up to maxBatch, 256 ids). They run in virtual time and count
 // instances through counters, so no budget depends on the host.
 
-// broadcastInOnePass hands n payloads to stack i's ct module within one
-// executor event, hence one executor pass.
-func broadcastInOnePass(c *stacktest.Cluster, i, n int) {
-	st := c.Stacks[i]
-	c.OnSync(i, func() {
-		for s := 0; s < n; s++ {
-			st.CallSync(abcast.ServiceImpl, abcast.Broadcast{Data: []byte(fmt.Sprintf("%d/%03d", i, s))})
-		}
-	})
-}
-
 // TestCTProposesOncePerPass: 300 broadcasts issued in one executor pass
 // of one stack are ordered by ⌈300/256⌉ = 2 consensus instances — not
 // one instance per arrival — and every stack delivers them in the same
@@ -35,7 +22,7 @@ func TestCTProposesOncePerPass(t *testing.T) {
 	const n, msgs, maxBatch = 3, 300, 256
 	c, vc, sinks := ctGroup(t, n, rp2p.Config{RTO: 5 * time.Millisecond})
 	delta := stacktest.CounterDelta()
-	broadcastInOnePass(c, 0, msgs)
+	burst(c, 0, sized(0, msgs, 8))
 	vc.RunFor(time.Second)
 	for i, s := range sinks {
 		if got := s.count(); got != msgs {
@@ -61,7 +48,7 @@ func TestCTLonePayloadProposedInItsPass(t *testing.T) {
 	c, vc, sinks := ctGroup(t, 3, rp2p.Config{RTO: 5 * time.Millisecond})
 	delta := stacktest.CounterDelta()
 	start := vc.Now()
-	broadcastInOnePass(c, 0, 1)
+	burst(c, 0, sized(0, 1, 8))
 	vc.RunFor(0)
 	if vc.Now() != start {
 		t.Fatalf("virtual time moved by %v", vc.Now().Sub(start))

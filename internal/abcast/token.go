@@ -13,8 +13,9 @@ import (
 // tokenModule is a moving-sequencer (privilege-based) atomic broadcast:
 // a token carrying the next global sequence number circulates around the
 // ring of stacks; the holder stamps its pending messages with
-// consecutive numbers, broadcasts them, and passes the token on. All
-// stacks deliver in stamp order.
+// consecutive numbers, broadcasts them, and passes the token on — from a
+// flusher, so the whole queue leaves in ordered frames (see ordFrame),
+// one per member per pass. All stacks deliver in stamp order.
 //
 // Like abcast/seq this variant's guarantees are for crash-free runs:
 // token regeneration after a holder crash is not implemented. It trades
@@ -23,19 +24,16 @@ import (
 // third, behaviourally distinct implementation.
 type tokenModule struct {
 	kernel.Base
-	epoch   uint64
 	channel string
 	cfg     TokenConfig
 	ring    []kernel.Addr
 
-	sendSeq  uint64
-	pending  []Deliver // local messages waiting for the token
-	hasToken bool
-	tokenSeq uint64        // next global number the token will assign
-	idleWait *kernel.Timer // the idle hold, re-armed whenever the token is held idle
-
-	nextDel uint64
-	hold    map[uint64]Deliver
+	pending    [][]byte // local payloads waiting for the token
+	hasToken   bool
+	tokenSeq   uint64        // next global number the token will assign
+	idleWait   *kernel.Timer // the idle hold, re-armed whenever the token is held idle
+	unregister func()
+	in         inOrder
 }
 
 // TokenConfig tunes the token protocol.
@@ -52,10 +50,8 @@ func (c TokenConfig) withDefaults() TokenConfig {
 	return c
 }
 
-const (
-	tokMsgOrd   byte = 0
-	tokMsgToken byte = 1
-)
+// tokToken is the kind of the token: (tokToken, next global number).
+const tokToken byte = 1
 
 // TokenImpl returns the implementation descriptor for abcast/token.
 func TokenImpl(cfg TokenConfig) Impl {
@@ -68,36 +64,33 @@ func TokenImpl(cfg TokenConfig) Impl {
 			sort.Slice(ring, func(i, j int) bool { return ring[i] < ring[j] })
 			m := &tokenModule{
 				Base:    kernel.NewBase(st, ProtocolToken),
-				epoch:   epoch,
 				channel: fmt.Sprintf("tk/%d", epoch),
 				cfg:     cfg,
 				ring:    ring,
-				hold:    make(map[uint64]Deliver),
 			}
-			m.idleWait = st.NewTimer(m.passIdle)
+			m.idleWait = st.NewTimer(m.flushAndPass)
 			return m
 		},
 	}
 }
 
-// passIdle passes on a token held idle for HoldIdle.
-func (m *tokenModule) passIdle() {
-	if m.hasToken {
-		m.flushAndPass()
-	}
-}
-
-// Start attaches to the epoch channel; the lowest address mints the
-// initial token.
+// Start attaches to the epoch channel and registers the flusher; the
+// lowest address mints the initial token.
 func (m *tokenModule) Start() {
 	m.Stk.Call(rp2p.Service, rp2p.Listen{Channel: m.channel, Handler: m.onRecv})
+	m.unregister = m.Stk.RegisterFlusher(m.passEnd)
 	if m.Stk.Addr() == m.ring[0] {
 		m.acquireToken(0)
 	}
 }
 
-// Stop detaches and drops the token if held (crash-free model).
+// Stop sends what a holder still has pending, detaches, and drops the
+// token if held (crash-free model).
 func (m *tokenModule) Stop() {
+	m.passEnd()
+	if m.unregister != nil {
+		m.unregister()
+	}
 	m.idleWait.Stop()
 	m.Stk.Call(rp2p.Service, rp2p.Unlisten{Channel: m.channel})
 }
@@ -111,80 +104,64 @@ func (m *tokenModule) next() kernel.Addr {
 	return m.ring[0]
 }
 
-// HandleRequest queues Broadcast payloads until the token arrives.
+// HandleRequest queues Broadcast payloads until the token is here and
+// the pass ends.
 func (m *tokenModule) HandleRequest(_ kernel.ServiceID, req kernel.Request) {
-	b, ok := req.(Broadcast)
-	if !ok {
-		return
-	}
-	m.sendSeq++
-	m.pending = append(m.pending, Deliver{Origin: m.Stk.Addr(), Data: b.Data})
-	if m.hasToken {
-		m.flushAndPass()
+	if b, ok := req.(Broadcast); ok {
+		m.pending = append(m.pending, b.Data)
 	}
 }
 
+// acquireToken takes the token in: the flusher ending this pass sends
+// what is pending, or else the holder keeps it for a broadcast to come.
 func (m *tokenModule) acquireToken(seq uint64) {
 	m.hasToken = true
 	m.tokenSeq = seq
-	if len(m.pending) > 0 {
-		m.flushAndPass()
-		return
+	if len(m.pending) == 0 {
+		m.idleWait.Reset(m.cfg.HoldIdle)
 	}
-	// Idle: hold briefly so an imminent broadcast can use the token,
-	// then pass it on.
-	m.idleWait.Reset(m.cfg.HoldIdle)
 }
 
-// flushAndPass stamps and broadcasts pending messages, then forwards
-// the token.
-func (m *tokenModule) flushAndPass() {
-	m.idleWait.Stop()
-	for _, d := range m.pending {
-		g := m.tokenSeq
-		m.tokenSeq++
-		w := wire.NewWriter(len(d.Data) + 24)
-		w.Byte(tokMsgOrd).Uvarint(g).Uvarint(uint64(d.Origin)).Raw(d.Data)
-		ord := w.Bytes()
-		for _, p := range m.ring {
-			m.Stk.Call(rp2p.Service, rp2p.Send{To: p, Channel: m.channel, Data: ord})
-		}
+// passEnd runs as a stack flusher after every executor pass.
+func (m *tokenModule) passEnd() {
+	if len(m.pending) > 0 {
+		m.flushAndPass()
 	}
-	m.pending = nil
-	m.hasToken = false
-	w := wire.NewWriter(12)
-	w.Byte(tokMsgToken).Uvarint(m.tokenSeq)
-	m.Stk.Call(rp2p.Service, rp2p.Send{To: m.next(), Channel: m.channel, Data: w.Bytes()})
+}
+
+// flushAndPass, run by the flusher and when the idle hold expires, has
+// the holder stamp its pending messages into ordered frames, send them
+// to every member, then forward the token.
+func (m *tokenModule) flushAndPass() {
+	if !m.hasToken {
+		return
+	}
+	m.idleWait.Stop()
+	var w *wire.Writer
+	for _, data := range m.pending {
+		if frameFull(w, len(data)) {
+			sendFrame(m.Stk, m.channel, w, m.ring...)
+			w = nil
+		}
+		w = appendOrdered(w, m.tokenSeq, m.Stk.Addr(), data)
+		m.tokenSeq++
+	}
+	sendFrame(m.Stk, m.channel, w, m.ring...)
+	clear(m.pending)
+	m.pending, m.hasToken = m.pending[:0], false
+	sendFrame(m.Stk, m.channel, wire.NewWriter(12).Byte(tokToken).Uvarint(m.tokenSeq), m.next())
 }
 
 func (m *tokenModule) onRecv(rv rp2p.Recv) {
 	r := wire.NewReader(rv.Data)
 	switch r.Byte() {
-	case tokMsgToken:
+	case tokToken:
 		seq := r.Uvarint()
 		if r.Err() != nil {
 			return
 		}
 		m.acquireToken(seq)
-	case tokMsgOrd:
-		g := r.Uvarint()
-		origin := kernel.Addr(r.Uvarint())
-		data := r.Rest()
-		if r.Err() != nil {
-			return
-		}
-		if g < m.nextDel {
-			return
-		}
-		m.hold[g] = Deliver{Origin: origin, Data: data}
-		for {
-			d, ok := m.hold[m.nextDel]
-			if !ok {
-				break
-			}
-			delete(m.hold, m.nextDel)
-			m.nextDel++
-			m.Stk.Indicate(ServiceImpl, d)
-		}
+	case ordFrame:
+		m.in.take(m.Stk, r)
 	}
 }
